@@ -1026,7 +1026,7 @@ let obs_bench () =
   let paired f g =
     let diffs =
       Array.init rounds (fun _ ->
-          max 0.0 ((f () -. g ()) /. float_of_int iters *. 1e9))
+          (f () -. g ()) /. float_of_int iters *. 1e9)
     in
     Array.sort compare diffs;
     (diffs.(0), diffs.(rounds / 2))
@@ -1169,11 +1169,13 @@ let obs_bench () =
     trace_file;
   (* -- wire: the same question asked of the full server stack.  Serial
      point SELECTs over a loopback socket, three obs configurations in
-     paired alternating rounds (min-of-diffs, clamped at zero).  The
+     paired alternating rounds (min-of-diffs, signed: a negative value
+     is noise below the resolution of the pairing).  The
      product default is flight recorder on, everything else off — that
      pairing is the wire disabled-path gate (<2%); counters + tracing +
      flight all on is the enabled-path gate (<5%). -- *)
-  let wire_off_us, wire_disabled_pct, wire_enabled_pct, wire_ops, wire_rounds =
+  let wire_off_us, (wire_disabled_pct, wire_disabled_med), (wire_enabled_pct, wire_enabled_med),
+      wire_ops, wire_rounds =
     let module Server = Bullfrog_server.Server in
     let module Client = Bullfrog_server.Client in
     let wdb = Database.create () in
@@ -1235,10 +1237,10 @@ let obs_bench () =
         if t_off < !best_off then best_off := t_off
       done;
       Array.sort compare diffs;
-      let pct d = max 0.0 d /. !best_off *. 100.0 in
+      let pct d = d /. !best_off *. 100.0 in
       say "    wire %-11s min %+.2f%%  median %+.2f%%" label (pct diffs.(0))
         (pct diffs.(wrounds / 2));
-      (pct diffs.(0), !best_off)
+      ((pct diffs.(0), pct diffs.(wrounds / 2)), !best_off)
     in
     let disabled_pct, off_a = paired_wire "flight-only" flight_only in
     let enabled_pct, off_b = paired_wire "full-obs" full_on in
@@ -1254,8 +1256,10 @@ let obs_bench () =
   Obs.Trace.disable ();
   Obs.Trace.clear ();
   Obs.Counters.set_enabled was_counting;
-  say "  wire    %8.1f us/op all-off   flight-only +%.2f%% (<2%%)   full obs +%.2f%% (<5%%)"
-    wire_off_us wire_disabled_pct wire_enabled_pct;
+  say
+    "  wire    %8.1f us/op all-off   flight-only min %+.2f%% median %+.2f%% (<2%%)   full obs \
+     min %+.2f%% median %+.2f%% (<5%%)"
+    wire_off_us wire_disabled_pct wire_disabled_med wire_enabled_pct wire_enabled_med;
   let oc = open_out "BENCH_observability.json" in
   Printf.fprintf oc
     {|{
@@ -1296,7 +1300,9 @@ let obs_bench () =
     "paired_rounds": %d,
     "all_off_op_us": %.1f,
     "flight_only_overhead_pct": %.3f,
+    "flight_only_overhead_median_pct": %.3f,
     "full_obs_overhead_pct": %.3f,
+    "full_obs_overhead_median_pct": %.3f,
     "budget_disabled_pct": 2.0,
     "budget_enabled_pct": 5.0
   }
@@ -1305,7 +1311,8 @@ let obs_bench () =
     (match profile with Fast -> "fast" | Standard -> "standard" | Full -> "full")
     seed bump_ns bump_med_ns serial_min serial_med q_op_ns q_calls q_overhead
     q_overhead_ub q_on_ns m_op_ns m_calls m_events m_overhead trace_file n_events spans
-    wire_ops wire_rounds wire_off_us wire_disabled_pct wire_enabled_pct;
+    wire_ops wire_rounds wire_off_us wire_disabled_pct wire_disabled_med wire_enabled_pct
+    wire_enabled_med;
   close_out oc;
   say "  wrote BENCH_observability.json";
   (* qpath is gated on the in-context marginal cost — its call sites sit

@@ -1,12 +1,12 @@
 open Bullfrog_sql
 
-(* Index keys and range bounds are run-time expressions (constants or
-   positional parameters) so that one compiled access path serves every
-   parameter binding of a cached statement. *)
+(* Index keys and range bounds are compiled run-time expressions
+   (constants or positional parameters) so that one compiled access path
+   serves every parameter binding of a cached statement. *)
 type path =
   | P_full
-  | P_eq of Index.t * Expr.t array
-  | P_range of Index.t * Expr.t array * Expr.t option * Expr.t option
+  | P_eq of Index.t * Expr.cexpr array
+  | P_range of Index.t * Expr.cexpr array * Expr.cexpr option * Expr.cexpr option
 
 type pred = {
   path : path;
@@ -93,7 +93,7 @@ let compile_pred table where =
                   | None -> false)
                 conjs
             in
-            (P_eq (idx, key), consumed, Array.length (Index.key_cols idx)))
+            (P_eq (idx, Array.map Expr.prepare key), consumed, Array.length (Index.key_cols idx)))
           full_match
       in
       let range_path =
@@ -190,7 +190,12 @@ let compile_pred table where =
                       | None -> false)
                     conjs
                 in
-                Some (P_range (idx, prefix, !lo, !hi), eq_consumed @ !consumed, n, !lo <> None || !hi <> None))
+                let prep = Expr.prepare in
+                Some
+                  ( P_range (idx, Array.map prep prefix, Option.map prep !lo, Option.map prep !hi),
+                    eq_consumed @ !consumed,
+                    n,
+                    !lo <> None || !hi <> None ))
       in
       (* A bounded range over at least as long a pinned prefix narrows the
          fetch more than a shorter full-equality index. *)
@@ -211,7 +216,7 @@ let compile_pred table where =
       in
       { path; residual }
 
-let key_value params e = Expr.eval_env params [||] e
+let key_value params (e : Expr.cexpr) = e.Expr.ce_eval params [||]
 
 (* [latest] bypasses snapshot visibility and reads the raw slot array —
    uncommitted writes of every transaction included.  SQL reads never use

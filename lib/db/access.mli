@@ -15,12 +15,13 @@
 
 type path =
   | P_full
-  | P_eq of Index.t * Expr.t array
-  | P_range of Index.t * Expr.t array * Expr.t option * Expr.t option
+  | P_eq of Index.t * Expr.cexpr array
+  | P_range of Index.t * Expr.cexpr array * Expr.cexpr option * Expr.cexpr option
       (** index, pinned prefix, inclusive lower bound and exclusive upper
           bound on the next key column.  Key expressions are constants or
-          positional parameters, evaluated at execution time so a
-          compiled path is reusable across parameter bindings. *)
+          positional parameters, compiled once by {!compile_pred} and
+          evaluated at execution time, so a compiled path is reusable
+          across parameter bindings. *)
 
 type pred = {
   path : path;

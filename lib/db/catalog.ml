@@ -52,11 +52,19 @@ let create_view t name query =
   Hashtbl.replace t.entries name (View query);
   bump_epoch t
 
+(* Index names are catalog-wide; a dropped or renamed table takes its
+   index registrations along. *)
+let move_indexes t ~from ~into =
+  Hashtbl.filter_map_inplace
+    (fun _ owner -> if owner = from then into else Some owner)
+    t.index_owners
+
 let drop t name =
   let name = norm name in
   if not (Hashtbl.mem t.entries name) then
     Db_error.sql_error "relation %S does not exist" name;
   Hashtbl.remove t.entries name;
+  move_indexes t ~from:name ~into:None;
   bump_epoch t
 
 let rename_table t old_name new_name =
@@ -67,6 +75,7 @@ let rename_table t old_name new_name =
       Hashtbl.remove t.entries old_name;
       heap.Heap.name <- new_name;
       Hashtbl.replace t.entries new_name (Table heap);
+      move_indexes t ~from:old_name ~into:(Some new_name);
       (* Foreign keys reference tables by name; follow the rename. *)
       Hashtbl.iter
         (fun _ entry ->

@@ -1,14 +1,18 @@
 open Bullfrog_sql
 
+(* What a prepared statement compiles to: a SELECT's physical plan or a
+   DML statement's closure. *)
+type compiled = C_select of Planner.planned | C_write of Executor.write
+
 type cached_plan = {
   cp_epoch : int;  (* Catalog.epoch the plan was built under *)
-  cp_planned : Planner.planned;
+  cp_compiled : compiled;
 }
 
 type prepared = {
   p_stmt : Ast.stmt;
   p_nparams : int;  (* highest $n referenced *)
-  p_cacheable : bool;  (* plan reusable across executions? *)
+  p_cacheable : bool;  (* plan / closure reusable across executions? *)
   mutable p_plan : cached_plan option;
 }
 
@@ -282,9 +286,16 @@ let prepare t sql =
       (* Parse outside the latch; re-check for a racing insert after. *)
       Mutex.unlock t.stmt_latch;
       let stmt = Parser.parse_one sql in
+      (* Subqueries are evaluated at plan / compile time, so a statement
+         carrying one is planned afresh for every execution. *)
+      let has = Ast.expr_has_subquery in
       let cacheable =
         match stmt with
         | Ast.Select_stmt s -> not (Ast.select_has_subquery s)
+        | Ast.Insert { source = Ast.Values rows; _ } -> not (List.exists (List.exists has) rows)
+        | Ast.Update { sets; where; _ } ->
+            not (List.exists (fun (_, e) -> has e) sets || Option.fold ~none:false ~some:has where)
+        | Ast.Delete { where; _ } -> not (Option.fold ~none:false ~some:has where)
         | _ -> false
       in
       let p =
@@ -310,23 +321,27 @@ let prepare t sql =
 
 let prepared_stmt p = p.p_stmt
 
-(* Plan reuse: the plan bakes in resolved column positions, access paths
-   and compiled closures, all functions of the catalog state.  The epoch
-   is read BEFORE planning so a concurrent DDL mid-plan leaves the entry
-   tagged stale (it re-plans next time) rather than fresh-but-wrong. *)
-let planned_select t txn params p s =
+(* Plan reuse: a plan or DML closure bakes in the resolved heap, column
+   positions, access paths and compiled closures, all functions of the
+   catalog state.  The epoch is read BEFORE compiling so a concurrent DDL
+   mid-compile leaves the entry tagged stale (it recompiles next time)
+   rather than fresh-but-wrong. *)
+let compiled t txn params p =
   let epoch = Catalog.epoch t.catalog in
   match p.p_plan with
   | Some cp when cp.cp_epoch = epoch ->
       Obs.Counters.bump c_plan_hit;
-      cp.cp_planned
+      cp.cp_compiled
   | _ ->
       Obs.Counters.bump c_plan_miss;
-      let planned =
-        Planner.plan_select (Executor.planner_ctx ~params (exec_ctx t) txn) s
+      let c =
+        match p.p_stmt with
+        | Ast.Select_stmt s ->
+            C_select (Planner.plan_select (Executor.planner_ctx ~params (exec_ctx t) txn) s)
+        | stmt -> C_write (Executor.compile_write ~params (exec_ctx t) txn stmt)
       in
-      if p.p_cacheable then p.p_plan <- Some { cp_epoch = epoch; cp_planned = planned };
-      planned
+      p.p_plan <- Some { cp_epoch = epoch; cp_compiled = c };
+      c
 
 let stmt_label (stmt : Ast.stmt) =
   match stmt with
@@ -344,18 +359,20 @@ let stmt_label (stmt : Ast.stmt) =
   | Ast.Begin_txn | Ast.Commit_txn | Ast.Rollback_txn -> "txn-control"
 
 let run_prepared t txn params p =
-  match p.p_stmt with
-  | Ast.Select_stmt s when p.p_cacheable ->
-      (* statement boundary for the cached-plan fast path, which skips
-         [Executor.exec_stmt] *)
-      Txn.refresh_snapshot txn;
-      let planned = planned_select t txn params p s in
-      let names =
-        Array.to_list
-          (Array.map (fun (d : Plan.col_desc) -> d.Plan.cd_name) planned.Planner.output)
-      in
-      Executor.Rows (names, Executor.run ~params txn planned.Planner.plan)
-  | stmt -> Executor.exec_stmt ~params (exec_ctx t) txn stmt
+  if not p.p_cacheable then Executor.exec_stmt ~params (exec_ctx t) txn p.p_stmt
+  else begin
+    (* statement boundary for the cached fast path, which skips
+       [Executor.exec_stmt] *)
+    Txn.refresh_snapshot txn;
+    match compiled t txn params p with
+    | C_select planned ->
+        let names =
+          Array.to_list
+            (Array.map (fun (d : Plan.col_desc) -> d.Plan.cd_name) planned.Planner.output)
+        in
+        Executor.Rows (names, Executor.run ~params txn planned.Planner.plan)
+    | C_write w -> w params txn
+  end
 
 let exec_prepared_in t txn ?(params = [||]) p =
   if Array.length params < p.p_nparams then

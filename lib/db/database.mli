@@ -8,10 +8,12 @@
 
 type prepared
 (** A parsed statement from the per-database statement cache (keyed by
-    SQL text).  Cacheable SELECTs (no subqueries — those are evaluated at
-    plan time, so their plans bake results in) additionally memoise their
-    physical plan, tagged with the {!Catalog.epoch} it was built under;
-    the plan is discarded and rebuilt when the epoch moves (DDL, BullFrog
+    SQL text).  Cacheable statements (no subqueries — those are evaluated
+    at plan time, so their plans bake results in) additionally memoise
+    their compiled form: a SELECT's physical plan, or the
+    {!Executor.compile_write} closure of an INSERT ... VALUES, UPDATE or
+    DELETE.  It is tagged with the {!Catalog.epoch} it was built under,
+    and discarded and rebuilt when the epoch moves (DDL, BullFrog
     migration flips). *)
 
 type t = {

@@ -1073,10 +1073,120 @@ let alter_table ctx txn table_name (action : Ast.alter_action) =
       Done "ALTER TABLE"
 
 (* ------------------------------------------------------------------ *)
+(* DML compilation                                                     *)
+(* ------------------------------------------------------------------ *)
+
+type write = Value.t array -> Txn.t -> result
+
+(* A cached closure re-executes with no name resolution and no
+   access-path choice.  [params] and [txn] serve only the uncorrelated
+   subqueries evaluated here, at compile time. *)
+let compile_write ?(params = [||]) ctx txn (stmt : Ast.stmt) : write =
+  match stmt with
+  | Ast.Insert { table; columns; source; on_conflict_do_nothing; on_conflict_target } ->
+      let heap = Catalog.find_table_exn ctx.catalog table in
+      let schema = heap.Heap.schema in
+      (* A conflict target must name a uniqueness guarantee: a unique
+         index over exactly those columns, or the table's primary key. *)
+      (match on_conflict_target with
+      | None -> ()
+      | Some cols ->
+          let idxs = List.map (Schema.col_index_exn schema) cols in
+          let arr = Array.of_list idxs in
+          let is_pk =
+            match schema.Schema.primary_key with
+            | Some pk ->
+                List.sort compare (Array.to_list pk)
+                = List.sort compare (Array.to_list arr)
+            | None -> false
+          in
+          if (not is_pk) && Heap.unique_index_on heap arr = None then
+            err
+              "ON CONFLICT (%s): no unique index or primary key on these columns \
+               of %s"
+              (String.concat ", " cols) table);
+      let arity = Schema.arity schema in
+      let positions =
+        match columns with
+        | None -> Array.init arity (fun i -> i)
+        | Some cols -> Array.of_list (List.map (Schema.col_index_exn schema) cols)
+      in
+      let defaults =
+        Array.map
+          (fun (c : Schema.column) -> Option.value c.Schema.default ~default:Value.Null)
+          schema.Schema.columns
+      in
+      let build_row values =
+        if Array.length values <> Array.length positions then
+          err "INSERT has %d expressions but %d target columns" (Array.length values)
+            (Array.length positions);
+        let row = Array.copy defaults in
+        Array.iteri (fun j pos -> row.(pos) <- values.(j)) positions;
+        row
+      in
+      let source_rows : Value.t array -> Txn.t -> Value.t array list =
+        match source with
+        | Ast.Values rows ->
+            (* A compile error is deferred to the expression's turn, so a
+               row raises the same error as when each expression was
+               compiled and evaluated in order. *)
+            let pctx = planner_ctx ~params ctx txn in
+            let compile e =
+              match Expr.compile_env (Planner.compile_const pctx e) with
+              | f -> f
+              | exception ((Db_error.Sql_error _ | Expr.Eval_error _) as ex) ->
+                  fun _ _ -> raise ex
+            in
+            let rows = List.map (fun exprs -> Array.of_list (List.map compile exprs)) rows in
+            fun params _txn -> List.map (Array.map (fun f -> f params [||])) rows
+        | Ast.Query q -> (
+            fun params txn ->
+              match run_select ~params ctx txn q with
+              | Rows (_, rows) -> rows
+              | Affected _ | Done _ | Explained _ -> assert false)
+      in
+      fun params txn ->
+        let inserted = ref 0 in
+        List.iter
+          (fun values ->
+            match insert_row ctx txn heap ~on_conflict_do_nothing (build_row values) with
+            | Some _ -> incr inserted
+            | None -> ())
+          (source_rows params txn);
+        Affected !inserted
+  | Ast.Update { table; sets; where } ->
+      let heap = Catalog.find_table_exn ctx.catalog table in
+      let schema = heap.Heap.schema in
+      let assignments =
+        List.map
+          (fun (c, e) ->
+            (Schema.col_index_exn schema c, Expr.compile_env (Schema.compile_expr schema e)))
+          sets
+      in
+      let pred = Access.compile_pred heap where in
+      fun params txn ->
+        let targets = Access.select_tids ~params txn heap pred in
+        List.iter
+          (fun (tid, row) ->
+            let row' = Array.copy row in
+            List.iter (fun (i, f) -> row'.(i) <- f params row) assignments;
+            update_row ctx txn heap tid row')
+          targets;
+        Affected (List.length targets)
+  | Ast.Delete { table; where } ->
+      let heap = Catalog.find_table_exn ctx.catalog table in
+      let pred = Access.compile_pred heap where in
+      fun params txn ->
+        let targets = Access.select_tids ~params txn heap pred in
+        List.iter (fun (tid, _row) -> delete_row ctx txn heap tid) targets;
+        Affected (List.length targets)
+  | _ -> invalid_arg "Executor.compile_write: not an INSERT, UPDATE or DELETE"
+
+(* ------------------------------------------------------------------ *)
 (* Statement dispatch                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let rec exec_stmt ?(params = [||]) ctx txn (stmt : Ast.stmt) : result =
+let exec_stmt ?(params = [||]) ctx txn (stmt : Ast.stmt) : result =
   (* Statement boundary: advance the snapshot to the published clock
      (read-committed; no-op for pinned transactions), so this statement
      sees every commit that published before it started — including a
@@ -1166,95 +1276,6 @@ let rec exec_stmt ?(params = [||]) ctx txn (stmt : Ast.stmt) : result =
       Catalog.bump_epoch ctx.catalog;
       log_ddl ctx stmt;
       r
-  | Ast.Insert { table; columns; source; on_conflict_do_nothing; on_conflict_target } ->
-      let heap = Catalog.find_table_exn ctx.catalog table in
-      let schema = heap.Heap.schema in
-      (* A conflict target must name a uniqueness guarantee: a unique
-         index over exactly those columns, or the table's primary key. *)
-      (match on_conflict_target with
-      | None -> ()
-      | Some cols ->
-          let idxs = List.map (Schema.col_index_exn schema) cols in
-          let arr = Array.of_list idxs in
-          let is_pk =
-            match schema.Schema.primary_key with
-            | Some pk ->
-                List.sort compare (Array.to_list pk)
-                = List.sort compare (Array.to_list arr)
-            | None -> false
-          in
-          if (not is_pk) && Heap.unique_index_on heap arr = None then
-            err
-              "ON CONFLICT (%s): no unique index or primary key on these columns \
-               of %s"
-              (String.concat ", " cols) table);
-      let arity = Schema.arity schema in
-      let positions =
-        match columns with
-        | None -> Array.init arity (fun i -> i)
-        | Some cols -> Array.of_list (List.map (Schema.col_index_exn schema) cols)
-      in
-      let build_row values =
-        if Array.length values <> Array.length positions then
-          err "INSERT has %d expressions but %d target columns" (Array.length values)
-            (Array.length positions);
-        let row =
-          Array.init arity (fun i ->
-              match schema.Schema.columns.(i).Schema.default with
-              | Some d -> d
-              | None -> Value.Null)
-        in
-        Array.iteri (fun j pos -> row.(pos) <- values.(j)) positions;
-        row
-      in
-      let source_rows =
-        match source with
-        | Ast.Values rows ->
-            List.map
-              (fun exprs ->
-                Array.of_list
-                  (List.map
-                     (fun e ->
-                       Expr.eval_env params [||] (compile_standalone ~params ctx txn e))
-                     exprs))
-              rows
-        | Ast.Query q -> (
-            match run_select ~params ctx txn q with
-            | Rows (_, rows) -> rows
-            | Affected _ | Done _ | Explained _ -> assert false)
-      in
-      let inserted = ref 0 in
-      List.iter
-        (fun values ->
-          match insert_row ctx txn heap ~on_conflict_do_nothing (build_row values) with
-          | Some _ -> incr inserted
-          | None -> ())
-        source_rows;
-      Affected !inserted
-  | Ast.Update { table; sets; where } ->
-      let heap = Catalog.find_table_exn ctx.catalog table in
-      let schema = heap.Heap.schema in
-      let assignments =
-        List.map
-          (fun (c, e) -> (Schema.col_index_exn schema c, Schema.compile_expr schema e))
-          sets
-      in
-      let targets = Access.scan_pred ~params txn heap where in
-      List.iter
-        (fun (tid, row) ->
-          let row' = Array.copy row in
-          List.iter (fun (i, e) -> row'.(i) <- Expr.eval_env params row e) assignments;
-          update_row ctx txn heap tid row')
-        targets;
-      Affected (List.length targets)
-  | Ast.Delete { table; where } ->
-      let heap = Catalog.find_table_exn ctx.catalog table in
-      let targets = Access.scan_pred ~params txn heap where in
-      List.iter (fun (tid, _row) -> delete_row ctx txn heap tid) targets;
-      Affected (List.length targets)
+  | Ast.Insert _ | Ast.Update _ | Ast.Delete _ -> compile_write ~params ctx txn stmt params txn
   | Ast.Begin_txn | Ast.Commit_txn | Ast.Rollback_txn ->
       err "transaction control statements are handled by the session layer"
-
-and compile_standalone ?(params = [||]) ctx txn e =
-  (* Expressions outside any table context (VALUES rows). *)
-  Planner.compile_const (planner_ctx ~params ctx txn) e

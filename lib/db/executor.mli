@@ -38,6 +38,23 @@ val exec_stmt :
     transaction boundaries).  Writes append undo entries to [txn] and are
     logged to the redo log by {!Database} at commit. *)
 
+type write = Value.t array -> Txn.t -> result
+(** A compiled INSERT, UPDATE or DELETE: [w params txn] executes it. *)
+
+val compile_write :
+  ?params:Value.t array -> exec_ctx -> Txn.t -> Bullfrog_sql.Ast.stmt -> write
+(** Resolve an INSERT, UPDATE or DELETE once: the heap, the column
+    positions and defaults, the compiled VALUES / SET expressions and the
+    access path.  This is {!exec_stmt}'s only DML implementation.
+    Uncorrelated subqueries in VALUES, SET or WHERE are evaluated at
+    compile time, inside [txn] under [params], so such a closure serves
+    one execution only; any other closure stays valid while the catalog
+    epoch is unchanged.  The query of INSERT ... SELECT is planned and
+    run at each execution.  Errors are raised at the same execution as
+    by a compile-and-run: name resolution here, evaluation and
+    constraint errors when the closure runs.
+    @raise Invalid_argument on any other statement. *)
+
 (** {2 Write paths shared with BullFrog}
 
     These enforce NOT NULL, type coercion, CHECK, UNIQUE (via unique

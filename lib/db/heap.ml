@@ -82,13 +82,13 @@ let with_latch t f =
    the pre-MVCC eager-de-index behaviour.) *)
 let tid_live t tid = tid >= Vec.length t.slots || Vec.get t.slots tid != tombstone
 
-(* Insert into every index, rolling back prior entries when a unique index
-   rejects the key, so a failed insert leaves the indexes untouched.
+(* Insert into each of [indexes], rolling back prior entries when a unique
+   index rejects the key, so a failed insert leaves the indexes untouched.
    [key_of_row] allocates a fresh key array, so the no-copy insert is
    safe. *)
-let index_all t row tid =
+let index_all t indexes row tid =
   let live = tid_live t in
-  match t.indexes with
+  match indexes with
   | [] -> ()
   | [ idx ] -> (
       (* single index: a failed insert added nothing, so no trail *)
@@ -110,13 +110,33 @@ let index_all t row tid =
          List.iter (fun (idx, key) -> Index.remove idx key tid) !done_;
          raise e)
 
-let deindex_all t row tid =
+let deindex_all indexes row tid =
   List.iter
     (fun idx ->
       match Index.key_of_row idx row with
       | None -> ()
       | Some key -> Index.remove idx key tid)
-    t.indexes
+    indexes
+
+let key_changed old row idx =
+  Array.exists (fun c -> not (Value.identical old.(c) row.(c))) (Index.key_cols idx)
+
+(* Re-key [tid] from [old] to [row] in only the indexes whose key columns
+   differ, in the manner of PostgreSQL's heap-only-tuple updates: an
+   index whose key is unchanged already holds the right entry.
+   "Unchanged" is [Value.identical], not [Value.equal]: an [Int 2] ->
+   [Float 2.] change still re-indexes, because ordered probes return the
+   stored key.  On a unique violation only the re-keyed indexes are
+   restored. *)
+let reindex t tid ~old row =
+  match List.filter (key_changed old row) t.indexes with
+  | [] -> ()
+  | changed -> (
+      deindex_all changed old tid;
+      try index_all t changed row tid
+      with e ->
+        index_all t changed old tid;
+        raise e)
 
 let c_inserts = Obs.Counters.make "db.heap.inserts"
 
@@ -182,7 +202,7 @@ let insert ?(writer = 0) t row =
   Obs.Counters.bump c_inserts;
   with_latch t (fun () ->
       let tid = Vec.length t.slots in
-      index_all t row tid;
+      index_all t t.indexes row tid;
       Vec.push t.slots row;
       Vec.push t.vers (fresh_version ~writer ~ts:None row None);
       t.live <- t.live + 1;
@@ -204,12 +224,12 @@ let insert_batch ?(writer = 0) t rows =
         let i = ref 0 in
         (try
            while !i < n do
-             index_all t rows.(!i) (base + !i);
+             index_all t t.indexes rows.(!i) (base + !i);
              incr i
            done
          with e ->
            for j = !i - 1 downto 0 do
-             deindex_all t rows.(j) (base + j)
+             deindex_all t.indexes rows.(j) (base + j)
            done;
            raise e);
         Vec.push_array t.slots rows;
@@ -234,7 +254,7 @@ let insert_at ?ts t tid row =
         if Vec.get t.slots tid != tombstone then
           invalid_arg
             (Printf.sprintf "Heap.insert_at: tid %d of %s is occupied" tid t.name);
-        index_all t row tid;
+        index_all t t.indexes row tid;
         Vec.set t.slots tid row;
         install_version t tid ~writer:0 ~ts row;
         t.live <- t.live + 1
@@ -244,7 +264,7 @@ let insert_at ?ts t tid row =
           Vec.push t.slots tombstone;
           Vec.push t.vers empty_version
         done;
-        index_all t row tid;
+        index_all t t.indexes row tid;
         Vec.push t.slots row;
         Vec.push t.vers (fresh_version ~writer:0 ~ts row None);
         t.live <- t.live + 1
@@ -272,12 +292,7 @@ let update ?(writer = 0) ?ts t tid row =
       if old == tombstone then
         invalid_arg (Printf.sprintf "Heap.update: tid %d of %s is a tombstone" tid t.name)
       else begin
-          deindex_all t old tid;
-          (try index_all t row tid
-           with e ->
-             (* restore the old index entries before propagating *)
-             index_all t old tid;
-             raise e);
+          reindex t tid ~old row;
           Vec.set t.slots tid row;
           install_version t tid ~writer ~ts row;
           old
@@ -295,7 +310,7 @@ let delete ?(writer = 0) ?ts t tid =
            re-occupies it (restore / abort_delete / GC) clears the
            binding first, so at most one pending row exists per tid. *)
         (match Hashtbl.find_opt t.pending_dead tid with
-        | Some prev when prev != old -> deindex_all t prev tid
+        | Some prev when prev != old -> deindex_all t.indexes prev tid
         | _ -> ());
         Hashtbl.replace t.pending_dead tid old;
         Vec.set t.slots tid tombstone;
@@ -316,7 +331,7 @@ let reclaim_pending t tid row =
   | Some prev ->
       (* different row resurrected at this tid: the pending one is gone
          for good *)
-      deindex_all t prev tid;
+      deindex_all t.indexes prev tid;
       Hashtbl.remove t.pending_dead tid;
       false
   | None -> false
@@ -325,7 +340,7 @@ let restore t tid row =
   with_latch t (fun () ->
       if Vec.get t.slots tid != tombstone then invalid_arg "Heap.restore: slot is occupied"
       else begin
-        if not (reclaim_pending t tid row) then index_all t row tid;
+        if not (reclaim_pending t tid row) then index_all t t.indexes row tid;
         Vec.set t.slots tid row;
         install_version t tid ~writer:0 ~ts:None row;
         t.live <- t.live + 1
@@ -336,7 +351,7 @@ let uninsert t tid =
       let old = Vec.get t.slots tid in
       if old == tombstone then
         invalid_arg (Printf.sprintf "Heap.uninsert: tid %d of %s is a tombstone" tid t.name);
-      deindex_all t old tid;
+      deindex_all t.indexes old tid;
       Vec.set t.slots tid tombstone;
       t.live <- t.live - 1;
       Obs.Counters.bump c_tombstones;
@@ -362,7 +377,7 @@ let abort_delete t tid row =
       if Vec.get t.slots tid != tombstone then
         invalid_arg "Heap.abort_delete: slot is occupied"
       else begin
-        if not (reclaim_pending t tid row) then index_all t row tid;
+        if not (reclaim_pending t tid row) then index_all t t.indexes row tid;
         Vec.set t.slots tid row;
         if not (pop_uncommitted t tid) then install_version t tid ~writer:0 ~ts:None row;
         t.live <- t.live + 1
@@ -373,11 +388,7 @@ let abort_update t tid old_row =
       let cur = Vec.get t.slots tid in
       if cur == tombstone then
         invalid_arg (Printf.sprintf "Heap.abort_update: tid %d of %s is a tombstone" tid t.name);
-      deindex_all t cur tid;
-      (try index_all t old_row tid
-       with e ->
-         index_all t cur tid;
-         raise e);
+      reindex t tid ~old:cur old_row;
       Vec.set t.slots tid old_row;
       if not (pop_uncommitted t tid) then install_version t tid ~writer:0 ~ts:None old_row)
 
@@ -495,7 +506,7 @@ let purge_pending t =
     in
     List.iter
       (fun (tid, row) ->
-        deindex_all t row tid;
+        deindex_all t.indexes row tid;
         Hashtbl.remove t.pending_dead tid)
       dead
   end
@@ -556,7 +567,7 @@ let pending_dead_count t = Hashtbl.length t.pending_dead
    have the old layout). *)
 let flush_pending t =
   with_latch t (fun () ->
-      Hashtbl.iter (fun tid row -> deindex_all t row tid) t.pending_dead;
+      Hashtbl.iter (fun tid row -> deindex_all t.indexes row tid) t.pending_dead;
       Hashtbl.reset t.pending_dead)
 
 (* ------------------------------------------------------------------ *)
@@ -595,8 +606,9 @@ let drop_index t idx_name =
       List.length t.indexes < before)
 
 (* Readers below must take the latch: [add_index]/[drop_index] mutate
-   [t.indexes] under it.  (The [index_all]/[deindex_all] helpers above read
-   the field directly because their callers already hold the latch.) *)
+   [t.indexes] under it.  (The mutations above pass the field to
+   [index_all]/[deindex_all] directly because they already hold the
+   latch.) *)
 
 let indexes t = with_latch t (fun () -> t.indexes)
 

@@ -551,15 +551,15 @@ let scan_of_base ctx heap conjs =
       (match pred.Access.path with
       | Access.P_eq (idx, key) ->
           Plan.Index_scan
-            { table = heap; index = idx; key = Array.map prep key; filter = pred.Access.residual }
+            { table = heap; index = idx; key; filter = pred.Access.residual }
       | Access.P_range (idx, prefix, lo, hi) ->
           Plan.Index_range
             {
               table = heap;
               index = idx;
-              prefix = Array.map prep prefix;
-              lo = Option.map prep lo;
-              hi = Option.map prep hi;
+              prefix;
+              lo;
+              hi;
               filter = pred.Access.residual;
             }
       | Access.P_full ->

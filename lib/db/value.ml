@@ -32,6 +32,18 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+let identical a b =
+  a == b
+  ||
+  match (a, b) with
+  | Null, Null -> true
+  | Int x, Int y | Date x, Date y -> Int.equal x y
+  | Float x, Float y | Timestamp x, Timestamp y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Str x, Str y -> String.equal x y
+  | Bool x, Bool y -> Bool.equal x y
+  | _ -> false
+
 let hash = function
   | Null -> 0
   | Int i -> Hashtbl.hash (float_of_int i) (* so Int 2 and Float 2. collide *)

@@ -20,6 +20,11 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val identical : t -> t -> bool
+(** Same constructor and bit-identical payload: [Int 2] and [Float 2.]
+    are {!equal} but not [identical].  Decides whether an update leaves
+    an index key exactly as stored. *)
+
 val hash : t -> int
 
 val hash_key : t array -> int

@@ -256,7 +256,20 @@ let create_table_as_and_drop () =
      ignore (rows db "SELECT * FROM emp2");
      Alcotest.fail "dropped"
    with Db_error.Sql_error _ -> ());
-  ignore (Database.exec db "DROP TABLE IF EXISTS emp2" : Executor.result)
+  ignore (Database.exec db "DROP TABLE IF EXISTS emp2" : Executor.result);
+  (* index names leave with a dropped table and follow a renamed one *)
+  ignore
+    (Database.exec_script db
+       "CREATE TABLE k (a INT PRIMARY KEY); CREATE INDEX k_a ON k (a); DROP TABLE k; \
+        CREATE TABLE k (a INT PRIMARY KEY); CREATE INDEX k_a ON k (a); \
+        ALTER TABLE k RENAME TO k_old; DROP INDEX k_a"
+      : Executor.result list);
+  let k_old = Catalog.find_table_exn db.Database.catalog "k_old" in
+  check Alcotest.bool "index dropped from the renamed table" true
+    (Heap.find_index k_old "k_a" = None);
+  ignore
+    (Database.exec_script db "DROP TABLE k_old; CREATE TABLE k (a INT PRIMARY KEY)"
+      : Executor.result list)
 
 let transactions () =
   let db = fresh () in

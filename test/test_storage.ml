@@ -296,6 +296,215 @@ let index_model_prop =
       done;
       true)
 
+(* An update that changes only a key's representation still re-keys the
+   row: ordered probes return the stored key, so [MIN] must come back
+   spelled as the row now spells it.  An update leaving every key
+   identical touches no index. *)
+let update_rekeys_representation () =
+  let h =
+    Heap.create ~tbl_id:0 ~name:"r" (mk_schema [ ("k", Ast.T_int); ("p", Ast.T_int) ])
+  in
+  let ord = Index.create ~kind:Index.Ordered ~name:"ord" ~key_cols:[| 0 |] ~unique:false () in
+  Heap.add_index h ord;
+  let tid = Heap.insert h [| Value.Int 2; Value.Int 0 |] in
+  let stored () =
+    match Index.min_with_prefix ord [||] with
+    | Some (key, _) -> Value.to_string key.(0)
+    | None -> Alcotest.fail "empty index"
+  in
+  ignore (Heap.update h tid [| Value.Float 2.; Value.Int 0 |] : Heap.row);
+  check Alcotest.string "Int 2 -> Float 2. re-keyed" "2.0" (stored ());
+  let key_before = match Index.min_with_prefix ord [||] with Some (k, _) -> k | None -> [||] in
+  ignore (Heap.update h tid [| Value.Float 2.; Value.Int 1 |] : Heap.row);
+  (match Index.min_with_prefix ord [||] with
+  | Some (k, [ t ]) ->
+      check Alcotest.bool "non-key update leaves the entry in place" true (k == key_before && t = tid)
+  | _ -> Alcotest.fail "entry lost");
+  ignore (Heap.update h tid [| Value.Int 2; Value.Int 1 |] : Heap.row);
+  check Alcotest.string "Float 2. -> Int 2 re-keyed" "2" (stored ())
+
+(* Index maintenance under random writes.  A heap with a unique hash
+   primary key on [id], a non-unique hash index on [g] and an ordered
+   index on [(v, id)] takes random inserts, updates and deletes.  Updates
+   touch non-key columns only, change keys, set keys to or from NULL, or
+   change only a key's representation ([Int k] <-> [Float k]).  After
+   every operation each index must hold exactly what a rebuild from the
+   live rows plus the pending-dead rows would hold, keys compared as the
+   indexes compare them ([Value.equal]).  A unique collision must raise
+   and leave the heap as it was, so the same rebuild check shows that it
+   left every index as it was too. *)
+type ix_assign = Ix_set of Value.t | Ix_flip
+
+type ix_op =
+  | Ix_insert of Value.t array
+  | Ix_update of int * (int * ix_assign) list
+  | Ix_delete of int
+  | Ix_gc
+
+let show_value = function
+  | Value.Null -> "NULL"
+  | Value.Int i -> Printf.sprintf "%d" i
+  | Value.Float f -> Printf.sprintf "%.1f" f
+  | v -> Value.to_string v
+
+let show_ix_op = function
+  | Ix_insert vs ->
+      Printf.sprintf "insert(%s)" (String.concat "," (Array.to_list (Array.map show_value vs)))
+  | Ix_update (i, assigns) ->
+      Printf.sprintf "update#%d[%s]" i
+        (String.concat ","
+           (List.map
+              (fun (c, a) ->
+                match a with
+                | Ix_set v -> Printf.sprintf "%d=%s" c (show_value v)
+                | Ix_flip -> Printf.sprintf "%d~" c)
+              assigns))
+  | Ix_delete i -> Printf.sprintf "delete#%d" i
+  | Ix_gc -> "gc"
+
+let flip = function
+  | Value.Int i -> Value.Float (float_of_int i)
+  | Value.Float f -> Value.Int (int_of_float f)
+  | v -> v
+
+(* [(key, sorted tids)] an index would hold for [rows], grouped by
+   [Value.equal] keys, in key order. *)
+let rebuilt idx rows =
+  let groups = ref [] in
+  List.iter
+    (fun (tid, row) ->
+      match Index.key_of_row idx row with
+      | None -> ()
+      | Some key ->
+          let same (k, _) = Array.for_all2 Value.equal k key in
+          (match List.find_opt same !groups with
+          | Some (k, tids) -> groups := (k, tid :: tids) :: List.filter (fun g -> not (same g)) !groups
+          | None -> groups := (key, [ tid ]) :: !groups))
+    rows;
+  List.sort
+    (fun (a, _) (b, _) -> List.compare Value.compare (Array.to_list a) (Array.to_list b))
+    (List.map (fun (k, tids) -> (k, List.sort compare tids)) !groups)
+
+let index_rebuild_prop =
+  let open QCheck in
+  let key_value =
+    Gen.(
+      frequency
+        [
+          (1, return Value.Null);
+          (4, map (fun i -> Value.Int i) (int_range 0 5));
+          (2, map (fun i -> Value.Float (float_of_int i)) (int_range 0 5));
+        ])
+  in
+  let assign =
+    Gen.(
+      frequency
+        [
+          (2, map (fun n -> (3, Ix_set (Value.Int n))) (int_range 0 99));
+          (3, map2 (fun c v -> (c, Ix_set v)) (int_range 0 2) key_value);
+          (2, map (fun c -> (c, Ix_flip)) (int_range 0 2));
+        ])
+  in
+  let op =
+    Gen.(
+      frequency
+        [
+          (3, map (fun vs -> Ix_insert (Array.append vs [| Value.Int 0 |])) (array_size (return 3) key_value));
+          (5, map2 (fun i a -> Ix_update (i, a)) nat (list_size (int_range 1 3) assign));
+          (1, map (fun i -> Ix_delete i) nat);
+          (1, return Ix_gc);
+        ])
+  in
+  let ops =
+    make
+      ~print:(fun ops -> String.concat "; " (List.map show_ix_op ops))
+      Gen.(list_size (int_range 1 60) op)
+  in
+  Test.make ~name:"heap indexes = rebuild from rows (random writes)" ~count:300 ops (fun ops ->
+      let h =
+        Heap.create ~tbl_id:0 ~name:"ix"
+          (mk_schema [ ("id", Ast.T_int); ("g", Ast.T_int); ("v", Ast.T_int); ("p", Ast.T_int) ])
+      in
+      let pk = Index.create ~name:"pk" ~key_cols:[| 0 |] ~unique:true () in
+      let by_g = Index.create ~name:"by_g" ~key_cols:[| 1 |] ~unique:false () in
+      let by_v = Index.create ~kind:Index.Ordered ~name:"by_v" ~key_cols:[| 2; 0 |] ~unique:false () in
+      (* added last, probed first: a pk collision rolls back the others *)
+      List.iter (Heap.add_index h) [ pk; by_g; by_v ];
+      let live () = List.rev (Heap.fold_live h ~init:[] ~f:(fun acc tid row -> (tid, row) :: acc)) in
+      let ordered_contents () =
+        Index.fold_prefix_range by_v ~prefix:[||] ~init:[]
+          ~f:(fun acc key tids -> (Array.copy key, List.sort compare tids) :: acc)
+          ()
+        |> List.rev
+      in
+      let check_rebuild step =
+        let rows = live () @ Hashtbl.fold (fun tid row acc -> (tid, row) :: acc) h.Heap.pending_dead [] in
+        List.iter
+          (fun idx ->
+            let want = rebuilt idx rows in
+            let total = List.fold_left (fun acc (_, tids) -> acc + List.length tids) 0 want in
+            if Index.entry_count idx <> total then
+              Test.fail_reportf "%s: index %s has %d entries, rebuild %d" step (Index.name idx)
+                (Index.entry_count idx) total;
+            List.iter
+              (fun (key, tids) ->
+                if List.sort compare (Index.find idx key) <> tids then
+                  Test.fail_reportf "%s: index %s disagrees with rebuild on a key" step (Index.name idx))
+              want)
+          [ pk; by_g; by_v ];
+        let got = ordered_contents () and want = rebuilt by_v rows in
+        if List.length got <> List.length want then
+          Test.fail_reportf "%s: ordered index has %d keys, rebuild %d" step (List.length got)
+            (List.length want);
+        List.iter2
+          (fun (gk, gtids) (wk, wtids) ->
+            if gtids <> wtids || not (Array.for_all2 Value.equal gk wk) then
+              Test.fail_reportf "%s: ordered index disagrees with rebuild" step)
+          got want
+      in
+      let collides ?except id =
+        (not (Value.is_null id))
+        && List.exists (fun (tid, row) -> Some tid <> except && Value.equal row.(0) id) (live ())
+      in
+      let expect_collision step expected f =
+        let slots = Heap.tid_count h in
+        match f () with
+        | () -> if expected then Test.fail_reportf "%s: unique collision not raised" step
+        | exception Db_error.Constraint_violation _ ->
+            if not expected then Test.fail_reportf "%s: spurious unique violation" step;
+            if Heap.tid_count h <> slots then Test.fail_reportf "%s: failed write kept a row" step
+      in
+      let pick i = match live () with [] -> None | l -> Some (List.nth l (i mod List.length l)) in
+      List.iteri
+        (fun n op ->
+          let step = Printf.sprintf "op %d (%s)" n (show_ix_op op) in
+          (match op with
+          | Ix_insert row ->
+              expect_collision step (collides row.(0)) (fun () -> ignore (Heap.insert h row : int))
+          | Ix_update (i, assigns) -> (
+              match pick i with
+              | None -> ()
+              | Some (tid, old) ->
+                  let row = Array.copy old in
+                  List.iter
+                    (fun (c, a) ->
+                      row.(c) <- (match a with Ix_set v -> v | Ix_flip -> flip row.(c)))
+                    assigns;
+                  let clash = collides ~except:tid row.(0) in
+                  expect_collision step clash (fun () ->
+                      ignore (Heap.update h tid row : Heap.row));
+                  let expected = if clash then old else row in
+                  if not (Array.for_all2 Value.identical (Heap.get_exn h tid) expected) then
+                    Test.fail_reportf "%s: heap row is wrong after the update" step)
+          | Ix_delete i -> (
+              match pick i with
+              | None -> ()
+              | Some (tid, _) -> ignore (Heap.delete h tid : Heap.row))
+          | Ix_gc -> ignore (Heap.gc h ~horizon:(Mvcc.now ()) : int));
+          check_rebuild step)
+        ops;
+      true)
+
 let suite =
   [
     Alcotest.test_case "heap crud" `Quick heap_crud;
@@ -304,6 +513,8 @@ let suite =
     Alcotest.test_case "insert_batch rollback atomicity" `Quick insert_batch_rollback;
     Alcotest.test_case "heap reserve" `Quick heap_reserve;
     QCheck_alcotest.to_alcotest index_model_prop;
+    QCheck_alcotest.to_alcotest index_rebuild_prop;
+    Alcotest.test_case "update re-keys a representation change" `Quick update_rekeys_representation;
     Alcotest.test_case "ordered index min/max" `Quick ordered_index_minmax;
     Alcotest.test_case "ordered index range" `Quick ordered_index_range;
     Alcotest.test_case "ordered unique" `Quick ordered_unique;
