@@ -24,7 +24,7 @@ obs-smoke:
 	BF_FAST=1 dune exec bench/main.exe -- obs
 
 # Gated on a single wire request against a migrating 4-shard cluster
-# exporting one connected trace tree (client -> worker -> router ->
+# exporting one connected trace tree (client -> server -> router ->
 # shards -> 2pc -> lazy-migrate) and STATS round-tripping the exact
 # coordinator snapshot.
 obs-cluster-smoke:

@@ -173,43 +173,22 @@ let exec_on t s stmt =
   Database.with_txn sh.sh_db (fun txn ->
       Executor.exec_stmt (Database.exec_ctx sh.sh_db) txn stmt)
 
-(* Scatter [f] over the given shards, one OS thread per shard, and
-   gather the results in shard order.  The first captured exception is
-   re-raised in the caller.  Each shard thread inherits the caller's
-   trace context and runs under a "shard-N" span, so a scattered scan
-   shows up as N parallel children of the routing span. *)
+(* Scatter [f] over the given shards in order on the calling thread and
+   gather the results in shard order.  Every shard runs; the first error
+   in shard order is re-raised once all have.  Each shard runs under a
+   "shard-N" span, so a scattered scan shows up as N children of the
+   routing span.  No thread per shard: OCaml threads share one runtime
+   lock, so the shards would run one at a time anyway. *)
 let scatter ids f =
   let shard_span s g =
-    if Obs.Trace.enabled () then begin
+    if Obs.Trace.enabled () then
       Obs.Trace.with_span ~cat:"cluster" (Printf.sprintf "shard-%d" s) g
-    end
     else g ()
   in
-  match ids with
-  | [] -> []
-  | [ s ] -> [ (s, shard_span s (fun () -> f s)) ]
-  | _ ->
-      Counters.bump c_scatters;
-      let ctx = Obs.Trace.context () in
-      let arr = Array.of_list ids in
-      let res = Array.make (Array.length arr) (Error Not_found) in
-      let run i =
-        res.(i) <-
-          (try
-             Ok
-               (Obs.Trace.with_context ctx (fun () ->
-                    if Obs.Trace.enabled () then
-                      Obs.Trace.set_thread_name
-                        (Printf.sprintf "shard-%d" arr.(i));
-                    shard_span arr.(i) (fun () -> f arr.(i))))
-           with e -> Error e)
-      in
-      let ths = Array.mapi (fun i _ -> Thread.create run i) arr in
-      Array.iter Thread.join ths;
-      Array.to_list
-        (Array.mapi
-           (fun i s -> (s, match res.(i) with Ok r -> r | Error e -> raise e))
-           arr)
+  if List.compare_length_with ids 1 > 0 then Counters.bump c_scatters;
+  List.map (fun s -> (s, try Ok (shard_span s (fun () -> f s)) with e -> Error e))
+    ids
+  |> List.map (fun (s, r) -> match r with Ok v -> (s, v) | Error e -> raise e)
 
 (* ------------------------------------------------------------------ *)
 (* two-phase commit                                                    *)

@@ -7,8 +7,8 @@
 
     - a point query whose WHERE pins the partition key touches exactly
       one shard;
-    - non-prunable scans scatter to the candidate shards in parallel
-      (one OS thread per shard) and gather/merge the results
+    - non-prunable scans scatter to the candidate shards one after
+      another on the calling thread and gather/merge the results
       (concatenation, count-star summation, ORDER BY re-sort, LIMIT);
     - cross-shard writes run as two-phase commit over the shards' own
       redo logs, with the coordinator decision in its own log and

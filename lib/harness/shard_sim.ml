@@ -1,10 +1,10 @@
 (* Discrete-event model of the sharded coordinator (DESIGN.md §4.2g).
 
-   The real cluster runs one OS thread per shard, but the container the
-   test suite runs in has a single hardware core, so wall-clock numbers
-   cannot show shared-nothing scaling.  This model gives each shard its
-   own FIFO service queue in virtual time — the same device the fig-3
-   simulator uses — and charges:
+   The real cluster runs its shards in one process under one OCaml
+   runtime lock, so a scatter visits them one after another and
+   wall-clock numbers cannot show shared-nothing scaling.  This model
+   gives each shard its own FIFO service queue in virtual time — the
+   same device the fig-3 simulator uses — and charges:
 
    - routed point reads: one shard busy for [service_read];
    - broadcast reads: EVERY shard busy for [service_read], completion at

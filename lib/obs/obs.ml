@@ -576,8 +576,8 @@ module Trace = struct
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"wall clock\"}},\n";
     Buffer.add_string buf
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\"args\":{\"name\":\"virtual time\"}}";
-    (* thread_name metadata so scatter/gather shard threads and server
-       workers render under their registered names instead of bare tids *)
+    (* thread_name metadata so named threads render under their
+       registered names instead of bare tids *)
     let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
     List.iter
       (fun e ->

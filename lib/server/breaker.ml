@@ -3,7 +3,7 @@
    The debt gauge is the unmigrated-granule backlog reported by the
    engine's migration trackers (summed across shards).  When it crosses
    [open_above], the breaker opens and the server sheds non-essential
-   statements so the workers it does admit — writes and the migration
+   statements so the statements it does admit — writes and the migration
    work their predicates drive — drain the backlog faster.  It closes
    only once debt falls to [close_below] (strictly lower), so a debt
    gauge hovering around the threshold cannot flap the breaker. *)

@@ -25,7 +25,7 @@ exception Closed
 
 (* Trace propagation, not origination: when the calling thread is
    already inside a trace, the request runs under a "request" span whose
-   context rides the CTX wire header — the server worker picks it up and
+   context rides the CTX wire header — the server's reader picks it up and
    its spans land in the same tree.  A call from outside any span sends
    no header and records nothing client-side; the server's own spans
    root a fresh trace over there.  (Originating a root span per wire

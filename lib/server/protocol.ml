@@ -106,7 +106,7 @@ let parse_fields = function
   | [] -> bad "empty request"
 
 (* An optional [CTX <trace> <parent>] prefix carries the client's trace
-   context; servers that trace thread it through the worker so the
+   context; servers that trace run the statement under it so the
    request's server-side spans join the client's tree.  Old clients
    simply omit it. *)
 let parse_request line =

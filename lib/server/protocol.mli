@@ -11,9 +11,10 @@
     line and [nrows] value lines, [TEXT s], [ERR code msg], [BYE].
 
     Any request may carry a [CTX trace parent] prefix — the client's
-    trace context, threaded through the server worker so server-side
-    spans join the client's trace tree.  Old clients omit it; servers
-    that are not tracing ignore it. *)
+    trace context, installed on the connection's reader thread while it
+    runs the statement, so server-side spans join the client's trace
+    tree.  Old clients omit it; servers that are not tracing ignore
+    it. *)
 
 open Bullfrog_db
 

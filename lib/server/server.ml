@@ -1,10 +1,11 @@
 open Bullfrog_db
 
 (* Long-running wire server: an accept thread hands each connection to a
-   dedicated reader thread; readers do admission control (token bucket,
-   breaker, bounded queue) and block on the reply, so a session's
-   requests execute and answer strictly in order; a fixed pool of worker
-   threads drains the queue against the frontend. *)
+   dedicated reader thread, which does admission control (token bucket,
+   breaker, bounded wait for an execution slot) and then runs the
+   statement itself, so a session's requests execute and answer strictly
+   in order.  No worker pool: OCaml threads share one runtime lock, so a
+   hand-off to another thread buys no parallelism, only a round-trip. *)
 
 let c_conns = Obs.Counters.make "server.conns_opened"
 let c_conns_closed = Obs.Counters.make "server.conns_closed"
@@ -21,8 +22,8 @@ let c_slow = Obs.Counters.make "server.slow_queries"
 type config = {
   host : string;
   port : int;  (** 0 = ephemeral; read the bound port back with {!port} *)
-  workers : int;
-  queue_cap : int;
+  workers : int;  (** statements executing at once, across all sessions *)
+  queue_cap : int;  (** admitted requests waiting for one of those slots *)
   rate : float;
   burst : float;
   open_above : int;
@@ -56,19 +57,8 @@ type session = {
   mutable s_pinned : int option;
 }
 
-(* One-shot completion slot: the reader parks on it while a worker runs
-   the job, keeping the connection's request/response stream serial. *)
-type job = {
-  j_session : session;
-  j_request : Protocol.request;
-  j_ctx : (int * int) option;  (* wire trace context, set by the reader *)
-  j_mutex : Mutex.t;
-  j_cond : Condition.t;
-  mutable j_reply : Protocol.response option;
-}
-
 (* Latency classes: point read / scan / write / DDL.  Histograms are not
-   thread-safe, so the worker takes [o_mutex] per observation — only
+   thread-safe, so the reader takes [o_mutex] per observation — only
    when counters are enabled, keeping the disabled path at one atomic
    load. *)
 let latency_classes = [ "point"; "scan"; "write"; "ddl"; "other" ]
@@ -82,14 +72,14 @@ type t = {
   listen_sock : Unix.file_descr;
   bound_port : int;
   prov : string;  (* per-instance Obs provider name, "server:<port>" *)
-  queue : job Queue.t;
-  q_mutex : Mutex.t;
-  q_nonempty : Condition.t;
-  q_drained : Condition.t;
-  mutable busy_workers : int;
+  q_mutex : Mutex.t;  (* guards the admission counts + stopping *)
+  q_slot : Condition.t;  (* an execution slot freed *)
+  q_drained : Condition.t;  (* the last admitted request was answered *)
+  mutable running : int;  (* statements executing, at most [cfg.workers] *)
+  mutable waiting : int;  (* admitted, waiting for a slot; at most [queue_cap] *)
+  mutable admitted : int;  (* admitted and not yet answered *)
   mutable stopping : bool;
   mutable accept_thread : Thread.t option;
-  mutable workers : Thread.t list;
   mutable readers : Thread.t list;
   r_mutex : Mutex.t;  (* guards readers + conns *)
   mutable conns : Unix.file_descr list;
@@ -208,7 +198,7 @@ let non_essential session = function
   | Protocol.Quit ->
       false
 
-(* -- worker side ---------------------------------------------------- *)
+(* -- execution ------------------------------------------------------ *)
 
 let result_to_response = function
   | Executor.Affected n -> Protocol.Ok_affected n
@@ -235,7 +225,7 @@ let run_request t session req =
         Hashtbl.replace session.s_prepared name sql;
         Protocol.Ok_text "PREPARED"
     | Protocol.Pin | Protocol.Unpin | Protocol.Stats _ | Protocol.Quit ->
-        (* handled on the reader thread; never enqueued *)
+        (* answered in [handle_request]; never admitted *)
         Protocol.Error (Protocol.Err_bad, "unroutable request")
   with
   | Db_error.Sql_error msg ->
@@ -255,142 +245,115 @@ let run_request t session req =
       ignore (Obs.Flight.crash_dump ~reason:"server-abort" : string option);
       Protocol.Error (Protocol.Err_bad, Printexc.to_string e)
 
-let worker_loop t idx =
-  Obs.Trace.set_thread_name (Printf.sprintf "worker-%d" idx);
-  let rec next () =
-    Mutex.lock t.q_mutex;
-    let rec wait () =
-      if Queue.is_empty t.queue then
-        if t.stopping then begin
-          Mutex.unlock t.q_mutex;
-          None
-        end
-        else begin
-          Condition.wait t.q_nonempty t.q_mutex;
-          wait ()
-        end
-      else begin
-        let job = Queue.pop t.queue in
-        t.busy_workers <- t.busy_workers + 1;
-        Mutex.unlock t.q_mutex;
-        Some job
-      end
-    in
-    match wait () with
-    | None -> ()
-    | Some job ->
-        (* time the request only when someone consumes the timing *)
-        let timing = Obs.Counters.enabled () || t.cfg.slow_query_s < infinity in
-        let t0 = if timing then Unix.gettimeofday () else 0.0 in
-        let reply =
-          (* the wire CTX joins this worker's spans to the client's tree *)
-          Obs.Trace.with_context job.j_ctx (fun () ->
-              run_request t job.j_session job.j_request)
-        in
-        if timing then begin
-          let dt = Unix.gettimeofday () -. t0 in
-          observe_latency t job.j_session job.j_request dt;
-          if dt >= t.cfg.slow_query_s then
-            capture_slow t job.j_session job.j_request dt
-        end;
-        Mutex.lock job.j_mutex;
-        job.j_reply <- Some reply;
-        Condition.signal job.j_cond;
-        Mutex.unlock job.j_mutex;
-        Mutex.lock t.q_mutex;
-        t.busy_workers <- t.busy_workers - 1;
-        if Queue.is_empty t.queue && t.busy_workers = 0 then
-          Condition.broadcast t.q_drained;
-        Mutex.unlock t.q_mutex;
-        next ()
+(* Run an admitted request on the calling reader thread; the wire CTX
+   joins its spans to the client's trace tree. *)
+let execute t session ctx req =
+  (* time the request only when someone consumes the timing *)
+  let timing = Obs.Counters.enabled () || t.cfg.slow_query_s < infinity in
+  let t0 = if timing then Unix.gettimeofday () else 0.0 in
+  let reply =
+    Obs.Trace.with_context ctx (fun () -> run_request t session req)
   in
-  next ()
+  if timing then begin
+    let dt = Unix.gettimeofday () -. t0 in
+    observe_latency t session req dt;
+    if dt >= t.cfg.slow_query_s then capture_slow t session req dt
+  end;
+  reply
 
-(* -- reader side ---------------------------------------------------- *)
+(* -- admission ------------------------------------------------------ *)
 
-(* Enqueue under the cap and park until the worker replies; [None] means
-   the queue was full (or the server is draining) and nothing ran. *)
-let submit t session ctx req =
+(* Admit under the caps, wait for one of the [workers] execution slots,
+   run, and answer through [respond].  The request stays counted in
+   [admitted] until [respond] has written its reply, which is what
+   [stop] drains.  Beyond [queue_cap] waiters, or once [stop] is called,
+   nothing runs and the reply is retryable. *)
+let submit t session ctx req respond =
   Mutex.lock t.q_mutex;
   if t.stopping then begin
     Mutex.unlock t.q_mutex;
     Obs.Counters.bump c_drain_rejects;
-    Some (Protocol.Error (Protocol.Err_retry, "server shutting down"))
+    respond (Protocol.Error (Protocol.Err_retry, "server shutting down"))
   end
-  else if Queue.length t.queue >= t.cfg.queue_cap then begin
+  else if t.running >= t.cfg.workers && t.waiting >= t.cfg.queue_cap then begin
     Mutex.unlock t.q_mutex;
     Obs.Counters.bump c_queue_rejects;
-    Some (Protocol.Error (Protocol.Err_retry, "admission queue full"))
+    respond (Protocol.Error (Protocol.Err_retry, "admission queue full"))
   end
   else begin
-    let job =
-      {
-        j_session = session;
-        j_request = req;
-        j_ctx = ctx;
-        j_mutex = Mutex.create ();
-        j_cond = Condition.create ();
-        j_reply = None;
-      }
-    in
-    Queue.push job t.queue;
-    Condition.signal t.q_nonempty;
+    t.admitted <- t.admitted + 1;
+    if t.running >= t.cfg.workers then begin
+      t.waiting <- t.waiting + 1;
+      while t.running >= t.cfg.workers do
+        Condition.wait t.q_slot t.q_mutex
+      done;
+      t.waiting <- t.waiting - 1
+    end;
+    t.running <- t.running + 1;
     Mutex.unlock t.q_mutex;
-    Mutex.lock job.j_mutex;
-    while job.j_reply = None do
-      Condition.wait job.j_cond job.j_mutex
-    done;
-    Mutex.unlock job.j_mutex;
-    job.j_reply
+    let reply = execute t session ctx req in
+    Mutex.lock t.q_mutex;
+    t.running <- t.running - 1;
+    Condition.signal t.q_slot;
+    Mutex.unlock t.q_mutex;
+    Fun.protect
+      ~finally:(fun () ->
+        Mutex.lock t.q_mutex;
+        t.admitted <- t.admitted - 1;
+        if t.admitted = 0 then Condition.broadcast t.q_drained;
+        Mutex.unlock t.q_mutex)
+      (fun () -> respond reply)
   end
 
-let handle_request t session bucket ctx req =
+(* -- reader side ---------------------------------------------------- *)
+
+let handle_request t session bucket ctx req respond =
   Obs.Counters.bump c_requests;
   match req with
-  | Protocol.Quit -> Some Protocol.Bye
+  | Protocol.Quit -> respond Protocol.Bye
   | Protocol.Stats fmt -> (
       (* metrics must stay readable when admission is saturated: served
-         on the reader thread, no token, no queue, like PIN *)
+         on the reader thread, no token, no slot, like PIN *)
       let snap = Obs.snapshot () in
       match fmt with
       | None | Some "prometheus" ->
-          Some (Protocol.Ok_text (Exposition.to_prometheus snap))
-      | Some "json" -> Some (Protocol.Ok_text (Exposition.to_json snap))
+          respond (Protocol.Ok_text (Exposition.to_prometheus snap))
+      | Some "json" -> respond (Protocol.Ok_text (Exposition.to_json snap))
       | Some other ->
-          Some
+          respond
             (Protocol.Error
                ( Protocol.Err_bad,
                  Printf.sprintf "unknown STATS format %S (prometheus|json)"
                    other )))
   | Protocol.Pin -> (
       match session.s_pinned with
-      | Some _ -> Some (Protocol.Error (Protocol.Err_bad, "already pinned"))
+      | Some _ -> respond (Protocol.Error (Protocol.Err_bad, "already pinned"))
       | None ->
           let ts = Mvcc.now () in
           Mvcc.pin ts;
           session.s_pinned <- Some ts;
-          Some (Protocol.Ok_text (Printf.sprintf "PINNED %d" ts)))
+          respond (Protocol.Ok_text (Printf.sprintf "PINNED %d" ts)))
   | Protocol.Unpin -> (
       match session.s_pinned with
-      | None -> Some (Protocol.Error (Protocol.Err_bad, "not pinned"))
+      | None -> respond (Protocol.Error (Protocol.Err_bad, "not pinned"))
       | Some ts ->
           Mvcc.unpin ts;
           session.s_pinned <- None;
-          Some (Protocol.Ok_text "UNPINNED"))
+          respond (Protocol.Ok_text "UNPINNED"))
   | req ->
       if not (Token_bucket.take bucket) then begin
         Obs.Counters.bump c_rate_limited;
-        Some (Protocol.Error (Protocol.Err_retry, "rate limited"))
+        respond (Protocol.Error (Protocol.Err_retry, "rate limited"))
       end
       else if Breaker.is_open t.breaker && non_essential session req then begin
         Obs.Counters.bump c_shed;
-        Some
+        respond
           (Protocol.Error
              ( Protocol.Err_shed,
                "breaker open: non-essential statements shed during migration \
                 backlog" ))
       end
-      else submit t session ctx req
+      else submit t session ctx req respond
 
 let reader_loop t sock =
   let session =
@@ -405,28 +368,24 @@ let reader_loop t sock =
   let inc = Unix.in_channel_of_descr sock in
   let out = Unix.out_channel_of_descr sock in
   let closed = ref false in
+  let respond resp =
+    Protocol.write_response out resp;
+    (match resp with
+    | Protocol.Ok_affected _ | Protocol.Ok_rows _ | Protocol.Ok_text _ ->
+        Obs.Counters.bump c_ok
+    | _ -> ());
+    if resp = Protocol.Bye then closed := true
+  in
   (try
      while not !closed do
        match (try Some (input_line inc) with End_of_file -> None) with
        | None -> closed := true
-       | Some line ->
-           let reply =
-             match Protocol.parse_request line with
-             | ctx, req -> handle_request t session bucket ctx req
-             | exception Protocol.Bad_request msg ->
-                 Obs.Counters.bump c_bad;
-                 Some (Protocol.Error (Protocol.Err_bad, msg))
-           in
-           (match reply with
-           | Some resp ->
-               Protocol.write_response out resp;
-               (match resp with
-               | Protocol.Ok_affected _ | Protocol.Ok_rows _ | Protocol.Ok_text _
-                 ->
-                   Obs.Counters.bump c_ok
-               | _ -> ());
-               if resp = Protocol.Bye then closed := true
-           | None -> closed := true)
+       | Some line -> (
+           match Protocol.parse_request line with
+           | ctx, req -> handle_request t session bucket ctx req respond
+           | exception Protocol.Bad_request msg ->
+               Obs.Counters.bump c_bad;
+               respond (Protocol.Error (Protocol.Err_bad, msg)))
      done
    with Sys_error _ | Unix.Unix_error _ -> ());
   (match session.s_pinned with
@@ -478,7 +437,7 @@ let start ?(config = default_config) ?(debt = fun () -> 0) frontend =
   in
   let t =
     {
-      cfg = config;
+      cfg = { config with workers = max 1 config.workers };
       frontend;
       breaker =
         Breaker.create ~open_above:config.open_above
@@ -486,14 +445,14 @@ let start ?(config = default_config) ?(debt = fun () -> 0) frontend =
       listen_sock;
       bound_port;
       prov = Printf.sprintf "server:%d" bound_port;
-      queue = Queue.create ();
       q_mutex = Mutex.create ();
-      q_nonempty = Condition.create ();
+      q_slot = Condition.create ();
       q_drained = Condition.create ();
-      busy_workers = 0;
+      running = 0;
+      waiting = 0;
+      admitted = 0;
       stopping = false;
       accept_thread = None;
-      workers = [];
       readers = [];
       r_mutex = Mutex.create ();
       conns = [];
@@ -503,9 +462,6 @@ let start ?(config = default_config) ?(debt = fun () -> 0) frontend =
       slow = Queue.create ();
     }
   in
-  t.workers <-
-    List.init (max 1 config.workers) (fun i ->
-        Thread.create (fun () -> worker_loop t i) ());
   t.accept_thread <- Some (Thread.create accept_loop t);
   Obs.register_stats t.prov
     (fun () ->
@@ -515,8 +471,8 @@ let start ?(config = default_config) ?(debt = fun () -> 0) frontend =
           st_name = "admission";
           st_fields =
             [
-              ("queue_depth", float_of_int (Queue.length t.queue));
-              ("busy_workers", float_of_int t.busy_workers);
+              ("queue_depth", float_of_int t.waiting);
+              ("busy_workers", float_of_int t.running);
               ("breaker_open", if Breaker.is_open t.breaker then 1.0 else 0.0);
               ("migration_debt", float_of_int (Breaker.debt t.breaker));
               ("slow_queries", float_of_int (Queue.length t.slow));
@@ -559,17 +515,16 @@ let breaker t = t.breaker
 
 (* Drain, then stop: new submissions are refused as retryable the moment
    [stop] is called, every request already admitted completes and its
-   response is delivered, and only then are sockets closed and threads
+   response is written, and only then are sockets closed and threads
    joined. *)
 let stop t =
   Mutex.lock t.q_mutex;
   if t.stopping then Mutex.unlock t.q_mutex
   else begin
     t.stopping <- true;
-    while not (Queue.is_empty t.queue && t.busy_workers = 0) do
+    while t.admitted > 0 do
       Condition.wait t.q_drained t.q_mutex
     done;
-    Condition.broadcast t.q_nonempty;
     Mutex.unlock t.q_mutex;
     (* Closing the listening fd does not wake a thread blocked in
        accept(2) on Linux; pop it with a throwaway self-connection, which
@@ -587,8 +542,6 @@ let stop t =
     (match t.accept_thread with Some th -> Thread.join th | None -> ());
     (try Unix.close t.listen_sock with Unix.Unix_error _ -> ());
     t.accept_thread <- None;
-    List.iter Thread.join t.workers;
-    t.workers <- [];
     (* waking blocked readers: closing the socket makes input_line fail *)
     Mutex.lock t.r_mutex;
     let conns = t.conns and readers = t.readers in

@@ -2,19 +2,21 @@
     {!Bullfrog_db.Frontend.t} (single node or cluster).
 
     One accept thread hands each connection to a dedicated reader
-    thread; readers do admission control and block on the reply, so a
-    session's requests execute strictly in order.  A fixed pool of
-    [workers] threads drains a bounded admission queue against the
-    frontend.  Per-connection session state — prepared statements and
-    the optional snapshot pin — lives on the reader thread and dies with
-    the connection.
+    thread; the reader does admission control and then runs the
+    statement against the frontend itself, so a session's requests
+    execute strictly in order.  At most [workers] statements execute at
+    once; up to [queue_cap] more wait for a slot.  There is no worker
+    pool (DESIGN.md §4.2h says why).  Per-connection session state —
+    prepared statements and the optional snapshot pin — lives on the
+    reader thread and dies with the connection.
 
     Backpressure, in the order a request meets it:
     - token bucket per connection ([rate]/[burst]) → [ERR RETRY];
     - circuit breaker on migration debt (the [debt] gauge summed across
       shards, hysteresis between [open_above]/[close_below]) sheds
       non-essential statements (SELECT / EXPLAIN) → [ERR SHED];
-    - bounded admission queue ([queue_cap]) → [ERR RETRY].
+    - execution slots ([workers]) and at most [queue_cap] waiters for
+      them → [ERR RETRY].
 
     Both RETRY and SHED mean the statement did {e not} execute. *)
 
@@ -23,8 +25,8 @@ open Bullfrog_db
 type config = {
   host : string;
   port : int;  (** 0 = ephemeral; read the bound port back with {!port} *)
-  workers : int;
-  queue_cap : int;
+  workers : int;  (** statements executing at once, across all sessions *)
+  queue_cap : int;  (** admitted requests waiting for one of those slots *)
   rate : float;  (** tokens/second per connection; [infinity] = off *)
   burst : float;
   open_above : int;  (** breaker opens when debt exceeds this *)
@@ -51,10 +53,10 @@ type slow_query = {
 type t
 
 val start : ?config:config -> ?debt:(unit -> int) -> Frontend.t -> t
-(** Bind, spawn the pool and the accept thread, and register a
-    per-instance ["server:<port>"] Obs stats provider (queue depth, busy
-    workers, breaker state, debt, slow-query count, and per-class
-    latency percentiles).  [debt] is the migration-debt gauge the
+(** Bind, spawn the accept thread, and register a per-instance
+    ["server:<port>"] Obs stats provider ([queue_depth]: requests
+    waiting for a slot; [busy_workers]: statements executing; breaker
+    state, debt, slow-query count, and per-class latency percentiles).  [debt] is the migration-debt gauge the
     breaker samples (default: constantly 0). *)
 
 val port : t -> int
@@ -67,5 +69,5 @@ val slow_log : t -> slow_query list
 
 val stop : t -> unit
 (** Clean shutdown: refuse new submissions (retryable), drain every
-    admitted request and deliver its response, then close sockets and
+    admitted request and write its response, then close sockets and
     join all threads; unregisters the stats provider.  Idempotent. *)

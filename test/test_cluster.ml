@@ -154,6 +154,83 @@ let scatter_merge_oracle () =
   same_write "DELETE FROM t WHERE v = 'g1'"
 
 (* ------------------------------------------------------------------ *)
+(* Scatter runs on the calling thread                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A non-prunable scan visits each candidate shard once, in its own
+   "shard-N" span directly under "route", all on the caller's thread. *)
+let scatter_on_calling_thread () =
+  let module T = Obs.Trace in
+  let c = mk_cluster 40 in
+  Fun.protect ~finally:(fun () ->
+      T.disable ();
+      T.clear ();
+      Cluster.close c)
+  @@ fun () ->
+  T.enable ~capacity:4_096 ();
+  T.clear ();
+  let rows = Cluster.query c "SELECT id FROM t WHERE v = 'g1'" in
+  check Alcotest.int "scan finds all matches" 13 (List.length rows);
+  let begins = List.filter (fun e -> e.T.ev_phase = T.Span_begin) (T.export ()) in
+  let route =
+    match List.filter (fun e -> e.T.ev_name = "route") begins with
+    | [ r ] -> r
+    | l -> Alcotest.fail (Printf.sprintf "expected one route span, got %d" (List.length l))
+  in
+  let shards =
+    List.filter
+      (fun e -> String.length e.T.ev_name > 6 && String.sub e.T.ev_name 0 6 = "shard-")
+      begins
+  in
+  check (Alcotest.list Alcotest.string) "one span per candidate shard"
+    [ "shard-0"; "shard-1"; "shard-2"; "shard-3" ]
+    (List.sort compare (List.map (fun e -> e.T.ev_name) shards));
+  let me = Thread.id (Thread.self ()) in
+  List.iter
+    (fun e ->
+      check Alcotest.int (e.T.ev_name ^ " is a child of route") route.T.ev_span
+        e.T.ev_parent;
+      check Alcotest.int (e.T.ev_name ^ " ran on the calling thread") me e.T.ev_tid)
+    shards
+
+(* One shard's share of a scan raises: the caller sees that error, and
+   every shard is left with no open transaction, so the next
+   cross-shard write and scan go through. *)
+let scatter_error_reraised () =
+  let c = Cluster.create ~shards:4 () in
+  Fun.protect ~finally:(fun () -> Cluster.close c) @@ fun () ->
+  ignore (Cluster.exec c "CREATE TABLE d (id INT PRIMARY KEY, n INT)" : Executor.result);
+  ignore
+    (Cluster.exec c
+       ("INSERT INTO d VALUES "
+       ^ String.concat ", "
+           (List.init 20 (fun i -> Printf.sprintf "(%d, %d)" i (if i = 7 then 0 else 1))))
+      : Executor.result);
+  let shard_ids = List.init (Cluster.shard_count c) Fun.id in
+  let zero_on s = Database.query (Cluster.shard_db c s) "SELECT id FROM d WHERE n = 0" <> [] in
+  check Alcotest.int "the zero lives on one shard" 1
+    (List.length (List.filter zero_on shard_ids));
+  (match Cluster.query c "SELECT id, 10 / n FROM d" with
+  | _ -> Alcotest.fail "the failing shard's error must reach the caller"
+  | exception Expr.Eval_error msg ->
+      check Alcotest.string "the shard's own error" "division by zero" msg);
+  List.iter
+    (fun s ->
+      let db = Cluster.shard_db c s in
+      for owner = 1 to db.Database.next_txn_id - 1 do
+        check Alcotest.int
+          (Printf.sprintf "shard %d txn %d holds no locks" s owner)
+          0
+          (Lock_manager.held_count db.Database.locks ~owner)
+      done)
+    shard_ids;
+  (match Cluster.exec c "UPDATE d SET n = n + 1" with
+  | Executor.Affected 20 -> ()
+  | _ -> Alcotest.fail "cross-shard update after the error should affect 20 rows");
+  check Alcotest.int "scan works again" 20
+    (List.length (Cluster.query c "SELECT id, 10 / n FROM d"))
+
+(* ------------------------------------------------------------------ *)
 (* QCheck: routed scatter/gather == broadcast to every shard           *)
 (* ------------------------------------------------------------------ *)
 
@@ -741,6 +818,10 @@ let suite =
     Alcotest.test_case "point queries route to one shard" `Quick point_query_routing;
     Alcotest.test_case "cross-shard 2PC atomicity" `Quick cross_shard_atomicity;
     Alcotest.test_case "scatter/gather merge vs oracle" `Quick scatter_merge_oracle;
+    Alcotest.test_case "scatter runs on the calling thread" `Quick
+      scatter_on_calling_thread;
+    Alcotest.test_case "scatter re-raises a shard's error" `Quick
+      scatter_error_reraised;
     QCheck_alcotest.to_alcotest routed_vs_broadcast;
     Alcotest.test_case "2PC crash sweep" `Quick sweep_cells;
     Alcotest.test_case "crash points leave flight dumps" `Quick

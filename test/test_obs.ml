@@ -134,8 +134,8 @@ let trace_multithread_race () =
   Obs.Trace.clear ()
 
 (* A context handed across a thread boundary keeps the child's spans in
-   the parent's tree — the mechanism the server worker and the scatter
-   threads use. *)
+   the parent's tree — the mechanism the server's reader thread uses for
+   a request's wire CTX. *)
 let trace_context_crosses_threads () =
   Obs.Trace.enable ~capacity:1_024 ();
   let ctx = ref None in
@@ -174,8 +174,8 @@ let trace_context_crosses_threads () =
   Obs.Trace.disable ();
   Obs.Trace.clear ()
 
-(* Chrome export names threads via metadata events so shard workers show
-   up as "shard-N" rows instead of bare tids. *)
+(* Chrome export names threads via metadata events so named threads show
+   up under their names instead of bare tids. *)
 let chrome_thread_metadata () =
   Obs.Trace.enable ~capacity:64 ();
   Obs.Trace.set_thread_name "obs-test-thread";

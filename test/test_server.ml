@@ -22,7 +22,7 @@ let with_client server f =
 let row_str row =
   String.concat "|" (List.map Value.to_string (Array.to_list row))
 
-(* A frontend whose exec is a closure — lets tests stall workers or
+(* A frontend whose exec is a closure — lets tests stall statements or
    count applications without any engine underneath. *)
 let fn_frontend exec =
   {
@@ -276,6 +276,51 @@ let queue_full_retryable () =
   | Some (Protocol.Ok_affected 1) -> ()
   | _ -> Alcotest.fail "parked request must complete once the worker frees"
 
+(* -- execution slots bound concurrency --------------------------------- *)
+
+(* No pool enforces [workers] any more: the cap is the admission counter.
+   Four sessions hammer a frontend that records how many statements are
+   inside it at once; the high-water mark must equal the cap. *)
+let max_concurrent ~workers =
+  let m = Mutex.create () in
+  let inside = ref 0 and high = ref 0 in
+  let frontend =
+    fn_frontend (fun _ ->
+        Mutex.lock m;
+        incr inside;
+        high := max !high !inside;
+        Mutex.unlock m;
+        Thread.delay 0.005;
+        Mutex.lock m;
+        decr inside;
+        Mutex.unlock m;
+        Executor.Affected 1)
+  in
+  let config = { Server.default_config with workers } in
+  with_server ~config frontend @@ fun server ->
+  let ok = Array.make 4 0 in
+  let sessions =
+    List.init 4 (fun i ->
+        Thread.create
+          (fun () ->
+            with_client server @@ fun cl ->
+            for _ = 1 to 8 do
+              match Client.exec cl "INSERT x" with
+              | Protocol.Ok_affected 1 -> ok.(i) <- ok.(i) + 1
+              | _ -> ()
+            done)
+          ())
+  in
+  List.iter Thread.join sessions;
+  check Alcotest.int "every statement answered" 32 (Array.fold_left ( + ) 0 ok);
+  !high
+
+let slots_bound_concurrency () =
+  check Alcotest.int "workers = 1 serialises statements" 1
+    (max_concurrent ~workers:1);
+  check Alcotest.int "workers = 2 runs two at once, never more" 2
+    (max_concurrent ~workers:2)
+
 (* -- breaker: sheds reads above the threshold, hysteresis on close ---- *)
 
 let breaker_sheds_with_hysteresis () =
@@ -418,7 +463,7 @@ let shutdown_drains () =
 
 (* A 4-shard cluster mid-way through a partition-key-changing migration,
    with the server fronting it.  One traced scan must produce a single
-   tree rooted at the app span: client request -> server worker stmt ->
+   tree rooted at the app span: client request -> server stmt ->
    router -> per-shard scatter spans, plus the lazy-migrate and 2PC work
    the scan itself triggers.  This is the PR's acceptance shape. *)
 let cluster_setup () =
@@ -630,6 +675,8 @@ let suite =
       prepared_isolation;
     Alcotest.test_case "queue-full requests bounce retryable" `Quick
       queue_full_retryable;
+    Alcotest.test_case "execution slots bound concurrency" `Quick
+      slots_bound_concurrency;
     Alcotest.test_case "breaker sheds with hysteresis" `Quick
       breaker_sheds_with_hysteresis;
     Alcotest.test_case "session pin holds the GC horizon" `Quick
