@@ -355,8 +355,8 @@ let ablations () =
             Thread.create
               (fun () ->
                 for g = t * 125_000 to ((t + 1) * 125_000) - 1 do
-                  match Bitmap_tracker.try_acquire bt g with
-                  | Tracker.Migrate -> Bitmap_tracker.mark_migrated bt g
+                  match Bitmap_tracker.try_acquire bt [ g ] with
+                  | [ Tracker.Migrate ] -> Bitmap_tracker.mark_migrated bt [ g ]
                   | _ -> ()
                 done)
               ())
@@ -381,9 +381,9 @@ let microbench () =
         (Staged.stage (fun () ->
              let g = !i mod 1_000_000 in
              incr i;
-             match Bitmap_tracker.try_acquire bitmap g with
-             | Tracker.Migrate -> Bitmap_tracker.mark_migrated bitmap g
-             | Tracker.Skip | Tracker.Already_migrated -> ()));
+             match Bitmap_tracker.try_acquire bitmap [ g ] with
+             | [ Tracker.Migrate ] -> Bitmap_tracker.mark_migrated bitmap [ g ]
+             | _ -> ()));
       Test.make ~name:"bitmap.is_migrated"
         (Staged.stage (fun () ->
              incr i;
@@ -392,9 +392,9 @@ let microbench () =
         (Staged.stage (fun () ->
              incr i;
              let key = [| Bullfrog_db.Value.Int !i |] in
-             match Hash_tracker.try_acquire hash key with
-             | Tracker.Migrate -> Hash_tracker.mark_migrated hash key
-             | Tracker.Skip | Tracker.Already_migrated -> ()));
+             match Hash_tracker.try_acquire hash [ key ] with
+             | [ Tracker.Migrate ] -> Hash_tracker.mark_migrated hash [ key ]
+             | _ -> ()));
       Test.make ~name:"hash.is_migrated"
         (Staged.stage (fun () ->
              incr i;
@@ -526,14 +526,43 @@ let qpath () =
   say "  wrote BENCH_query_path.json"
 
 (* ------------------------------------------------------------------ *)
-(* Migration-path microbenchmark: word-level tracker scans + batched    *)
-(* granule acquisition + bulk heap/index loading vs the scalar paths.   *)
+(* Migration-path microbenchmark: the tracker sweep, the heap load and  *)
+(* the eager copy, each timed on the one path the engine runs.          *)
 (* Wall-clock only: the virtual-time cost model (and thus every figure  *)
-(* above) is untouched by the batch rewiring.                           *)
+(* above) reads Txn.counters, not time.                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* The background migrator's tracker path over an all-free bitmap:
+   [next_unmigrated_run] hands out runs, consumed in [batch]-granule
+   slices, each acquired and flipped with one list call.  Returns the
+   number of slices. *)
+let bitmap_sweep bt ~batch =
+  let slices = ref 0 in
+  let cursor = ref 0 in
+  let continue_ = ref true in
+  while !continue_ do
+    match Bitmap_tracker.next_unmigrated_run bt ~from:!cursor with
+    | None -> continue_ := false
+    | Some (start, len) ->
+        incr slices;
+        let take = min len batch in
+        let gs = List.init take (fun i -> start + i) in
+        let wip =
+          List.fold_right2
+            (fun g d acc -> if d = Tracker.Migrate then g :: acc else acc)
+            gs (Bitmap_tracker.try_acquire bt gs) []
+        in
+        Bitmap_tracker.mark_migrated bt wip;
+        cursor := start + take
+  done;
+  !slices
+
+(* Background slice size of the sweeps: the simulated systems' default
+   [bg_batch]. *)
+let sweep_batch = 256
+
 let migpath () =
-  say "\n######## Migration path: batch vs scalar (wall-clock) ########";
+  say "\n######## Migration path (wall-clock) ########";
   let open Bullfrog_db in
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -541,6 +570,7 @@ let migpath () =
     Unix.gettimeofday () -. t0
   in
   let best_of_3 mk =
+    Gc.compact ();
     let t = ref infinity in
     for _ = 1 to 3 do
       t := min !t (mk ())
@@ -551,47 +581,14 @@ let migpath () =
   let granules =
     match profile with Fast -> 200_000 | Standard -> 1_000_000 | Full -> 4_000_000
   in
-  let sweep_scalar () =
-    let bt = Bitmap_tracker.create ~size:granules () in
-    time (fun () ->
-        let cursor = ref 0 in
-        let continue_ = ref true in
-        while !continue_ do
-          match Bitmap_tracker.first_unmigrated bt ~from:!cursor with
-          | None -> continue_ := false
-          | Some g ->
-              (match Bitmap_tracker.try_acquire bt g with
-              | Tracker.Migrate -> Bitmap_tracker.mark_migrated bt g
-              | Tracker.Skip | Tracker.Already_migrated -> ());
-              cursor := g + 1
-        done)
+  let sweep_t =
+    best_of_3 (fun () ->
+        let bt = Bitmap_tracker.create ~size:granules () in
+        time (fun () -> ignore (bitmap_sweep bt ~batch:sweep_batch : int)))
   in
-  let sweep_batch () =
-    let bt = Bitmap_tracker.create ~size:granules () in
-    time (fun () ->
-        let cursor = ref 0 in
-        let continue_ = ref true in
-        while !continue_ do
-          match Bitmap_tracker.next_unmigrated_run bt ~from:!cursor with
-          | None -> continue_ := false
-          | Some (start, len) ->
-              (* consume the run in background-batch-sized slices *)
-              let len = min len 4096 in
-              let wip, _, _ = Bitmap_tracker.try_acquire_run bt ~start ~len in
-              (* an uncontended slice comes back as one (start, len) pair *)
-              List.iter
-                (fun (s, l) -> Bitmap_tracker.mark_migrated_run bt ~start:s ~len:l)
-                wip;
-              cursor := start + len
-        done)
-  in
-  let scalar_t = best_of_3 sweep_scalar and batch_t = best_of_3 sweep_batch in
-  let scalar_gps = float_of_int granules /. scalar_t in
-  let batch_gps = float_of_int granules /. batch_t in
-  let scan_speedup = batch_gps /. scalar_gps in
-  say "  scan+acquire  scalar %10.0f granules/s" scalar_gps;
-  say "  scan+acquire  batch  %10.0f granules/s   (%.1fx)" batch_gps scan_speedup;
-  (* -- bulk load: unique-indexed heap, row-at-a-time vs reserve+batch -- *)
+  let sweep_gps = float_of_int granules /. sweep_t in
+  say "  scan+acquire  %10.0f granules/s   (%d-granule slices)" sweep_gps sweep_batch;
+  (* -- bulk load: unique-indexed heap, reserve then row-at-a-time insert -- *)
   let nrows =
     match profile with Fast -> 100_000 | Standard -> 400_000 | Full -> 1_000_000
   in
@@ -604,194 +601,87 @@ let migpath () =
         { Schema.name = "c"; ty = Bullfrog_sql.Ast.T_int; not_null = false; default = None };
       |]
   in
-  let fresh_table () =
-    let heap = Heap.create ~tbl_id:0 ~name:"bulk" schema in
-    Heap.add_index heap
-      (Index.create ~name:"bulk_pk" ~key_cols:[| 0 |] ~unique:true ());
-    heap
+  let load_t =
+    best_of_3 (fun () ->
+        let heap = Heap.create ~tbl_id:0 ~name:"bulk" schema in
+        Heap.add_index heap (Index.create ~name:"bulk_pk" ~key_cols:[| 0 |] ~unique:true ());
+        time (fun () ->
+            Heap.reserve heap nrows;
+            Array.iter (fun r -> ignore (Heap.insert heap r : int)) rows))
   in
-  (* Faithful replica of the pre-PR (seed commit) row-at-a-time load path:
-     per-row heap latch, [row option] slots, the per-row (idx, key)
-     rollback trail, and a stdlib-Hashtbl hash index paying one traversing
-     [find_opt] plus one key-copying [replace] per insert.  This is the
-     baseline the bulk loader replaces; "scalar" below is today's
-     [Heap.insert] loop, which already shares the rewritten index and row
-     representation. *)
-  let load_seed () =
-    let module Tbl = Hashtbl.Make (struct
-      type t = Value.t array
-
-      let equal a b =
-        Array.length a = Array.length b
-        &&
-        let rec loop i =
-          i >= Array.length a || (Value.equal a.(i) b.(i) && loop (i + 1))
-        in
-        loop 0
-
-      let hash = Value.hash_key
-    end) in
-    let tbl = Tbl.create 1024 in
-    let latch = Mutex.create () in
-    let slots = ref (Array.make 16 None) in
-    let n = ref 0 in
-    let t =
-      time (fun () ->
-          Array.iter
-            (fun r ->
-              Mutex.lock latch;
-              let tid = !n in
-              let key = [| r.(0) |] in
-              (match Tbl.find_opt tbl key with
-              | Some _ -> failwith "seed replica: duplicate key"
-              | None -> Tbl.replace tbl (Array.copy key) (ref [ tid ]));
-              let done_ = ref [] in
-              done_ := (tbl, key) :: !done_;
-              ignore (Sys.opaque_identity !done_);
-              if tid >= Array.length !slots then begin
-                let bigger = Array.make (2 * Array.length !slots) None in
-                Array.blit !slots 0 bigger 0 tid;
-                slots := bigger
-              end;
-              !slots.(tid) <- Some r;
-              incr n;
-              Mutex.unlock latch)
-            rows)
-    in
-    ignore (Sys.opaque_identity (tbl, !slots));
-    t
-  in
-  let load_scalar () =
-    let heap = fresh_table () in
-    time (fun () -> Array.iter (fun r -> ignore (Heap.insert heap r : int)) rows)
-  in
-  let load_batch () =
-    let heap = fresh_table () in
-    time (fun () ->
-        Heap.reserve heap nrows;
-        let bs = 4096 in
-        let i = ref 0 in
-        while !i < nrows do
-          let len = min bs (nrows - !i) in
-          ignore (Heap.insert_batch heap (Array.sub rows !i len) : int);
-          i := !i + len
-        done)
-  in
-  let best_compact mk =
-    Gc.compact ();
-    best_of_3 mk
-  in
-  let seed_lt = best_compact load_seed in
-  let scalar_lt = best_compact load_scalar in
-  let batch_lt = best_compact load_batch in
-  let seed_rps = float_of_int nrows /. seed_lt in
-  let scalar_rps = float_of_int nrows /. scalar_lt in
-  let batch_rps = float_of_int nrows /. batch_lt in
-  let load_speedup = batch_rps /. seed_rps in
-  say "  bulk load     pre-PR scalar %10.0f rows/s" seed_rps;
-  say "  bulk load     scalar (now)  %10.0f rows/s" scalar_rps;
-  say "  bulk load     batch         %10.0f rows/s   (%.1fx vs pre-PR, %.1fx vs scalar)"
-    batch_rps load_speedup (batch_rps /. scalar_rps);
-  (* -- eager population: materialise-then-insert (the seed's path) vs
-        the streamed + batched path Eager.migrate now uses -- *)
+  let load_rps = float_of_int nrows /. load_t in
+  say "  bulk load     %10.0f rows/s" load_rps;
+  (* -- eager copy: Eager.migrate of a 1:1 projection into a keyed table -- *)
   let esrc =
     match profile with Fast -> 50_000 | Standard -> 200_000 | Full -> 500_000
   in
-  let eager_pair insert_mode =
-    let db = Database.create () in
-    ignore
-      (Database.exec db "CREATE TABLE src (a INT PRIMARY KEY, b INT, c INT)"
-        : Executor.result);
-    ignore
-      (Database.exec db "CREATE TABLE dst (a INT PRIMARY KEY, s INT)"
-        : Executor.result);
-    let src = Catalog.find_table_exn db.Database.catalog "src" in
-    for k = 0 to esrc - 1 do
-      ignore (Heap.insert src [| Value.Int k; Value.Int (k * 3); Value.Int (k land 63) |] : int)
-    done;
-    let dst = Catalog.find_table_exn db.Database.catalog "dst" in
-    let sel =
-      match Bullfrog_sql.Parser.parse_one "SELECT a, b + c FROM src" with
-      | Bullfrog_sql.Ast.Select_stmt s -> s
-      | _ -> assert false
-    in
-    let ctx = Database.exec_ctx db in
-    let pctx = { Planner.catalog = db.Database.catalog; run_subquery = (fun _ -> []) } in
-    let planned = Planner.plan_select pctx sel in
-    let a0 = Gc.allocated_bytes () in
-    let t =
-      time (fun () ->
-          Database.with_txn db (fun txn ->
-              match insert_mode with
-              | `Materialized ->
-                  let out = Executor.run txn planned.Planner.plan in
-                  List.iter
-                    (fun row ->
-                      ignore (Executor.insert_row ctx txn dst row : int option))
-                    out
-              | `Streamed ->
-                  Heap.reserve dst esrc;
-                  let buf = ref [] and buffered = ref 0 in
-                  let flush () =
-                    if !buffered > 0 then begin
-                      let batch = Array.of_list (List.rev !buf) in
-                      buf := [];
-                      buffered := 0;
-                      ignore (Executor.insert_rows ctx txn dst batch : int)
-                    end
-                  in
-                  Executor.iter_plan txn planned.Planner.plan (fun row ->
-                      buf := row :: !buf;
-                      incr buffered;
-                      if !buffered >= 4096 then flush ());
-                  flush ()))
-    in
-    (t, Gc.allocated_bytes () -. a0)
+  let spec =
+    Migration.make ~name:"copy"
+      [
+        {
+          Migration.stmt_name = "copy";
+          outputs =
+            [
+              {
+                Migration.out_name = "dst";
+                out_create =
+                  Some
+                    (Bullfrog_sql.Parser.parse_one
+                       "CREATE TABLE dst (a INT PRIMARY KEY, s INT)");
+                out_population = Bullfrog_sql.Parser.parse_select "SELECT a, b + c FROM src";
+                out_indexes = [];
+              };
+            ];
+        };
+      ]
   in
-  let mat_t, mat_alloc = eager_pair `Materialized in
-  let str_t, str_alloc = eager_pair `Streamed in
-  let mat_rps = float_of_int esrc /. mat_t and str_rps = float_of_int esrc /. str_t in
-  say "  eager copy    materialised %8.0f rows/s  %7.1f MB allocated" mat_rps
-    (mat_alloc /. 1e6);
-  say "  eager copy    streamed     %8.0f rows/s  %7.1f MB allocated   (%.1fx rows/s, %.1fx less alloc)"
-    str_rps (str_alloc /. 1e6) (str_rps /. mat_rps) (mat_alloc /. str_alloc);
+  let alloc = ref 0.0 in
+  let copy_t =
+    best_of_3 (fun () ->
+        let db = Database.create () in
+        ignore
+          (Database.exec db "CREATE TABLE src (a INT PRIMARY KEY, b INT, c INT)"
+            : Executor.result);
+        let src = Catalog.find_table_exn db.Database.catalog "src" in
+        for k = 0 to esrc - 1 do
+          ignore (Heap.insert src [| Value.Int k; Value.Int (k * 3); Value.Int (k land 63) |] : int)
+        done;
+        let a0 = Gc.allocated_bytes () in
+        let t = time (fun () -> ignore (Eager.migrate db spec : Eager.outcome)) in
+        alloc := Gc.allocated_bytes () -. a0;
+        t)
+  in
+  let copy_rps = float_of_int esrc /. copy_t in
+  say "  eager copy    %10.0f rows/s   %7.1f MB allocated" copy_rps (!alloc /. 1e6);
   let oc = open_out "BENCH_migration_path.json" in
   Printf.fprintf oc
     {|{
   "benchmark": "migration_path",
   "profile": "%s",
   "seed": %d,
-  "note": "wall-clock only; virtual-time figures (fig3-12) are unchanged by the batch rewiring",
+  "note": "wall-clock, best of 3; each figure times the path the engine runs",
   "scan_acquire": {
+    "path": "next_unmigrated_run -> try_acquire -> mark_migrated, list forms",
     "granules": %d,
-    "scalar_granules_per_sec": %.0f,
-    "batch_granules_per_sec": %.0f,
-    "speedup": %.2f
+    "slice": %d,
+    "granules_per_sec": %.0f
   },
   "bulk_load": {
+    "path": "Heap.reserve + Heap.insert per row",
     "rows": %d,
     "unique_indexes": 1,
-    "scalar_baseline": "seed row-at-a-time loader (pre-PR): per-row latch, option-boxed slots, stdlib-Hashtbl index with find_opt + key-copying replace",
-    "seed_scalar_rows_per_sec": %.0f,
-    "current_scalar_rows_per_sec": %.0f,
-    "batch_rows_per_sec": %.0f,
-    "speedup": %.2f,
-    "speedup_vs_current_scalar": %.2f
+    "rows_per_sec": %.0f
   },
   "eager_copy": {
+    "path": "Eager.migrate, one keyed output",
     "rows": %d,
-    "materialized_rows_per_sec": %.0f,
-    "streamed_rows_per_sec": %.0f,
-    "materialized_alloc_mb": %.1f,
-    "streamed_alloc_mb": %.1f,
-    "alloc_reduction": %.2f
+    "rows_per_sec": %.0f,
+    "alloc_mb": %.1f
   }
 }
 |}
     (match profile with Fast -> "fast" | Standard -> "standard" | Full -> "full")
-    seed granules scalar_gps batch_gps scan_speedup nrows seed_rps scalar_rps
-    batch_rps load_speedup (batch_rps /. scalar_rps) esrc mat_rps str_rps
-    (mat_alloc /. 1e6) (str_alloc /. 1e6) (mat_alloc /. str_alloc);
+    seed granules sweep_batch sweep_gps nrows load_rps esrc copy_rps (!alloc /. 1e6);
   close_out oc;
   say "  wrote BENCH_migration_path.json"
 
@@ -1077,30 +967,16 @@ let obs_bench () =
     q_calls q_overhead q_overhead_ub;
   say "  qpath   enabled A/B: %8.0f ns/op counting  (%+.1f%%)" q_on_ns
     ((q_on_ns -. q_op_ns) /. q_op_ns *. 100.0);
-  (* -- migpath: word-level bitmap sweep.  Skip tallies are batched into
-     one [add] per tracker call (at most two obs calls per slice), so
-     calls/granule comes from the slice count; the counter's value still
-     reports every word skipped. -- *)
+  (* -- migpath: the background migrator's bitmap sweep ([bitmap_sweep]).
+     Skip tallies are batched into one [add] per [next_unmigrated_run]
+     call (at most two obs calls per slice), so calls/granule comes from
+     the slice count; the counter's value still reports every word
+     skipped. -- *)
   let granules = match profile with Fast -> 200_000 | _ -> 1_000_000 in
   let slices = ref 0 in
   let sweep () =
     let bt = Bitmap_tracker.create ~size:granules () in
-    slices := 0;
-    time (fun () ->
-        let cursor = ref 0 in
-        let continue_ = ref true in
-        while !continue_ do
-          match Bitmap_tracker.next_unmigrated_run bt ~from:!cursor with
-          | None -> continue_ := false
-          | Some (start, len) ->
-              incr slices;
-              let len = min len 4096 in
-              let wip, _, _ = Bitmap_tracker.try_acquire_run bt ~start ~len in
-              List.iter
-                (fun (s, l) -> Bitmap_tracker.mark_migrated_run bt ~start:s ~len:l)
-                wip;
-              cursor := start + len
-        done)
+    time (fun () -> slices := bitmap_sweep bt ~batch:sweep_batch)
   in
   let m_op_ns = best_of_3 sweep /. float_of_int granules *. 1e9 in
   Obs.Counters.set_enabled true;
@@ -1282,7 +1158,7 @@ let obs_bench () =
     "counters_enabled_op_ns": %.1f
   },
   "migpath": {
-    "op": "bitmap sweep granule (word-level scan + batched acquire)",
+    "op": "bitmap sweep granule (word-level scan + list acquire/flip, %d-granule slices)",
     "op_ns": %.3f,
     "obs_calls_per_op": %.5f,
     "counter_events_per_op": %.3f,
@@ -1310,7 +1186,8 @@ let obs_bench () =
 |}
     (match profile with Fast -> "fast" | Standard -> "standard" | Full -> "full")
     seed bump_ns bump_med_ns serial_min serial_med q_op_ns q_calls q_overhead
-    q_overhead_ub q_on_ns m_op_ns m_calls m_events m_overhead trace_file n_events spans
+    q_overhead_ub q_on_ns sweep_batch m_op_ns m_calls m_events m_overhead trace_file n_events
+    spans
     wire_ops wire_rounds wire_off_us wire_disabled_pct wire_disabled_med wire_enabled_pct
     wire_enabled_med;
   close_out oc;
@@ -1319,7 +1196,7 @@ let obs_bench () =
      between hash probes whose latency the disabled branch overlaps with;
      the serial no-overlap bound is reported alongside.  migpath is gated
      on the serial bound: with skip tallies batched into one add per
-     tracker call, even the conservative charge is far under budget. *)
+     scan call, even the conservative charge is far under budget. *)
   if q_overhead >= 2.0 || m_overhead >= 2.0 then
     failwith "observability: disabled-path overhead exceeds the 2% budget";
   (* The wire gates measure the product defaults: the always-on flight

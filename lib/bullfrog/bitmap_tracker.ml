@@ -1,8 +1,8 @@
 (* Each granule owns 2 bits packed 4-per-byte: bit 0 = lock, bit 1 =
-   migrate.  The fast path reads without the latch (safe: one byte, and a
-   stale read only sends the worker through the latched re-check or the
-   SKIP loop, both of which are correct); all writes take the chunk
-   latch. *)
+   migrate.  Status reads and the free-granule scan take no latch (safe:
+   one byte, and a stale read only sends the worker to [try_acquire],
+   which re-reads under the latch, or round the SKIP loop); every state
+   change takes the chunk latch. *)
 
 type t = {
   bits : Bytes.t;
@@ -16,9 +16,7 @@ let granules_per_byte = 4
 
 let chunk_granules = 1024 (* granules sharing one latch stripe key *)
 
-(* Word-level scan constants: one 64-bit word covers 32 granules, and a
-   chunk is byte-aligned (1024 / 4 = 256 bytes), so a word never spans two
-   chunks. *)
+(* Word-level scan constants: one 64-bit word covers 32 granules. *)
 let word_bytes = 8
 
 let granules_per_word = granules_per_byte * word_bytes
@@ -75,35 +73,65 @@ let is_in_progress t g =
   check_bounds t g;
   byte_of t g land lock_mask g <> 0
 
-let try_acquire t g : Tracker.decision =
-  check_bounds t g;
-  let b = byte_of t g in
-  (* A [1 1] state would mean a granule both in progress and migrated. *)
-  assert (b land lock_mask g = 0 || b land migrate_mask g = 0);
-  if b land migrate_mask g <> 0 then Tracker.Already_migrated
-  else if b land lock_mask g <> 0 then Tracker.Skip
-  else
-    with_latch t g (fun () ->
-        let b = byte_of t g in
-        if b land migrate_mask g <> 0 then Tracker.Already_migrated
-        else if b land lock_mask g <> 0 then Tracker.Skip
+(* Apply [body] to each granule of [gs] in input order, taking each
+   chunk's latch once per maximal consecutive same-chunk segment of the
+   input (a sorted list of up to [chunk_granules] granules takes exactly
+   one latch).  Allocation-free: segments are consumed in place from the
+   input list, never rebuilt.  Latches are never nested. *)
+let iter_chunk_segments t gs body =
+  let rec start = function
+    | [] -> ()
+    | g0 :: _ as gs ->
+        let chunk = chunk_of g0 in
+        let rest =
+          with_latch t g0 (fun () ->
+              let rec go = function
+                | g :: rest when chunk_of g = chunk ->
+                    check_bounds t g;
+                    body g;
+                    go rest
+                | rest -> rest
+              in
+              go gs)
+        in
+        start rest
+  in
+  start gs
+
+let try_acquire t gs =
+  let out = ref [] in
+  iter_chunk_segments t gs (fun g ->
+      let b = byte_of t g in
+      (* A [1 1] state would mean a granule both in progress and migrated. *)
+      assert (b land lock_mask g = 0 || b land migrate_mask g = 0);
+      let d : Tracker.decision =
+        if b land migrate_mask g <> 0 then Already_migrated
+        else if b land lock_mask g <> 0 then Skip
         else begin
           set_byte t g (b lor lock_mask g);
-          Tracker.Migrate
-        end)
+          Migrate
+        end
+      in
+      out := d :: !out);
+  List.rev !out
 
-let mark_migrated t g =
-  check_bounds t g;
-  with_latch t g (fun () ->
-      let b = byte_of t g in
-      if b land migrate_mask g <> 0 then
-        invalid_arg (Printf.sprintf "Bitmap_tracker.mark_migrated: granule %d already migrated" g);
-      set_byte t g ((b land lnot (lock_mask g)) lor migrate_mask g));
-  Atomic.incr t.migrated_count
+(* The count is published even when a granule mid-list raises: the flips
+   before it are kept, so they must be counted or [complete] never holds. *)
+let mark_migrated t gs =
+  let n = ref 0 in
+  Fun.protect
+    ~finally:(fun () -> ignore (Atomic.fetch_and_add t.migrated_count !n : int))
+    (fun () ->
+      iter_chunk_segments t gs (fun g ->
+          let b = byte_of t g in
+          if b land migrate_mask g <> 0 then
+            invalid_arg
+              (Printf.sprintf "Bitmap_tracker.mark_migrated: granule %d already migrated" g);
+          set_byte t g ((b land lnot (lock_mask g)) lor migrate_mask g);
+          incr n))
 
-let mark_aborted t g =
-  check_bounds t g;
-  with_latch t g (fun () ->
+let mark_aborted t gs =
+  iter_chunk_segments t gs (fun g ->
       let b = byte_of t g in
       assert (b land migrate_mask g = 0);
       set_byte t g (b land lnot (lock_mask g)))
@@ -146,11 +174,11 @@ let complete t = Atomic.get t.migrated_count >= t.granules
 let free t g = byte_of t g land (migrate_mask g lor lock_mask g) = 0
 
 (* Word-level free-granule finder: skip fully settled 8-byte words (32
-   granules per probe).  Reads are unlatched like the [try_acquire] fast
-   path — a stale word only makes the caller re-check a granule under the
-   latch.  Skips are tallied locally and published with one [add] per
-   call — a word-scan can cover the whole bitmap, and one obs call per
-   word would dominate the 1-2 ns word test itself. *)
+   granules per probe).  Reads are unlatched — a stale word only makes the
+   caller re-check a granule under the latch in [try_acquire].  Skips are
+   tallied locally and published with one [add] per call — a word-scan can
+   cover the whole bitmap, and one obs call per word would dominate the
+   1-2 ns word test itself. *)
 let c_word_skips = Obs.Counters.make "core.bitmap.word_skips"
 
 let find_free t ~from =
@@ -188,10 +216,7 @@ let find_free t ~from =
   in
   publish (find (max from 0))
 
-let first_unmigrated t ~from = find_free t ~from
-
-(* [find_free] plus the maximal run of free granules from the hit — only
-   run-consuming callers should pay the extension walk. *)
+(* [find_free]'s hit extended to the maximal run of free granules. *)
 let next_unmigrated_run t ~from =
   let bits = t.bits in
   let nbytes = Bytes.length bits in
@@ -219,197 +244,3 @@ let next_unmigrated_run t ~from =
       (* the run may poke into the padding of its last word; clamp *)
       Some (start, min stop t.granules - start)
 
-(* ------------------------------------------------------------------ *)
-(* Batch operations: one chunk-latch acquisition per contiguous chunk    *)
-(* segment of the input instead of one per granule.                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Apply [body] to each granule of [gs], taking each chunk's latch once
-   per maximal consecutive same-chunk segment of the input (the common
-   sorted batch of up to [chunk_granules] granules takes exactly one
-   latch).  Allocation-free: segments are consumed in place from the input
-   list, never rebuilt.  Latches are never nested. *)
-let iter_chunk_segments t gs body =
-  let rec start = function
-    | [] -> ()
-    | g0 :: _ as gs ->
-        let chunk = chunk_of g0 in
-        let rest =
-          with_latch t g0 (fun () ->
-              let rec go = function
-                | g :: rest when chunk_of g = chunk ->
-                    check_bounds t g;
-                    body g;
-                    go rest
-                | rest -> rest
-              in
-              go gs)
-        in
-        start rest
-  in
-  start gs
-
-let try_acquire_batch t gs =
-  let wip = ref [] and skip = ref [] and already = ref [] in
-  iter_chunk_segments t gs (fun g ->
-      let b = byte_of t g in
-      assert (b land lock_mask g = 0 || b land migrate_mask g = 0);
-      if b land migrate_mask g <> 0 then already := g :: !already
-      else if b land lock_mask g <> 0 then skip := g :: !skip
-      else begin
-        set_byte t g (b lor lock_mask g);
-        wip := g :: !wip
-      end);
-  (List.rev !wip, List.rev !skip, List.rev !already)
-
-let mark_migrated_batch t gs =
-  let n = ref 0 in
-  iter_chunk_segments t gs (fun g ->
-      let b = byte_of t g in
-      if b land migrate_mask g <> 0 then
-        invalid_arg
-          (Printf.sprintf "Bitmap_tracker.mark_migrated_batch: granule %d already migrated" g);
-      set_byte t g ((b land lnot (lock_mask g)) lor migrate_mask g);
-      incr n);
-  ignore (Atomic.fetch_and_add t.migrated_count !n : int)
-
-let mark_aborted_batch t gs =
-  iter_chunk_segments t gs (fun g ->
-      let b = byte_of t g in
-      assert (b land migrate_mask g = 0);
-      set_byte t g (b land lnot (lock_mask g)))
-
-(* ------------------------------------------------------------------ *)
-(* Contiguous-run operations: the background migrator consumes whole     *)
-(* runs from [next_unmigrated_run], so give runs a first-class path      *)
-(* that latches each chunk once and writes whole bytes (4 granules) and  *)
-(* whole words (32 granules) where the run covers them.                  *)
-(* ------------------------------------------------------------------ *)
-
-let check_run t ~start ~len =
-  if len < 0 then invalid_arg "Bitmap_tracker: negative run length";
-  if len > 0 then begin
-    check_bounds t start;
-    check_bounds t (start + len - 1)
-  end
-
-(* All 32 lock bits of a word, and the same pattern for one byte. *)
-let all_locked_word = settled_mask
-
-let all_migrated_word = 0xAAAA_AAAA_AAAA_AAAAL
-
-let all_locked_byte = 0x55
-
-let all_migrated_byte = 0xAA
-
-(* Iterate [start, start+len) chunk segment by chunk segment, holding the
-   chunk latch across each segment; [seg] receives inclusive-exclusive
-   granule bounds and runs under the latch. *)
-let iter_run_chunks t ~start ~len seg =
-  let stop = start + len in
-  let g = ref start in
-  while !g < stop do
-    let chunk_end = min stop ((chunk_of !g + 1) * chunk_granules) in
-    let lo = !g in
-    with_latch t lo (fun () -> seg lo chunk_end);
-    g := chunk_end
-  done
-
-let try_acquire_run t ~start ~len =
-  check_run t ~start ~len;
-  let wip = ref [] and skip = ref [] and already = ref [] in
-  (* Acquired granules come back as maximal (start, len) subruns, merged
-     on the fly; an uncontended run allocates one pair, not one cons per
-     granule. *)
-  let got a k =
-    match !wip with
-    | (s, l) :: tl when s + l = a -> wip := (s, l + k) :: tl
-    | tl -> wip := (a, k) :: tl
-  in
-  iter_run_chunks t ~start ~len (fun lo hi ->
-      let g = ref lo in
-      while !g < hi do
-        let gg = !g in
-        if gg land (granules_per_word - 1) = 0 && gg + granules_per_word <= hi
-           && Int64.equal (Bytes.get_int64_ne t.bits (gg / granules_per_byte)) 0L
-        then begin
-          (* 32 free granules: one word write *)
-          Bytes.set_int64_ne t.bits (gg / granules_per_byte) all_locked_word;
-          got gg granules_per_word;
-          g := gg + granules_per_word
-        end
-        else if gg land (granules_per_byte - 1) = 0 && gg + granules_per_byte <= hi
-                && byte_of t gg = 0
-        then begin
-          (* 4 free granules: one byte write *)
-          set_byte t gg all_locked_byte;
-          got gg granules_per_byte;
-          g := gg + granules_per_byte
-        end
-        else begin
-          let b = byte_of t gg in
-          assert (b land lock_mask gg = 0 || b land migrate_mask gg = 0);
-          if b land migrate_mask gg <> 0 then already := gg :: !already
-          else if b land lock_mask gg <> 0 then skip := gg :: !skip
-          else begin
-            set_byte t gg (b lor lock_mask gg);
-            got gg 1
-          end;
-          g := gg + 1
-        end
-      done);
-  (List.rev !wip, List.rev !skip, List.rev !already)
-
-let mark_migrated_run t ~start ~len =
-  check_run t ~start ~len;
-  iter_run_chunks t ~start ~len (fun lo hi ->
-      let g = ref lo in
-      while !g < hi do
-        let gg = !g in
-        if gg land (granules_per_word - 1) = 0 && gg + granules_per_word <= hi
-           && Int64.equal
-                (Bytes.get_int64_ne t.bits (gg / granules_per_byte))
-                all_locked_word
-        then begin
-          Bytes.set_int64_ne t.bits (gg / granules_per_byte) all_migrated_word;
-          g := gg + granules_per_word
-        end
-        else if gg land (granules_per_byte - 1) = 0 && gg + granules_per_byte <= hi
-                && byte_of t gg = all_locked_byte
-        then begin
-          set_byte t gg all_migrated_byte;
-          g := gg + granules_per_byte
-        end
-        else begin
-          let b = byte_of t gg in
-          if b land migrate_mask gg <> 0 then
-            invalid_arg
-              (Printf.sprintf
-                 "Bitmap_tracker.mark_migrated_run: granule %d already migrated" gg);
-          set_byte t gg ((b land lnot (lock_mask gg)) lor migrate_mask gg);
-          g := gg + 1
-        end
-      done);
-  ignore (Atomic.fetch_and_add t.migrated_count len : int)
-
-let mark_aborted_run t ~start ~len =
-  check_run t ~start ~len;
-  iter_run_chunks t ~start ~len (fun lo hi ->
-      let g = ref lo in
-      while !g < hi do
-        let gg = !g in
-        if gg land (granules_per_word - 1) = 0 && gg + granules_per_word <= hi
-           && Int64.equal
-                (Bytes.get_int64_ne t.bits (gg / granules_per_byte))
-                all_locked_word
-        then begin
-          Bytes.set_int64_ne t.bits (gg / granules_per_byte) 0L;
-          g := gg + granules_per_word
-        end
-        else begin
-          let b = byte_of t gg in
-          assert (b land migrate_mask gg = 0);
-          set_byte t gg (b land lnot (lock_mask gg));
-          g := gg + 1
-        end
-      done)

@@ -24,18 +24,25 @@ val granule_of_tid : t -> int -> int
 
 val granule_count : t -> int
 
-val try_acquire : t -> int -> Tracker.decision
-(** Algorithm 2 for granule index [g]: fast-path reads of the migrate and
-    lock bits, then re-check under the chunk's exclusive latch before
-    setting the lock bit. *)
+val try_acquire : t -> int list -> Tracker.decision list
+(** Algorithm 2 over a list of granule indices: each granule's migrate and
+    lock bits are read under its chunk's latch, and a free granule gets its
+    lock bit set.  Decisions are aligned with the input; a duplicate
+    resolves like two calls in a row (first wins, second skips).  Each
+    chunk latch is taken once per maximal run of same-chunk granules in the
+    input (a sorted list within one chunk takes exactly one latch); latches
+    are never nested, so a list may span chunks. *)
 
-val mark_migrated : t -> int -> unit
-(** Alg. 1 line 9: flip [1 0] → [0 1].  Also accepts [0 0] → [0 1]
-    (recovery / eager paths).  @raise Invalid_argument if already
-    migrated (double completion indicates a tracker misuse). *)
+val mark_migrated : t -> int list -> unit
+(** Alg. 1 line 9: flip every granule [1 0] → [0 1], latching like
+    {!try_acquire}.  Also accepts [0 0] → [0 1] (recovery / eager paths).
+    @raise Invalid_argument on an already-migrated granule (double
+    completion indicates a tracker misuse); the flips before it in the
+    list are kept and counted. *)
 
-val mark_aborted : t -> int -> unit
-(** §3.5: reset [1 0] → [0 0] so another worker can migrate it. *)
+val mark_aborted : t -> int list -> unit
+(** §3.5: reset every granule [1 0] → [0 0] so another worker can migrate
+    it. *)
 
 val is_migrated : t -> int -> bool
 
@@ -52,61 +59,10 @@ val stats : t -> Tracker.stats
 val complete : t -> bool
 (** Every granule migrated. *)
 
-val first_unmigrated : t -> from:int -> int option
-(** Smallest granule index [>= from] that is neither migrated nor in
-    progress — the background-migration cursor. *)
-
 val next_unmigrated_run : t -> from:int -> (int * int) option
 (** [(start, len)] of the first maximal run of granules [>= from] that are
     neither migrated nor in progress.  The scan reads the bitmap 8
     granule-bytes at a time ({!Bytes.get_int64_ne}) and skips fully
     settled words, so a mostly-migrated bitmap is crossed at 32 granules
-    per probe.  Unlatched, like the [try_acquire] fast path: the result is
-    a hint that {!try_acquire_batch} re-checks under the chunk latch. *)
-
-(** {2 Batch operations}
-
-    Equivalent to folding the granule-at-a-time operation over the list,
-    but each chunk latch is taken once per contiguous same-chunk segment
-    of the input (a sorted batch of up to [chunk_granules] granules takes
-    exactly one latch), and the migrated count is bumped with a single
-    atomic add.  Latches are never nested, so batches may span chunks. *)
-
-val try_acquire_batch : t -> int list -> int list * int list * int list
-(** [(wip, skip, already)]: the granules acquired for migration, the ones
-    another worker holds in progress, and the ones already migrated.  A
-    duplicate within the batch resolves like two serial calls (first wins,
-    second skips). *)
-
-val mark_migrated_batch : t -> int list -> unit
-(** Flip every granule [1 0] / [0 0] → [0 1].  @raise Invalid_argument on
-    an already-migrated granule (tracker misuse; flips preceding it in the
-    batch are kept, as with serial calls). *)
-
-val mark_aborted_batch : t -> int list -> unit
-(** Reset every granule [1 0] → [0 0]. *)
-
-(** {2 Contiguous-run operations}
-
-    Same contracts as the batch operations restricted to the range
-    [\[start, start + len)], which is the shape {!next_unmigrated_run}
-    hands the background migrator.  On top of the once-per-chunk latching
-    these write whole bitmap bytes (4 granules) and whole 8-byte words
-    (32 granules) wherever the run covers them and the slots agree, so a
-    fresh bitmap is acquired and marked at a few instructions per 32
-    granules. *)
-
-val try_acquire_run :
-  t -> start:int -> len:int -> (int * int) list * int list * int list
-(** [(wip, skip, already)] over the run, in ascending granule order.
-    [wip] is the acquired granules as maximal [(start, len)] subruns —
-    an uncontended run comes back as a single pair, so acquisition
-    allocates O(contended fragments), not O(granules).  [skip] and
-    [already] stay granule lists (they are the cold path). *)
-
-val mark_migrated_run : t -> start:int -> len:int -> unit
-(** Flip every granule of the run [1 0] / [0 0] → [0 1].
-    @raise Invalid_argument on an already-migrated granule. *)
-
-val mark_aborted_run : t -> start:int -> len:int -> unit
-(** Reset every granule of the run [1 0] → [0 0]. *)
+    per probe.  Unlatched: the result is a hint that {!try_acquire} re-checks
+    under the chunk latch. *)

@@ -5,9 +5,10 @@ type outcome = {
   input_rows_read : int;
 }
 
-(* Rows are streamed out of the population plan and flushed in batches of
-   this size, so the full result set is never materialised (the seed
-   version held every output row of a statement in one list). *)
+(* Rows are streamed out of the population plan straight into the output
+   table, so the full result set is never materialised.  The statement's
+   transaction undo makes a failed copy all-or-nothing.  [batch_rows] only
+   paces the crash point. *)
 let batch_rows = 4096
 
 let migrate db (spec : Migration.t) =
@@ -32,23 +33,19 @@ let migrate db (spec : Migration.t) =
                  still holds them, and the outputs are empty. *)
               Heap.reserve out_heap input_rows;
               let planned = Planner.plan_select pctx population in
-              let buf = ref [] and buffered = ref 0 in
-              let flush () =
-                if !buffered > 0 then begin
-                  let rows = Array.of_list (List.rev !buf) in
-                  buf := [];
-                  buffered := 0;
-                  rows_copied := !rows_copied + Executor.insert_rows ctx txn out_heap rows;
-                  (* mid-copy, inside the statement's transaction: a crash
-                     here aborts the whole statement's copy *)
-                  Fault.point Fault.p_eager_copy
-                end
+              let pending = ref 0 in
+              (* mid-copy, inside the statement's transaction: a crash
+                 here aborts the whole statement's copy *)
+              let crash_point () =
+                pending := 0;
+                Fault.point Fault.p_eager_copy
               in
               Executor.iter_plan txn planned.Planner.plan (fun row ->
-                  buf := row :: !buf;
-                  incr buffered;
-                  if !buffered >= batch_rows then flush ());
-              flush ())
+                  ignore (Executor.insert_row ctx txn out_heap row : int option);
+                  incr rows_copied;
+                  incr pending;
+                  if !pending >= batch_rows then crash_point ());
+              if !pending > 0 then crash_point ())
             stmt.Migrate_exec.rs_outputs;
           input_rows_read := !input_rows_read + input_rows))
     rt.Migrate_exec.stmts;

@@ -13,8 +13,8 @@ exception Crash of string
 (** Registered crash points (ids are stable; the sweep enumerates them). *)
 
 val p_mark_commit : int
-(** scalar/batched granule marks recorded, before the migration txn
-    commits — data and log entry are lost, trackers roll back *)
+(** granule marks recorded, before the migration txn commits — data and
+    log entry are lost, trackers roll back *)
 
 val p_flip_batched : int
 (** inside a tracker group's on-commit flip — data and log are already

@@ -40,36 +40,6 @@ let with_key t key f =
   let pk = part_key t key in
   Striped_mutex.with_stripe t.latches pk (fun () -> f t.parts.(pk))
 
-let try_acquire t key : Tracker.decision =
-  with_key t key (fun part ->
-      match Key_tbl.find_opt part key with
-      | Some Migrated -> Tracker.Already_migrated
-      | Some In_progress -> Tracker.Skip
-      | Some Aborted ->
-          (* Alg. 3 lines 7-9: take over an aborted migration. *)
-          Key_tbl.replace part key In_progress;
-          Tracker.Migrate
-      | None ->
-          Key_tbl.replace part (Array.copy key) In_progress;
-          Tracker.Migrate)
-
-let mark_migrated t key =
-  with_key t key (fun part ->
-      match Key_tbl.find_opt part key with
-      | Some In_progress | Some Aborted -> Key_tbl.replace part key Migrated
-      | Some Migrated ->
-          invalid_arg "Hash_tracker.mark_migrated: key already migrated"
-      | None -> invalid_arg "Hash_tracker.mark_migrated: unknown key");
-  Atomic.incr t.migrated_count
-
-let mark_aborted t key =
-  with_key t key (fun part ->
-      match Key_tbl.find_opt part key with
-      | Some In_progress -> Key_tbl.replace part key Aborted
-      | Some Aborted -> ()
-      | Some Migrated -> invalid_arg "Hash_tracker.mark_aborted: key is migrated"
-      | None -> invalid_arg "Hash_tracker.mark_aborted: unknown key")
-
 let force_migrated t key =
   with_key t key (fun part ->
       match Key_tbl.find_opt part key with
@@ -77,10 +47,6 @@ let force_migrated t key =
       | Some In_progress | Some Aborted | None ->
           Key_tbl.replace part (Array.copy key) Migrated;
           Atomic.incr t.migrated_count)
-
-(* ------------------------------------------------------------------ *)
-(* Batch operations: one latch acquisition per partition touched.       *)
-(* ------------------------------------------------------------------ *)
 
 (* Visit the keys partition by partition (order of first appearance),
    holding each partition's latch once; [f] gets the key's input position
@@ -103,7 +69,7 @@ let iter_by_partition t (keys : key array) f =
     end
   done
 
-let try_acquire_batch t keys =
+let try_acquire t keys =
   let arr = Array.of_list keys in
   let out = Array.make (Array.length arr) Tracker.Skip in
   iter_by_partition t arr (fun i part ->
@@ -113,6 +79,7 @@ let try_acquire_batch t keys =
         | Some Migrated -> Tracker.Already_migrated
         | Some In_progress -> Tracker.Skip
         | Some Aborted ->
+            (* Alg. 3 lines 7-9: take over an aborted migration. *)
             Key_tbl.replace part key In_progress;
             Tracker.Migrate
         | None ->
@@ -120,29 +87,32 @@ let try_acquire_batch t keys =
             Tracker.Migrate));
   Array.to_list out
 
-let mark_migrated_batch t keys =
+(* The count is published even when a key mid-list raises: the flips
+   before it are kept, so they must be counted. *)
+let mark_migrated t keys =
   let arr = Array.of_list keys in
   let n = ref 0 in
-  iter_by_partition t arr (fun i part ->
-      let key = arr.(i) in
-      match Key_tbl.find_opt part key with
-      | Some In_progress | Some Aborted ->
-          Key_tbl.replace part key Migrated;
-          incr n
-      | Some Migrated ->
-          invalid_arg "Hash_tracker.mark_migrated_batch: key already migrated"
-      | None -> invalid_arg "Hash_tracker.mark_migrated_batch: unknown key");
-  ignore (Atomic.fetch_and_add t.migrated_count !n : int)
+  Fun.protect
+    ~finally:(fun () -> ignore (Atomic.fetch_and_add t.migrated_count !n : int))
+    (fun () ->
+      iter_by_partition t arr (fun i part ->
+          let key = arr.(i) in
+          match Key_tbl.find_opt part key with
+          | Some In_progress | Some Aborted ->
+              Key_tbl.replace part key Migrated;
+              incr n
+          | Some Migrated -> invalid_arg "Hash_tracker.mark_migrated: key already migrated"
+          | None -> invalid_arg "Hash_tracker.mark_migrated: unknown key"))
 
-let mark_aborted_batch t keys =
+let mark_aborted t keys =
   let arr = Array.of_list keys in
   iter_by_partition t arr (fun i part ->
       let key = arr.(i) in
       match Key_tbl.find_opt part key with
       | Some In_progress -> Key_tbl.replace part key Aborted
       | Some Aborted -> ()
-      | Some Migrated -> invalid_arg "Hash_tracker.mark_aborted_batch: key is migrated"
-      | None -> invalid_arg "Hash_tracker.mark_aborted_batch: unknown key")
+      | Some Migrated -> invalid_arg "Hash_tracker.mark_aborted: key is migrated"
+      | None -> invalid_arg "Hash_tracker.mark_aborted: unknown key")
 
 let state_of t key = with_key t key (fun part -> Key_tbl.find_opt part key)
 

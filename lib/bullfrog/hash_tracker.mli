@@ -17,35 +17,24 @@ type state = In_progress | Migrated | Aborted
 
 val create : ?stripes:int -> unit -> t
 
-val try_acquire : t -> key -> Tracker.decision
-(** Algorithm 3 minus the worker-local WIP/SKIP short-circuits, which live
-    in the migration loop ({!Migrate_exec}). *)
+val try_acquire : t -> key list -> Tracker.decision list
+(** Algorithm 3 over a list of keys, minus the worker-local WIP/SKIP
+    short-circuits, which live in the migration loop ({!Migrate_exec}).
+    Decisions are aligned with the input; a duplicate key resolves like
+    two calls in a row (first wins, second skips).  Keys are grouped by
+    partition first, so each partition latch is taken once per call;
+    latches are never nested, so a list may span partitions. *)
 
-val mark_migrated : t -> key -> unit
-(** @raise Invalid_argument when the key is absent or already migrated. *)
+val mark_migrated : t -> key list -> unit
+(** Flip every key to migrated, latching like {!try_acquire}.
+    @raise Invalid_argument when a key is absent or already migrated; the
+    flips made before it (partition by partition, in order of first
+    appearance) are kept and counted. *)
 
-val mark_aborted : t -> key -> unit
+val mark_aborted : t -> key list -> unit
 (** In-progress → aborted (the key stays in the table, per Alg. 3). *)
 
 val force_migrated : t -> key -> unit
-
-(** {2 Batch operations}
-
-    Equivalent to folding the key-at-a-time operation over the list, but
-    each partition latch is taken once per batch (keys are grouped by
-    partition first), and the migrated count is bumped with a single
-    atomic add.  Latches are never nested, so batches may span
-    partitions. *)
-
-val try_acquire_batch : t -> key list -> Tracker.decision list
-(** Decisions aligned with the input order.  A duplicate key within the
-    batch resolves like two serial calls (first wins, second skips). *)
-
-val mark_migrated_batch : t -> key list -> unit
-(** @raise Invalid_argument when a key is absent or already migrated
-    (flips preceding it in the batch are kept, as with serial calls). *)
-
-val mark_aborted_batch : t -> key list -> unit
 
 val state_of : t -> key -> state option
 

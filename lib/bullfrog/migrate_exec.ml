@@ -482,149 +482,6 @@ let redo_granule = function
   | G_tid g -> Redo_log.G_tid g
   | G_key k -> Redo_log.G_group k
 
-(* ------------------------------------------------------------------ *)
-(* Tracker operations parameterised by mode                            *)
-(* ------------------------------------------------------------------ *)
-
-let tracker_acquire t (input : rt_input) granule : Tracker.decision =
-  match (input.ri_tracker, granule, t.mode) with
-  | RT_bitmap bt, G_tid g, Tracked -> Bitmap_tracker.try_acquire bt g
-  | RT_bitmap bt, G_tid g, On_conflict ->
-      if Bitmap_tracker.is_migrated bt g then Tracker.Already_migrated else Tracker.Migrate
-  | RT_hash (ht, _), G_key k, Tracked -> Hash_tracker.try_acquire ht k
-  | RT_hash (ht, _), G_key k, On_conflict ->
-      if Hash_tracker.is_migrated ht k then Tracker.Already_migrated else Tracker.Migrate
-  | _ -> invalid_arg "tracker_acquire: granule kind mismatch"
-
-let tracker_commit t (input : rt_input) granule =
-  match (input.ri_tracker, granule, t.mode) with
-  | RT_bitmap bt, G_tid g, Tracked -> Bitmap_tracker.mark_migrated bt g
-  | RT_bitmap bt, G_tid g, On_conflict -> Bitmap_tracker.force_migrated bt g
-  | RT_hash (ht, _), G_key k, Tracked -> Hash_tracker.mark_migrated ht k
-  | RT_hash (ht, _), G_key k, On_conflict -> Hash_tracker.force_migrated ht k
-  | _ -> invalid_arg "tracker_commit: granule kind mismatch"
-
-let tracker_abort t (input : rt_input) granule =
-  match (input.ri_tracker, granule, t.mode) with
-  | RT_bitmap bt, G_tid g, Tracked -> Bitmap_tracker.mark_aborted bt g
-  | RT_hash (ht, _), G_key k, Tracked -> Hash_tracker.mark_aborted ht k
-  | _, _, On_conflict -> () (* no lock state to reset *)
-  | _ -> invalid_arg "tracker_abort: granule kind mismatch"
-
-(* Batch acquisition: group candidates by tracker and take each chunk /
-   partition latch once per group instead of once per granule.  Decisions
-   come back in candidate order, so classification and listener events are
-   indistinguishable from granule-at-a-time acquisition.  Callers
-   deduplicate granules per tracker uid first (the bitmap mapping below
-   relies on it). *)
-let acquire_candidates t (cands : (rt_input * granule) list) :
-    (rt_input * granule * Tracker.decision) list =
-  match t.mode with
-  | On_conflict ->
-      (* no lock state: the per-granule check takes no latch *)
-      List.map (fun (input, g) -> (input, g, tracker_acquire t input g)) cands
-  | Tracked ->
-      let arr = Array.of_list cands in
-      let n = Array.length arr in
-      let dec = Array.make n Tracker.Skip in
-      let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 4 in
-      Array.iteri
-        (fun i (input, _) ->
-          match Hashtbl.find_opt groups input.ri_tracker_uid with
-          | Some l -> l := i :: !l
-          | None -> Hashtbl.replace groups input.ri_tracker_uid (ref [ i ]))
-        arr;
-      Hashtbl.iter
-        (fun _uid l ->
-          let idxs = List.rev !l in
-          let input0, _ = arr.(List.hd idxs) in
-          match input0.ri_tracker with
-          | RT_none -> invalid_arg "acquire_candidates: untracked input"
-          | RT_bitmap bt ->
-              let gs =
-                List.map
-                  (fun i ->
-                    match arr.(i) with
-                    | _, G_tid g -> g
-                    | _, G_key _ ->
-                        invalid_arg "acquire_candidates: granule kind mismatch")
-                  idxs
-              in
-              let wip, skip, already = Bitmap_tracker.try_acquire_batch bt gs in
-              let by_g = Hashtbl.create (max 16 n) in
-              List.iter (fun g -> Hashtbl.replace by_g g Tracker.Migrate) wip;
-              List.iter (fun g -> Hashtbl.replace by_g g Tracker.Skip) skip;
-              List.iter (fun g -> Hashtbl.replace by_g g Tracker.Already_migrated) already;
-              List.iter2 (fun i g -> dec.(i) <- Hashtbl.find by_g g) idxs gs
-          | RT_hash (ht, _) ->
-              let keys =
-                List.map
-                  (fun i ->
-                    match arr.(i) with
-                    | _, G_key k -> k
-                    | _, G_tid _ ->
-                        invalid_arg "acquire_candidates: granule kind mismatch")
-                  idxs
-              in
-              let ds = Hash_tracker.try_acquire_batch ht keys in
-              List.iter2 (fun i d -> dec.(i) <- d) idxs ds)
-        groups;
-      List.mapi (fun i (input, g) -> (input, g, dec.(i))) (Array.to_list arr)
-
-(* Register one commit/abort flip per tracker group: each chunk/partition
-   latch is taken once at transaction end instead of once per granule. *)
-let register_tracker_flips t txn (wip : (rt_input * granule) list) =
-  match t.mode with
-  | On_conflict ->
-      (* force-migrate is idempotent and takes no lock state to reset *)
-      List.iter
-        (fun (input, g) ->
-          Txn.on_commit txn (fun () -> tracker_commit t input g);
-          Txn.on_abort txn (fun () -> tracker_abort t input g))
-        wip
-  | Tracked ->
-      let groups : (int, (rt_input * granule) list ref) Hashtbl.t = Hashtbl.create 4 in
-      let order = ref [] in
-      List.iter
-        (fun ((input, _) as c) ->
-          match Hashtbl.find_opt groups input.ri_tracker_uid with
-          | Some l -> l := c :: !l
-          | None ->
-              Hashtbl.replace groups input.ri_tracker_uid (ref [ c ]);
-              order := input.ri_tracker_uid :: !order)
-        wip;
-      List.iter
-        (fun uid ->
-          match List.rev !(Hashtbl.find groups uid) with
-          | [] -> ()
-          | (input0, _) :: _ as group -> (
-              match input0.ri_tracker with
-              | RT_bitmap bt ->
-                  let gs =
-                    List.map
-                      (function _, G_tid g -> g | _, G_key _ -> assert false)
-                      group
-                  in
-                  Txn.on_commit txn (fun () ->
-                      Bitmap_tracker.mark_migrated_batch bt gs;
-                      (* after this group's flip, before any later group's:
-                         a crash here leaves the commit torn — data and log
-                         durable, tracker flips partial *)
-                      Fault.point Fault.p_flip_batched);
-                  Txn.on_abort txn (fun () -> Bitmap_tracker.mark_aborted_batch bt gs)
-              | RT_hash (ht, _) ->
-                  let keys =
-                    List.map
-                      (function _, G_key k -> k | _, G_tid _ -> assert false)
-                      group
-                  in
-                  Txn.on_commit txn (fun () ->
-                      Hash_tracker.mark_migrated_batch ht keys;
-                      Fault.point Fault.p_flip_batched);
-                  Txn.on_abort txn (fun () -> Hash_tracker.mark_aborted_batch ht keys)
-              | RT_none -> assert false))
-        (List.rev !order)
-
 let granule_migrated (input : rt_input) granule =
   match (input.ri_tracker, granule) with
   | RT_bitmap bt, G_tid g -> Bitmap_tracker.is_migrated bt g
@@ -637,6 +494,106 @@ let granule_in_progress (input : rt_input) granule =
   | RT_hash (ht, _), G_key k -> Hash_tracker.state_of ht k = Some Hash_tracker.In_progress
   | _ -> false
 
+(* ------------------------------------------------------------------ *)
+(* Tracker operations                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Split [items] by tracker, groups in order of first appearance and
+   items in input order within each group. *)
+let by_tracker (items : (rt_input * 'a) list) : (rt_input * 'a list) list =
+  let groups : (int, rt_input * 'a list ref) Hashtbl.t = Hashtbl.create 4 in
+  let order = ref [] in
+  List.iter
+    (fun (input, x) ->
+      match Hashtbl.find_opt groups input.ri_tracker_uid with
+      | Some (_, l) -> l := x :: !l
+      | None ->
+          Hashtbl.replace groups input.ri_tracker_uid (input, ref [ x ]);
+          order := input.ri_tracker_uid :: !order)
+    items;
+  List.rev_map
+    (fun uid ->
+      let input, l = Hashtbl.find groups uid in
+      (input, List.rev !l))
+    !order
+
+let tids_of = List.map (function G_tid g -> g | G_key _ -> invalid_arg "granule kind mismatch")
+
+let keys_of = List.map (function G_key k -> k | G_tid _ -> invalid_arg "granule kind mismatch")
+
+(* Tracked mode: Algorithm 1's acquisition.  Each tracker group is
+   acquired with one call (one latch per chunk/partition touched); the
+   decisions come back in candidate order, so classification and listener
+   events match granule-at-a-time acquisition.  ON CONFLICT mode keeps no
+   lock state: acquisition is a migrated check that takes no latch. *)
+let acquire_candidates t (cands : (rt_input * granule) list) :
+    (rt_input * granule * Tracker.decision) list =
+  match t.mode with
+  | On_conflict ->
+      List.map
+        (fun (input, g) ->
+          ( input,
+            g,
+            if granule_migrated input g then Tracker.Already_migrated else Tracker.Migrate ))
+        cands
+  | Tracked ->
+      let decided = Hashtbl.create 4 in
+      List.iter
+        (fun (input, gs) ->
+          let decisions =
+            match input.ri_tracker with
+            | RT_bitmap bt -> Bitmap_tracker.try_acquire bt (tids_of gs)
+            | RT_hash (ht, _) -> Hash_tracker.try_acquire ht (keys_of gs)
+            | RT_none -> invalid_arg "acquire_candidates: untracked input"
+          in
+          Hashtbl.replace decided input.ri_tracker_uid (ref decisions))
+        (by_tracker cands);
+      List.map
+        (fun (input, g) ->
+          let ds = Hashtbl.find decided input.ri_tracker_uid in
+          match !ds with
+          | d :: rest ->
+              ds := rest;
+              (input, g, d)
+          | [] -> assert false)
+        cands
+
+(* Register the commit/abort flips of a migration transaction's WIP list.
+   Tracked mode flips each tracker group with one call at transaction end
+   (each chunk/partition latch taken once); ON CONFLICT mode has no lock
+   state to reset, and its force-migrate is idempotent. *)
+let register_tracker_flips t txn (wip : (rt_input * granule) list) =
+  match t.mode with
+  | On_conflict ->
+      List.iter
+        (fun (input, g) ->
+          Txn.on_commit txn (fun () ->
+              match (input.ri_tracker, g) with
+              | RT_bitmap bt, G_tid g -> Bitmap_tracker.force_migrated bt g
+              | RT_hash (ht, _), G_key k -> Hash_tracker.force_migrated ht k
+              | _ -> invalid_arg "register_tracker_flips: granule kind mismatch"))
+        wip
+  | Tracked ->
+      List.iter
+        (fun (input, gs) ->
+          match input.ri_tracker with
+          | RT_bitmap bt ->
+              let gs = tids_of gs in
+              Txn.on_commit txn (fun () ->
+                  Bitmap_tracker.mark_migrated bt gs;
+                  (* after this group's flip, before any later group's: a
+                     crash here leaves the commit torn — data and log
+                     durable, tracker flips partial *)
+                  Fault.point Fault.p_flip_batched);
+              Txn.on_abort txn (fun () -> Bitmap_tracker.mark_aborted bt gs)
+          | RT_hash (ht, _) ->
+              let keys = keys_of gs in
+              Txn.on_commit txn (fun () ->
+                  Hash_tracker.mark_migrated ht keys;
+                  Fault.point Fault.p_flip_batched);
+              Txn.on_abort txn (fun () -> Hash_tracker.mark_aborted ht keys)
+          | RT_none -> invalid_arg "register_tracker_flips: untracked input")
+        (by_tracker wip)
 let granule_equal a b =
   match (a, b) with
   | G_tid x, G_tid y -> x = y
@@ -743,18 +700,20 @@ let run_migration_txn t (report : report) stmt (wip : (rt_input * granule) list)
                     rows
                 in
                 report.r_input_rows <- report.r_input_rows + List.length rows;
-                let row_arr = Array.of_list (List.map snd rows) in
+                let name = input.ri_heap.Heap.name in
                 let temp =
-                  Heap.create ~tbl_id:(-1) ~name:input.ri_heap.Heap.name
-                    input.ri_heap.Heap.schema
+                  match Catalog.find_table shadow name with
+                  | Some existing ->
+                      (* Same table tracked twice in one statement: merge rows. *)
+                      existing
+                  | None ->
+                      let temp =
+                        Heap.create ~tbl_id:(-1) ~name input.ri_heap.Heap.schema
+                      in
+                      Catalog.add_table shadow temp;
+                      temp
                 in
-                ignore (Heap.insert_batch temp row_arr : int);
-                if Catalog.find_table shadow temp.Heap.name = None then
-                  Catalog.add_table shadow temp
-                else
-                  (* Same table tracked twice in one statement: merge rows. *)
-                  let existing = Catalog.find_table_exn shadow temp.Heap.name in
-                  ignore (Heap.insert_batch existing row_arr : int))
+                List.iter (fun (_, row) -> ignore (Heap.insert temp row : int)) rows)
           stmt.rs_inputs;
         let ctx = Database.exec_ctx t.db in
         let pctx = { Planner.catalog = shadow; run_subquery = (fun _ -> []) } in
@@ -777,8 +736,8 @@ let run_migration_txn t (report : report) stmt (wip : (rt_input * granule) list)
               rows)
           stmt.rs_outputs;
         (* Status flips happen strictly at transaction end (§3.2/§3.5).
-           Redo marks stay per-granule; the tracker flips are batched so
-           commit takes each chunk/partition latch once per batch. *)
+           Redo marks stay per-granule; the tracker flips go one call per
+           tracker, so commit takes each chunk/partition latch once. *)
         List.iter
           (fun (input, g) ->
             Database.add_migration_mark t.db txn
@@ -895,23 +854,6 @@ let migrate_granules t report stmt (candidates : (rt_input * granule) list) =
 
 let pair_key ta tb = [| Value.Int ta; Value.Int tb |]
 
-let pair_acquire t pr key : Tracker.decision =
-  match t.mode with
-  | Tracked -> Hash_tracker.try_acquire pr.pr_tracker key
-  | On_conflict ->
-      if Hash_tracker.is_migrated pr.pr_tracker key then Tracker.Already_migrated
-      else Tracker.Migrate
-
-let pair_commit t pr key =
-  match t.mode with
-  | Tracked -> Hash_tracker.mark_migrated pr.pr_tracker key
-  | On_conflict -> Hash_tracker.force_migrated pr.pr_tracker key
-
-let pair_abort t pr key =
-  match t.mode with
-  | Tracked -> Hash_tracker.mark_aborted pr.pr_tracker key
-  | On_conflict -> ()
-
 (* Migrate a set of acquired pairs in one transaction: fetch both tuples,
    evaluate each output's compiled projection over the concatenated row,
    insert. *)
@@ -962,20 +904,19 @@ let run_pair_txn t (report : report) pr (wip : Value.t array list) =
               })
           wip;
         Fault.point Fault.p_pair_commit;
-        (* Batched flips: the pair tracker's partition latches are taken
-           once per commit, not once per pair. *)
+        (* One flip per commit: the pair tracker's partition latches are
+           taken once per transaction, not once per pair.  ON CONFLICT mode
+           has no lock state to reset. *)
         (match t.mode with
         | Tracked ->
             Txn.on_commit txn (fun () ->
-                Hash_tracker.mark_migrated_batch pr.pr_tracker wip;
+                Hash_tracker.mark_migrated pr.pr_tracker wip;
                 Fault.point Fault.p_pair_flip);
-            Txn.on_abort txn (fun () ->
-                Hash_tracker.mark_aborted_batch pr.pr_tracker wip)
+            Txn.on_abort txn (fun () -> Hash_tracker.mark_aborted pr.pr_tracker wip)
         | On_conflict ->
             List.iter
               (fun key ->
-                Txn.on_commit txn (fun () -> pair_commit t pr key);
-                Txn.on_abort txn (fun () -> pair_abort t pr key))
+                Txn.on_commit txn (fun () -> Hash_tracker.force_migrated pr.pr_tracker key))
               wip);
         match t.abort_inject with
         | Some f when f () -> Db_error.txn_abort "injected migration abort"
@@ -991,10 +932,15 @@ let migrate_pairs t report pr (candidates : Value.t array list) =
     let decisions =
       match t.mode with
       | Tracked ->
-          (* one partition-latch acquisition per batch; an intra-batch
-             duplicate resolves like serial calls (first wins, rest skip) *)
-          Hash_tracker.try_acquire_batch pr.pr_tracker candidates
-      | On_conflict -> List.map (fun key -> pair_acquire t pr key) candidates
+          (* one partition-latch acquisition per call; a duplicate
+             resolves first-wins, the rest skip *)
+          Hash_tracker.try_acquire pr.pr_tracker candidates
+      | On_conflict ->
+          List.map
+            (fun key ->
+              if Hash_tracker.is_migrated pr.pr_tracker key then Tracker.Already_migrated
+              else Tracker.Migrate)
+            candidates
     in
     List.iter2
       (fun key decision ->

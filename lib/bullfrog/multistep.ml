@@ -175,8 +175,7 @@ let refresh_rows t (stmt : Migrate_exec.rt_stmt) (input : Migrate_exec.rt_input)
               Heap.create ~tbl_id:(-1) ~name:other.Migrate_exec.ri_heap.Heap.name
                 other.Migrate_exec.ri_heap.Heap.schema
             in
-            ignore
-              (Heap.insert_batch temp (Array.of_list (List.map snd rows)) : int);
+            List.iter (fun (_, row) -> ignore (Heap.insert temp row : int)) rows;
             Catalog.add_table shadow temp
           end
           else if

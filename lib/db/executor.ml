@@ -727,48 +727,6 @@ let insert_row ctx txn (table : Heap.t) ?(on_conflict_do_nothing = false) row =
       Some tid
   | exception Db_error.Constraint_violation _ when on_conflict_do_nothing -> None
 
-(* Bulk insert: the same per-row coercion, constraint checks and counter
-   totals as folding {!insert_row}, but the heap append goes through
-   {!Heap.insert_batch} — one latch acquisition and no incremental index
-   growth.  Returns the number of rows inserted.  With
-   [on_conflict_do_nothing] a unique conflict anywhere in the batch
-   (intra-batch duplicates included) falls back to row-at-a-time, so
-   exactly the conflicting rows are dropped and TIDs match the serial
-   path. *)
-let insert_rows ctx txn (table : Heap.t) ?(on_conflict_do_nothing = false) rows =
-  let n = Array.length rows in
-  if n = 0 then 0
-  else begin
-    let rows = Array.map (fun row -> coerce_row table row) rows in
-    Array.iter
-      (fun row ->
-        check_not_null table row;
-        check_checks txn table row;
-        check_fk_for_row ctx txn table row)
-      rows;
-    match Heap.insert_batch ~writer:txn.Txn.id table rows with
-    | base ->
-        for i = 0 to n - 1 do
-          Txn.record_insert txn table (base + i)
-        done;
-        txn.Txn.counters.Txn.rows_written <- txn.Txn.counters.Txn.rows_written + n;
-        n
-    | exception Db_error.Constraint_violation _ when on_conflict_do_nothing ->
-        (* rows are already checked; only the unique conflicts remain *)
-        let inserted = ref 0 in
-        Array.iter
-          (fun row ->
-            match Heap.insert ~writer:txn.Txn.id table row with
-            | tid ->
-                Txn.record_insert txn table tid;
-                txn.Txn.counters.Txn.rows_written <-
-                  txn.Txn.counters.Txn.rows_written + 1;
-                incr inserted
-            | exception Db_error.Constraint_violation _ -> ())
-          rows;
-        !inserted
-  end
-
 (* Updates and deletes of existing rows are where write-write conflicts
    live, so they take the row's exclusive lock (2PL — held to commit) —
    inserts allocate fresh TIDs no concurrent transaction can address, so

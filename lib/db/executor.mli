@@ -69,17 +69,6 @@ val insert_row :
   int option
 (** Returns the new TID, or [None] when a conflict was ignored. *)
 
-val insert_rows :
-  exec_ctx ->
-  Txn.t ->
-  Heap.t ->
-  ?on_conflict_do_nothing:bool ->
-  Value.t array array ->
-  int
-(** Bulk {!insert_row}: identical checks and counter totals, one heap
-    latch acquisition per batch ({!Heap.insert_batch}).  Returns the
-    number of rows inserted ([= n] unless conflicts were ignored). *)
-
 val update_row : exec_ctx -> Txn.t -> Heap.t -> int -> Value.t array -> unit
 
 val delete_row : exec_ctx -> Txn.t -> Heap.t -> int -> unit

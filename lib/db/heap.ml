@@ -208,39 +208,6 @@ let insert ?(writer = 0) t row =
       t.live <- t.live + 1;
       tid)
 
-(* Bulk append: one latch acquisition, pre-sized slot capacity, and
-   all-or-nothing index maintenance — when any row of the batch violates a
-   unique index (including intra-batch duplicates), every index entry the
-   batch added is removed and nothing is inserted. *)
-let insert_batch ?(writer = 0) t rows =
-  let n = Array.length rows in
-  with_latch t (fun () ->
-      let base = Vec.length t.slots in
-      if n > 0 then begin
-        (* [index_all] un-indexes the failing row itself; the fully
-           indexed prefix is rolled back by recomputation rather than an
-           (index, key, tid) trail — the trail's allocations would
-           dominate the happy path. *)
-        let i = ref 0 in
-        (try
-           while !i < n do
-             index_all t t.indexes rows.(!i) (base + !i);
-             incr i
-           done
-         with e ->
-           for j = !i - 1 downto 0 do
-             deindex_all t.indexes rows.(j) (base + j)
-           done;
-           raise e);
-        Vec.push_array t.slots rows;
-        for j = 0 to n - 1 do
-          Vec.push t.vers (fresh_version ~writer ~ts:None rows.(j) None)
-        done;
-        t.live <- t.live + n;
-        Obs.Counters.add c_inserts n
-      end;
-      base)
-
 (* Exact-position insert for redo replay: committed inserts carry the tid
    they were assigned originally, and aborted transactions burn tids, so
    replay must reproduce the slot layout (bitmap granules are tid-derived)

@@ -55,12 +55,6 @@ val insert : ?writer:int -> t -> row -> int
     @raise Db_error.Constraint_violation on unique-index conflicts (in
     which case nothing is inserted). *)
 
-val insert_batch : ?writer:int -> t -> row array -> int
-(** Bulk append under a single latch acquisition; row [i] gets TID
-    [result + i].  All-or-nothing: on a unique-index conflict anywhere in
-    the batch (intra-batch duplicates included) the heap and every index
-    are left exactly as before, and the violation is re-raised. *)
-
 val insert_at : ?ts:int -> t -> int -> row -> unit
 (** Redo-replay insert at an exact TID, padding any gap below it with
     tombstones (aborted transactions burn TIDs; replay must reproduce the

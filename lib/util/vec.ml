@@ -47,14 +47,6 @@ let reserve v n x =
     v.data <- data'
   end
 
-let push_array v xs =
-  let n = Array.length xs in
-  if n > 0 then begin
-    reserve v n xs.(0);
-    Array.blit xs 0 v.data v.len n;
-    v.len <- v.len + n
-  end
-
 let pop v =
   if v.len = 0 then None
   else begin

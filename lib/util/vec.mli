@@ -26,9 +26,6 @@ val reserve : 'a t -> int -> 'a -> unit
     reallocation; [x] is the filler for unused capacity.  Length is
     unchanged. *)
 
-val push_array : 'a t -> 'a array -> unit
-(** Append every element of the array (one capacity check + blit). *)
-
 val pop : 'a t -> 'a option
 (** Removes and returns the last element. *)
 

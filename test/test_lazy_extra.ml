@@ -134,7 +134,7 @@ let skip_wait_across_threads () =
   (* one thread holds a granule in progress while another requests it: the
      second must wait (Alg. 1 line 10 / Fig. 1) and then see it migrated *)
   let bt = Bitmap_tracker.create ~size:4 () in
-  check Alcotest.bool "t1 acquires" true (Bitmap_tracker.try_acquire bt 2 = Tracker.Migrate);
+  check Alcotest.bool "t1 acquires" true (Bitmap_tracker.try_acquire bt [ 2 ] = [ Tracker.Migrate ]);
   let t2_done = ref false in
   let t2 =
     Thread.create
@@ -148,16 +148,16 @@ let skip_wait_across_threads () =
             wait (n + 1)
           end
         in
-        (match Bitmap_tracker.try_acquire bt 2 with
-        | Tracker.Skip -> wait 0
-        | Tracker.Already_migrated -> ()
-        | Tracker.Migrate -> failwith "should have been locked");
+        (match Bitmap_tracker.try_acquire bt [ 2 ] with
+        | [ Tracker.Skip ] -> wait 0
+        | [ Tracker.Already_migrated ] -> ()
+        | _ -> failwith "should have been locked");
         t2_done := true)
       ()
   in
   Thread.delay 0.02;
   check Alcotest.bool "t2 still waiting" false !t2_done;
-  Bitmap_tracker.mark_migrated bt 2;
+  Bitmap_tracker.mark_migrated bt [ 2 ];
   Thread.join t2;
   check Alcotest.bool "t2 proceeded after the commit" true !t2_done
 

@@ -1,7 +1,8 @@
 (* Durable redo replay and crash recovery: serialize/replay round trips,
    checkpointing, mark rebuilds for every tracker shape, out-of-range
-   mark accounting, a randomised prefix-replay property, and the bounded
-   deterministic fault sweep. *)
+   mark accounting, a randomised prefix-replay property, a failed eager
+   copy rolling back completely, and the bounded deterministic fault
+   sweep. *)
 
 open Bullfrog_db
 open Bullfrog_core
@@ -301,6 +302,50 @@ let prefix_replay_prop =
           done;
           true)
 
+(* ---------------- failed eager copy ---------------- *)
+
+(* Eager copies row by row inside one transaction per statement; a unique
+   violation 4,500 rows in (past the copy's first crash point, which fires
+   every 4,096 rows) must abort the copy and leave the output with no row
+   and no index entry. *)
+let failed_eager_copy () =
+  let db = Database.create () in
+  ignore (Database.exec db "CREATE TABLE src (id INT PRIMARY KEY, k INT)" : Executor.result);
+  let src = Catalog.find_table_exn db.Database.catalog "src" in
+  let n = 5_000 and dup_at = 4_500 in
+  for i = 0 to n - 1 do
+    let k = if i = dup_at then 7 else i in
+    ignore (Heap.insert src [| Value.Int i; Value.Int k |] : int)
+  done;
+  let spec =
+    Migration.make ~name:"copy" ~drop_old:[ "src" ]
+      [
+        {
+          Migration.stmt_name = "dst";
+          outputs =
+            [
+              {
+                Migration.out_name = "dst";
+                out_create =
+                  Some (Parser.parse_one "CREATE TABLE dst (k INT PRIMARY KEY, id INT)");
+                out_population = Parser.parse_select "SELECT k, id FROM src";
+                out_indexes = [];
+              };
+            ];
+        };
+      ]
+  in
+  (match Eager.migrate db spec with
+  | _ -> Alcotest.fail "expected a unique violation"
+  | exception Db_error.Constraint_violation _ -> ());
+  let dst = Catalog.find_table_exn db.Database.catalog "dst" in
+  check Alcotest.int "no live row" 0 (Heap.live_count dst);
+  check Alcotest.bool "has a unique index" true (dst.Heap.indexes <> []);
+  List.iter
+    (fun idx -> check Alcotest.int (Index.name idx ^ " empty") 0 (Index.entry_count idx))
+    dst.Heap.indexes;
+  check Alcotest.int "source kept" n (count db "src")
+
 (* ---------------- bounded fault sweep ---------------- *)
 
 let bounded_fault_sweep () =
@@ -323,5 +368,6 @@ let suite =
     Alcotest.test_case "checkpoint preserves marks" `Quick checkpoint_preserves_marks;
     Alcotest.test_case "out-of-range marks reported" `Quick dropped_marks_reported;
     QCheck_alcotest.to_alcotest prefix_replay_prop;
+    Alcotest.test_case "failed eager copy leaves nothing" `Quick failed_eager_copy;
     Alcotest.test_case "bounded fault sweep" `Slow bounded_fault_sweep;
   ]

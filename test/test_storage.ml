@@ -190,48 +190,6 @@ let lock_handoff_across_threads () =
 
 (* ---------------- bulk load path ---------------- *)
 
-let index_state idx keys = List.map (fun k -> Index.find idx [| Value.Int k |]) keys
-
-(* A mid-batch unique violation must leave the heap and every index exactly
-   as they were — including the entries the earlier rows of the same batch
-   had already added. *)
-let insert_batch_rollback () =
-  let h = mk_heap () in
-  let pk = Index.create ~name:"pk" ~key_cols:[| 0 |] ~unique:true () in
-  let by_v = Index.create ~name:"by_v" ~key_cols:[| 1 |] ~unique:false () in
-  Heap.add_index h pk;
-  Heap.add_index h by_v;
-  let t0 = Heap.insert h (row 1 "a") in
-  ignore (Heap.insert h (row 2 "b") : int);
-  let snapshot () =
-    ( Heap.tid_count h,
-      Heap.live_count h,
-      index_state pk [ 1; 2; 10; 11; 12 ],
-      List.map (fun s -> Index.find by_v [| Value.Str s |]) [ "a"; "b"; "x" ] )
-  in
-  let before = snapshot () in
-  (* rows 10 and 11 index fine, then 1 collides with the pre-existing key *)
-  (try
-     ignore (Heap.insert_batch h [| row 10 "x"; row 11 "x"; row 1 "dup" |] : int);
-     Alcotest.fail "expected unique violation"
-   with Db_error.Constraint_violation _ -> ());
-  check Alcotest.bool "batch with existing-key dup is a no-op" true (before = snapshot ());
-  (* intra-batch duplicate: second occurrence of key 12 *)
-  (try
-     ignore (Heap.insert_batch h [| row 12 "x"; row 12 "y" |] : int);
-     Alcotest.fail "expected intra-batch unique violation"
-   with Db_error.Constraint_violation _ -> ());
-  check Alcotest.bool "batch with intra-batch dup is a no-op" true (before = snapshot ());
-  (* a clean batch afterwards lands with dense tids and live indexes *)
-  let base = Heap.insert_batch h [| row 10 "x"; row 11 "x" |] in
-  check Alcotest.int "batch base tid" 2 base;
-  check Alcotest.int "live" 4 (Heap.live_count h);
-  check (Alcotest.list Alcotest.int) "pk 10" [ base ] (Index.find pk [| Value.Int 10 |]);
-  check (Alcotest.list Alcotest.int) "non-unique key order" [ base + 1; base ]
-    (Index.find by_v [| Value.Str "x" |]);
-  check (Alcotest.list Alcotest.int) "old rows untouched" [ t0 ]
-    (Index.find pk [| Value.Int 1 |])
-
 (* reserve is observable only through capacity: contents and counts do not
    change, and inserts after a reserve behave identically *)
 let heap_reserve () =
@@ -242,8 +200,9 @@ let heap_reserve () =
   Heap.reserve h 10_000;
   check Alcotest.int "tid_count unchanged" 1 (Heap.tid_count h);
   check Alcotest.int "live unchanged" 1 (Heap.live_count h);
-  let base = Heap.insert_batch h (Array.init 100 (fun i -> row (100 + i) "z")) in
-  check Alcotest.int "dense tids after reserve" 1 base;
+  let tids = Array.init 100 (fun i -> Heap.insert h (row (100 + i) "z")) in
+  check (Alcotest.array Alcotest.int) "dense tids after reserve"
+    (Array.init 100 (fun i -> 1 + i)) tids;
   check (Alcotest.list Alcotest.int) "indexed after reserve" [ 57 ]
     (Index.find pk [| Value.Int 156 |])
 
@@ -510,7 +469,6 @@ let suite =
     Alcotest.test_case "heap crud" `Quick heap_crud;
     Alcotest.test_case "heap iteration" `Quick heap_iteration;
     Alcotest.test_case "hash index" `Quick hash_index;
-    Alcotest.test_case "insert_batch rollback atomicity" `Quick insert_batch_rollback;
     Alcotest.test_case "heap reserve" `Quick heap_reserve;
     QCheck_alcotest.to_alcotest index_model_prop;
     QCheck_alcotest.to_alcotest index_rebuild_prop;

@@ -1,6 +1,6 @@
-(* Bitmap and hashmap tracker semantics (paper §3.3/§3.4, Algorithms 2-3),
-   including qcheck properties and real-thread stress tests for
-   exactly-once migration. *)
+(* Bitmap and hashmap tracker semantics (paper §3.3/§3.4, Algorithms 2-3):
+   unit cases, qcheck properties against pure models of each tracker, and
+   real-thread stress tests for exactly-once migration. *)
 
 open Bullfrog_core
 open Bullfrog_db
@@ -12,63 +12,66 @@ let decision =
     (Fmt.of_to_string Tracker.decision_to_string)
     (fun a b -> a = b)
 
+let decisions = Alcotest.list decision
+
 (* ---------------- bitmap ---------------- *)
 
 let bitmap_lifecycle () =
   let bt = Bitmap_tracker.create ~size:16 () in
   check Alcotest.int "granules" 16 (Bitmap_tracker.granule_count bt);
-  check decision "first acquire" Tracker.Migrate (Bitmap_tracker.try_acquire bt 3);
-  check decision "second acquire skips" Tracker.Skip (Bitmap_tracker.try_acquire bt 3);
+  check decisions "first acquire" [ Tracker.Migrate ] (Bitmap_tracker.try_acquire bt [ 3 ]);
+  check decisions "second acquire skips" [ Tracker.Skip ] (Bitmap_tracker.try_acquire bt [ 3 ]);
   check Alcotest.bool "in progress" true (Bitmap_tracker.is_in_progress bt 3);
   check Alcotest.bool "not migrated" false (Bitmap_tracker.is_migrated bt 3);
-  Bitmap_tracker.mark_migrated bt 3;
+  Bitmap_tracker.mark_migrated bt [ 3 ];
   check Alcotest.bool "migrated" true (Bitmap_tracker.is_migrated bt 3);
   check Alcotest.bool "lock cleared" false (Bitmap_tracker.is_in_progress bt 3);
-  check decision "after migrate" Tracker.Already_migrated (Bitmap_tracker.try_acquire bt 3);
+  check decisions "after migrate" [ Tracker.Already_migrated ]
+    (Bitmap_tracker.try_acquire bt [ 3 ]);
   Alcotest.check_raises "double completion"
     (Invalid_argument "Bitmap_tracker.mark_migrated: granule 3 already migrated")
-    (fun () -> Bitmap_tracker.mark_migrated bt 3)
+    (fun () -> Bitmap_tracker.mark_migrated bt [ 3 ])
 
 let bitmap_abort () =
   let bt = Bitmap_tracker.create ~size:8 () in
-  check decision "acquire" Tracker.Migrate (Bitmap_tracker.try_acquire bt 6);
-  Bitmap_tracker.mark_aborted bt 6;
+  check decisions "acquire" [ Tracker.Migrate ] (Bitmap_tracker.try_acquire bt [ 6 ]);
+  Bitmap_tracker.mark_aborted bt [ 6 ];
   check Alcotest.bool "back to [0 0]" false (Bitmap_tracker.is_in_progress bt 6);
   (* §3.5 / Fig. 2: another worker can now take over *)
-  check decision "reacquire after abort" Tracker.Migrate (Bitmap_tracker.try_acquire bt 6)
+  check decisions "reacquire after abort" [ Tracker.Migrate ]
+    (Bitmap_tracker.try_acquire bt [ 6 ])
 
 let bitmap_pages () =
   let bt = Bitmap_tracker.create ~page_size:64 ~size:1000 () in
   check Alcotest.int "granule count rounds up" 16 (Bitmap_tracker.granule_count bt);
   check Alcotest.int "tid->granule" 2 (Bitmap_tracker.granule_of_tid bt 130);
-  check decision "page acquire" Tracker.Migrate
-    (Bitmap_tracker.try_acquire bt (Bitmap_tracker.granule_of_tid bt 130));
+  check decisions "page acquire" [ Tracker.Migrate ]
+    (Bitmap_tracker.try_acquire bt [ Bitmap_tracker.granule_of_tid bt 130 ]);
   (* all tids of the page share the granule *)
-  check decision "same page skips" Tracker.Skip
-    (Bitmap_tracker.try_acquire bt (Bitmap_tracker.granule_of_tid bt 129))
+  check decisions "same page skips" [ Tracker.Skip ]
+    (Bitmap_tracker.try_acquire bt [ Bitmap_tracker.granule_of_tid bt 129 ])
 
 let bitmap_progress_scan () =
   let bt = Bitmap_tracker.create ~size:10 () in
-  check (Alcotest.option Alcotest.int) "first unmigrated" (Some 0)
-    (Bitmap_tracker.first_unmigrated bt ~from:0);
-  for g = 0 to 4 do
-    ignore (Bitmap_tracker.try_acquire bt g : Tracker.decision);
-    Bitmap_tracker.mark_migrated bt g
-  done;
-  check (Alcotest.option Alcotest.int) "cursor skips migrated" (Some 5)
-    (Bitmap_tracker.first_unmigrated bt ~from:0);
-  (* in-progress granules are skipped too (another worker owns them) *)
-  ignore (Bitmap_tracker.try_acquire bt 5 : Tracker.decision);
-  check (Alcotest.option Alcotest.int) "skips in-progress" (Some 6)
-    (Bitmap_tracker.first_unmigrated bt ~from:0);
+  let run = Alcotest.(option (pair int int)) in
+  check run "first unmigrated" (Some (0, 10)) (Bitmap_tracker.next_unmigrated_run bt ~from:0);
+  ignore (Bitmap_tracker.try_acquire bt [ 0; 1; 2; 3; 4 ] : Tracker.decision list);
+  Bitmap_tracker.mark_migrated bt [ 0; 1; 2; 3; 4 ];
+  check run "cursor skips migrated" (Some (5, 5))
+    (Bitmap_tracker.next_unmigrated_run bt ~from:0);
+  (* in-progress granules are skipped too (another worker owns them), and
+     one ends a run *)
+  ignore (Bitmap_tracker.try_acquire bt [ 5; 8 ] : Tracker.decision list);
+  check run "skips in-progress" (Some (6, 2)) (Bitmap_tracker.next_unmigrated_run bt ~from:0);
+  check run "run after in-progress" (Some (9, 1))
+    (Bitmap_tracker.next_unmigrated_run bt ~from:8);
   let s = Bitmap_tracker.stats bt in
   check Alcotest.int "stats migrated" 5 s.Tracker.migrated;
-  check Alcotest.int "stats in progress" 1 s.Tracker.in_progress;
+  check Alcotest.int "stats in progress" 2 s.Tracker.in_progress;
   check Alcotest.bool "not complete" false (Bitmap_tracker.complete bt);
-  Bitmap_tracker.mark_migrated bt 5;
-  for g = 6 to 9 do
-    Bitmap_tracker.force_migrated bt g
-  done;
+  Bitmap_tracker.mark_migrated bt [ 5; 8 ];
+  List.iter (Bitmap_tracker.force_migrated bt) [ 6; 7; 9 ];
+  check run "none left" None (Bitmap_tracker.next_unmigrated_run bt ~from:0);
   check Alcotest.bool "complete" true (Bitmap_tracker.complete bt)
 
 let bitmap_force_idempotent () =
@@ -76,6 +79,21 @@ let bitmap_force_idempotent () =
   Bitmap_tracker.force_migrated bt 1;
   Bitmap_tracker.force_migrated bt 1;
   check Alcotest.int "force counted once" 1 (Bitmap_tracker.stats bt).Tracker.migrated
+
+(* A flip that raises mid-list keeps the flips before it, and must count
+   them: otherwise [complete] can never hold. *)
+let bitmap_flip_error_counts () =
+  let bt = Bitmap_tracker.create ~size:3 () in
+  ignore (Bitmap_tracker.try_acquire bt [ 0; 1; 2 ] : Tracker.decision list);
+  Bitmap_tracker.mark_migrated bt [ 2 ];
+  Alcotest.check_raises "granule 2 already migrated"
+    (Invalid_argument "Bitmap_tracker.mark_migrated: granule 2 already migrated")
+    (fun () -> Bitmap_tracker.mark_migrated bt [ 0; 1; 2 ]);
+  List.iter
+    (fun g -> check Alcotest.bool "flipped" true (Bitmap_tracker.is_migrated bt g))
+    [ 0; 1; 2 ];
+  check Alcotest.int "stats migrated" 3 (Bitmap_tracker.stats bt).Tracker.migrated;
+  check Alcotest.bool "complete" true (Bitmap_tracker.complete bt)
 
 (* Exactly-once under real threads: N threads race to acquire every
    granule; each granule must be granted exactly once. *)
@@ -88,12 +106,12 @@ let bitmap_thread_stress () =
         Thread.create
           (fun () ->
             for g = 0 to n - 1 do
-              match Bitmap_tracker.try_acquire bt g with
-              | Tracker.Migrate ->
+              match Bitmap_tracker.try_acquire bt [ g ] with
+              | [ Tracker.Migrate ] ->
                   wins.(t) <- wins.(t) + 1;
                   Thread.yield ();
-                  Bitmap_tracker.mark_migrated bt g
-              | Tracker.Skip | Tracker.Already_migrated -> ()
+                  Bitmap_tracker.mark_migrated bt [ g ]
+              | _ -> ()
             done)
           ())
   in
@@ -111,14 +129,15 @@ let bitmap_prop_exactly_once =
       let grants = Hashtbl.create 16 in
       List.iter
         (fun g ->
-          match Bitmap_tracker.try_acquire bt g with
-          | Tracker.Migrate ->
+          match Bitmap_tracker.try_acquire bt [ g ] with
+          | [ Tracker.Migrate ] ->
               if Hashtbl.mem grants g then failwith "double grant";
               Hashtbl.add grants g ();
-              Bitmap_tracker.mark_migrated bt g
-          | Tracker.Skip -> failwith "skip impossible in serial use"
-          | Tracker.Already_migrated ->
-              if not (Hashtbl.mem grants g) then failwith "already without grant")
+              Bitmap_tracker.mark_migrated bt [ g ]
+          | [ Tracker.Skip ] -> failwith "skip impossible in serial use"
+          | [ Tracker.Already_migrated ] ->
+              if not (Hashtbl.mem grants g) then failwith "already without grant"
+          | _ -> failwith "one decision per granule")
         accesses;
       true)
 
@@ -128,47 +147,46 @@ let key vs = Array.of_list (List.map (fun i -> Value.Int i) vs)
 
 let hash_lifecycle () =
   let ht = Hash_tracker.create () in
-  check decision "first" Tracker.Migrate (Hash_tracker.try_acquire ht (key [ 1; 2 ]));
-  check decision "concurrent" Tracker.Skip (Hash_tracker.try_acquire ht (key [ 1; 2 ]));
+  check decisions "first" [ Tracker.Migrate ] (Hash_tracker.try_acquire ht [ key [ 1; 2 ] ]);
+  check decisions "concurrent" [ Tracker.Skip ] (Hash_tracker.try_acquire ht [ key [ 1; 2 ] ]);
   check (Alcotest.option Alcotest.bool) "state in-progress" (Some true)
     (Option.map (fun s -> s = Hash_tracker.In_progress) (Hash_tracker.state_of ht (key [ 1; 2 ])));
-  Hash_tracker.mark_migrated ht (key [ 1; 2 ]);
-  check decision "after commit" Tracker.Already_migrated
-    (Hash_tracker.try_acquire ht (key [ 1; 2 ]));
+  Hash_tracker.mark_migrated ht [ key [ 1; 2 ] ];
+  check decisions "after commit" [ Tracker.Already_migrated ]
+    (Hash_tracker.try_acquire ht [ key [ 1; 2 ] ]);
   check Alcotest.bool "unknown key state" true (Hash_tracker.state_of ht (key [ 9 ]) = None);
   (* composite keys compare by value, not identity *)
   check Alcotest.bool "fresh array equal key" true (Hash_tracker.is_migrated ht (key [ 1; 2 ]))
 
 let hash_abort_takeover () =
   let ht = Hash_tracker.create () in
-  ignore (Hash_tracker.try_acquire ht (key [ 7 ]) : Tracker.decision);
-  Hash_tracker.mark_aborted ht (key [ 7 ]);
+  ignore (Hash_tracker.try_acquire ht [ key [ 7 ] ] : Tracker.decision list);
+  Hash_tracker.mark_aborted ht [ key [ 7 ] ];
   check (Alcotest.option Alcotest.bool) "aborted state" (Some true)
     (Option.map (fun s -> s = Hash_tracker.Aborted) (Hash_tracker.state_of ht (key [ 7 ])));
   (* Alg. 3 lines 7-9: an aborted key can be re-acquired *)
-  check decision "takeover" Tracker.Migrate (Hash_tracker.try_acquire ht (key [ 7 ]));
-  Hash_tracker.mark_migrated ht (key [ 7 ]);
+  check decisions "takeover" [ Tracker.Migrate ] (Hash_tracker.try_acquire ht [ key [ 7 ] ]);
+  Hash_tracker.mark_migrated ht [ key [ 7 ] ];
   check Alcotest.bool "migrated" true (Hash_tracker.is_migrated ht (key [ 7 ]))
 
 let hash_errors () =
   let ht = Hash_tracker.create () in
   Alcotest.check_raises "commit unknown"
     (Invalid_argument "Hash_tracker.mark_migrated: unknown key") (fun () ->
-      Hash_tracker.mark_migrated ht (key [ 1 ]));
-  ignore (Hash_tracker.try_acquire ht (key [ 1 ]) : Tracker.decision);
-  Hash_tracker.mark_migrated ht (key [ 1 ]);
+      Hash_tracker.mark_migrated ht [ key [ 1 ] ]);
+  ignore (Hash_tracker.try_acquire ht [ key [ 1 ] ] : Tracker.decision list);
+  Hash_tracker.mark_migrated ht [ key [ 1 ] ];
   Alcotest.check_raises "double commit"
     (Invalid_argument "Hash_tracker.mark_migrated: key already migrated") (fun () ->
-      Hash_tracker.mark_migrated ht (key [ 1 ]));
+      Hash_tracker.mark_migrated ht [ key [ 1 ] ]);
   Alcotest.check_raises "abort migrated"
     (Invalid_argument "Hash_tracker.mark_aborted: key is migrated") (fun () ->
-      Hash_tracker.mark_aborted ht (key [ 1 ]))
+      Hash_tracker.mark_aborted ht [ key [ 1 ] ])
 
 let hash_stats_iter () =
   let ht = Hash_tracker.create () in
-  ignore (Hash_tracker.try_acquire ht (key [ 1 ]) : Tracker.decision);
-  ignore (Hash_tracker.try_acquire ht (key [ 2 ]) : Tracker.decision);
-  Hash_tracker.mark_migrated ht (key [ 2 ]);
+  ignore (Hash_tracker.try_acquire ht [ key [ 1 ]; key [ 2 ] ] : Tracker.decision list);
+  Hash_tracker.mark_migrated ht [ key [ 2 ] ];
   let s = Hash_tracker.stats ht in
   check Alcotest.int "total" 2 s.Tracker.total;
   check Alcotest.int "migrated" 1 s.Tracker.migrated;
@@ -187,12 +205,12 @@ let hash_thread_stress () =
           (fun () ->
             Array.iter
               (fun k ->
-                match Hash_tracker.try_acquire ht k with
-                | Tracker.Migrate ->
+                match Hash_tracker.try_acquire ht [ k ] with
+                | [ Tracker.Migrate ] ->
                     wins.(t) <- wins.(t) + 1;
                     Thread.yield ();
-                    Hash_tracker.mark_migrated ht k
-                | Tracker.Skip | Tracker.Already_migrated -> ())
+                    Hash_tracker.mark_migrated ht [ k ]
+                | _ -> ())
               keys)
           ())
   in
@@ -215,19 +233,18 @@ let hash_abort_stress () =
                 let rec attempt tries =
                   if tries > 1000 then failwith "livelock"
                   else
-                    match Hash_tracker.try_acquire ht k with
-                    | Tracker.Migrate ->
+                    match Hash_tracker.try_acquire ht [ k ] with
+                    | [ Tracker.Migrate ] ->
                         Thread.yield ();
                         if Rng.int rng 4 = 0 then begin
-                          Hash_tracker.mark_aborted ht k;
+                          Hash_tracker.mark_aborted ht [ k ];
                           attempt (tries + 1)
                         end
                         else begin
-                          Hash_tracker.mark_migrated ht k;
+                          Hash_tracker.mark_migrated ht [ k ];
                           Atomic.incr commits
                         end
-                    | Tracker.Skip -> ()
-                    | Tracker.Already_migrated -> ()
+                    | _ -> ()
                 in
                 attempt 0)
               keys)
@@ -238,12 +255,12 @@ let hash_abort_stress () =
      revisited; sweep them serially like the SKIP loop would. *)
   Array.iter
     (fun k ->
-      match Hash_tracker.try_acquire ht k with
-      | Tracker.Migrate ->
-          Hash_tracker.mark_migrated ht k;
+      match Hash_tracker.try_acquire ht [ k ] with
+      | [ Tracker.Migrate ] ->
+          Hash_tracker.mark_migrated ht [ k ];
           Atomic.incr commits
-      | Tracker.Skip -> failwith "no other worker can be in progress now"
-      | Tracker.Already_migrated -> ())
+      | [ Tracker.Skip ] -> failwith "no other worker can be in progress now"
+      | _ -> ())
     keys;
   check Alcotest.int "every key committed exactly once" 128 (Atomic.get commits);
   Array.iter
@@ -251,168 +268,243 @@ let hash_abort_stress () =
       if not (Hash_tracker.is_migrated ht k) then Alcotest.fail "key left unmigrated")
     keys
 
-(* ---------------- batch / run operations ---------------- *)
 
-(* Two trackers driven into the same pre-state: [pre] granules are cycled
-   through migrate / abort / leave-in-progress, identically on both. *)
-let prestate size pre =
-  let a = Bitmap_tracker.create ~size () and b = Bitmap_tracker.create ~size () in
-  List.iteri
-    (fun i g ->
-      List.iter
-        (fun bt ->
-          match Bitmap_tracker.try_acquire bt g with
-          | Tracker.Migrate -> (
-              match i mod 3 with
-              | 0 -> Bitmap_tracker.mark_migrated bt g
-              | 1 -> Bitmap_tracker.mark_aborted bt g
-              | _ -> () (* leave in progress *))
-          | Tracker.Skip | Tracker.Already_migrated -> ())
-        [ a; b ])
-    pre;
-  (a, b)
+let hash_flip_error_counts () =
+  let ht = Hash_tracker.create () in
+  ignore (Hash_tracker.try_acquire ht [ key [ 1 ] ] : Tracker.decision list);
+  (* key 1's partition is visited first, so its flip precedes the error *)
+  Alcotest.check_raises "unknown key"
+    (Invalid_argument "Hash_tracker.mark_migrated: unknown key") (fun () ->
+      Hash_tracker.mark_migrated ht [ key [ 1 ]; key [ 2 ] ]);
+  check Alcotest.bool "flipped" true (Hash_tracker.is_migrated ht (key [ 1 ]));
+  check Alcotest.int "stats migrated" 1 (Hash_tracker.stats ht).Tracker.migrated
 
-let same_states size a b =
-  let ok = ref true in
-  for g = 0 to size - 1 do
-    if Bitmap_tracker.is_migrated a g <> Bitmap_tracker.is_migrated b g then ok := false;
-    if Bitmap_tracker.is_in_progress a g <> Bitmap_tracker.is_in_progress b g then
-      ok := false
-  done;
-  let sa = Bitmap_tracker.stats a and sb = Bitmap_tracker.stats b in
-  !ok && sa.Tracker.migrated = sb.Tracker.migrated
-  && sa.Tracker.in_progress = sb.Tracker.in_progress
+(* ---------------- list operations against pure models ---------------- *)
 
-(* Scalar reference: fold the granule-at-a-time operations over the list. *)
-let scalar_acquire bt gs =
-  let wip = ref [] and skip = ref [] and already = ref [] in
-  List.iter
-    (fun g ->
-      match Bitmap_tracker.try_acquire bt g with
-      | Tracker.Migrate -> wip := g :: !wip
-      | Tracker.Skip -> skip := g :: !skip
-      | Tracker.Already_migrated -> already := g :: !already)
-    gs;
-  (List.rev !wip, List.rev !skip, List.rev !already)
-
-let gsize = 300 (* > one chunk would be slow; crossing words is what matters *)
-
-let gen_pre_and_batch =
+(* A run of operations, each on a list of raw granule ids: 0 acquire the
+   list; 1 commit the list's granules the model holds in progress (the
+   engine's use); 2 commit the raw list, which may name migrated granules
+   and duplicates; 3 abort the list's granules the model holds. *)
+let gen_ops =
   QCheck.(
-    pair
-      (list_of_size (Gen.int_range 0 80) (int_range 0 (gsize - 1)))
-      (list_of_size (Gen.int_range 0 120) (int_range 0 (gsize - 1))))
+    list_of_size (Gen.int_range 1 30)
+      (pair (int_range 0 3) (list_of_size (Gen.int_range 0 12) (int_range 0 139))))
 
-let batch_equiv_prop =
-  QCheck.Test.make ~name:"bitmap: batch ops ≡ scalar ops" ~count:300
-    gen_pre_and_batch
-    (fun (pre, batch) ->
-      let a, b = prestate gsize pre in
-      let wip_a, skip_a, already_a = Bitmap_tracker.try_acquire_batch a batch in
-      let wip_b, skip_b, already_b = scalar_acquire b batch in
-      if (wip_a, skip_a, already_a) <> (wip_b, skip_b, already_b) then
-        QCheck.Test.fail_report "acquire decisions differ";
-      (* commit half the acquisitions, abort the rest — batched vs scalar *)
-      let commit, abort = List.partition (fun g -> g mod 2 = 0) wip_a in
-      Bitmap_tracker.mark_migrated_batch a commit;
-      Bitmap_tracker.mark_aborted_batch a abort;
-      List.iter (fun g -> Bitmap_tracker.mark_migrated b g) commit;
-      List.iter (fun g -> Bitmap_tracker.mark_aborted b g) abort;
-      same_states gsize a b)
-
-let run_equiv_prop =
-  QCheck.Test.make ~name:"bitmap: run ops ≡ scalar ops" ~count:300
-    QCheck.(
-      pair
-        (list_of_size (Gen.int_range 0 80) (int_range 0 (gsize - 1)))
-        (pair (int_range 0 (gsize - 1)) (int_range 0 gsize)))
-    (fun (pre, (start, rawlen)) ->
-      let len = min rawlen (gsize - start) in
-      let a, b = prestate gsize pre in
-      let wip_a, skip_a, already_a = Bitmap_tracker.try_acquire_run a ~start ~len in
-      let gs = List.init len (fun i -> start + i) in
-      let wip_b, skip_b, already_b = scalar_acquire b gs in
-      let flat =
-        List.concat_map (fun (s, l) -> List.init l (fun i -> s + i)) wip_a
+(* Bitmap model: 0 free, 1 in progress, 2 migrated.  Every operation goes
+   through the list in input order, and a failing flip stops at the first
+   migrated granule. *)
+let bitmap_model_prop =
+  QCheck.Test.make ~name:"bitmap: list ops ≡ model" ~count:300
+    QCheck.(pair bool gen_ops)
+    (fun (wide, ops) ->
+      (* narrow: 12 granules, so runs often complete the bitmap; wide:
+         granules on both sides of the 1024-granule chunk boundary *)
+      let size = if wide then 1100 else 12 in
+      let granule i = if not wide then i mod size else if i < 40 then i else 934 + i in
+      let bt = Bitmap_tracker.create ~size () in
+      let model = Array.make size 0 in
+      let apply (kind, raw) =
+        let gs = List.map granule raw in
+        match kind with
+        | 0 ->
+            let expect =
+              List.rev
+                (List.fold_left
+                   (fun acc g ->
+                     let d : Tracker.decision =
+                       match model.(g) with
+                       | 2 -> Already_migrated
+                       | 1 -> Skip
+                       | _ ->
+                           model.(g) <- 1;
+                           Migrate
+                     in
+                     d :: acc)
+                   [] gs)
+            in
+            if Bitmap_tracker.try_acquire bt gs <> expect then
+              QCheck.Test.fail_report "acquire decisions differ"
+        | 1 | 2 ->
+            let gs = if kind = 1 then List.filter (fun g -> model.(g) = 1) gs else gs in
+            let rec flip = function
+              | [] -> None
+              | g :: rest ->
+                  if model.(g) = 2 then
+                    Some
+                      (Printf.sprintf "Bitmap_tracker.mark_migrated: granule %d already migrated"
+                         g)
+                  else begin
+                    model.(g) <- 2;
+                    flip rest
+                  end
+            in
+            let want = flip gs in
+            let got =
+              match Bitmap_tracker.mark_migrated bt gs with
+              | () -> None
+              | exception Invalid_argument msg -> Some msg
+            in
+            if got <> want then QCheck.Test.fail_report "mark_migrated outcome differs"
+        | _ ->
+            let gs = List.filter (fun g -> model.(g) = 1) gs in
+            List.iter (fun g -> model.(g) <- 0) gs;
+            Bitmap_tracker.mark_aborted bt gs
       in
-      if flat <> wip_b then QCheck.Test.fail_report "run wip differs from scalar";
-      (* wip subruns must be maximal (adjacent pairs never touch) *)
-      let rec maximal = function
-        | (s1, l1) :: ((s2, _) :: _ as tl) ->
-            if s1 + l1 >= s2 then QCheck.Test.fail_report "wip subruns not maximal";
-            maximal tl
-        | _ -> ()
+      let agrees () =
+        List.iter
+          (fun i ->
+            let g = granule i in
+            if
+              Bitmap_tracker.is_migrated bt g <> (model.(g) = 2)
+              || Bitmap_tracker.is_in_progress bt g <> (model.(g) = 1)
+            then QCheck.Test.fail_reportf "granule %d differs from the model" g)
+          (List.init 140 Fun.id);
+        let count v = Array.fold_left (fun n x -> if x = v then n + 1 else n) 0 model in
+        let s = Bitmap_tracker.stats bt in
+        if s.Tracker.total <> size || s.Tracker.migrated <> count 2
+           || s.Tracker.in_progress <> count 1
+        then QCheck.Test.fail_report "stats differ from the model";
+        if Bitmap_tracker.complete bt <> (count 2 = size) then
+          QCheck.Test.fail_report "complete differs from the model"
       in
-      maximal wip_a;
-      if skip_a <> skip_b || already_a <> already_b then
-        QCheck.Test.fail_report "run skip/already differ";
-      if start mod 2 = 0 then begin
-        List.iter (fun (s, l) -> Bitmap_tracker.mark_migrated_run a ~start:s ~len:l) wip_a;
-        List.iter (fun g -> Bitmap_tracker.mark_migrated b g) wip_b
-      end
-      else begin
-        List.iter (fun (s, l) -> Bitmap_tracker.mark_aborted_run a ~start:s ~len:l) wip_a;
-        List.iter (fun g -> Bitmap_tracker.mark_aborted b g) wip_b
-      end;
-      same_states gsize a b)
+      List.iter
+        (fun op ->
+          apply op;
+          agrees ())
+        ops;
+      true)
 
-(* Word-aligned fast paths flip 32 granules per write; make sure a run that
-   starts/ends mid-word and crosses a chunk boundary is exact. *)
-let run_edges () =
-  let size = 3 * 1024 in
-  let bt = Bitmap_tracker.create ~size () in
-  (* dirty a couple of slots so the word paths can't claim whole words *)
-  ignore (Bitmap_tracker.try_acquire bt 1000 : Tracker.decision);
-  Bitmap_tracker.mark_migrated bt 1000;
-  ignore (Bitmap_tracker.try_acquire bt 2049 : Tracker.decision);
-  let start = 3 and len = 2300 - 3 in
-  let wip, skip, already = Bitmap_tracker.try_acquire_run bt ~start ~len in
-  check (Alcotest.list Alcotest.int) "skip" [ 2049 ] skip;
-  check (Alcotest.list Alcotest.int) "already" [ 1000 ] already;
-  check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "wip subruns"
-    [ (3, 997); (1001, 1048); (2050, 250) ]
-    wip;
-  List.iter (fun (s, l) -> Bitmap_tracker.mark_migrated_run bt ~start:s ~len:l) wip;
-  check Alcotest.int "migrated count" (1 + 997 + 1048 + 250)
-    (Bitmap_tracker.stats bt).Tracker.migrated;
-  for g = 0 to size - 1 do
-    let expect_mig = (g >= 3 && g < 2300 && g <> 2049) || g = 1000 in
-    if Bitmap_tracker.is_migrated bt g <> expect_mig then
-      Alcotest.failf "granule %d migrated=%b, expected %b" g
-        (Bitmap_tracker.is_migrated bt g) expect_mig
-  done;
-  check Alcotest.bool "2049 still in progress" true
-    (Bitmap_tracker.is_in_progress bt 2049)
+(* Hash model: a key is absent or in one of the tracker's three states.
+   Decisions for a key depend only on earlier occurrences of that key, so
+   they are exact.  A failing flip is not: keys are visited partition by
+   partition, so which flips precede the error is the tracker's choice —
+   the model checks each listed key either kept its state or was flipped
+   from in progress / aborted, then takes the tracker's states. *)
+let hash_model_prop =
+  QCheck.Test.make ~name:"hash: list ops ≡ model" ~count:300 gen_ops (fun ops ->
+      let nkeys = 24 in
+      (* few partitions, so one list both spans and shares them *)
+      let ht = Hash_tracker.create ~stripes:4 () in
+      let model : (int, Hash_tracker.state) Hashtbl.t = Hashtbl.create 16 in
+      let state i = Hashtbl.find_opt model i in
+      let apply (kind, raw) =
+        let ids = List.map (fun i -> i mod nkeys) raw in
+        let keys = List.map (fun i -> key [ i ]) ids in
+        match kind with
+        | 0 ->
+            let expect =
+              List.rev
+                (List.fold_left
+                   (fun acc i ->
+                     let d : Tracker.decision =
+                       match state i with
+                       | Some Hash_tracker.Migrated -> Already_migrated
+                       | Some Hash_tracker.In_progress -> Skip
+                       | Some Hash_tracker.Aborted | None ->
+                           Hashtbl.replace model i Hash_tracker.In_progress;
+                           Migrate
+                     in
+                     d :: acc)
+                   [] ids)
+            in
+            if Hash_tracker.try_acquire ht keys <> expect then
+              QCheck.Test.fail_report "acquire decisions differ"
+        | 1 | 2 -> (
+            let ids =
+              if kind = 1 then List.filter (fun i -> state i = Some Hash_tracker.In_progress) ids
+              else ids
+            in
+            let after = Hashtbl.copy model in
+            let fails =
+              List.exists
+                (fun i ->
+                  match Hashtbl.find_opt after i with
+                  | Some Hash_tracker.Migrated | None -> true
+                  | Some Hash_tracker.In_progress | Some Hash_tracker.Aborted ->
+                      Hashtbl.replace after i Hash_tracker.Migrated;
+                      false)
+                ids
+            in
+            match Hash_tracker.mark_migrated ht (List.map (fun i -> key [ i ]) ids) with
+            | () ->
+                if fails then QCheck.Test.fail_report "mark_migrated should have raised";
+                Hashtbl.reset model;
+                Hashtbl.iter (Hashtbl.replace model) after
+            | exception Invalid_argument msg ->
+                if not fails then QCheck.Test.fail_reportf "unexpected error: %s" msg;
+                if
+                  msg <> "Hash_tracker.mark_migrated: key already migrated"
+                  && msg <> "Hash_tracker.mark_migrated: unknown key"
+                then QCheck.Test.fail_reportf "wrong error: %s" msg;
+                List.iter
+                  (fun i ->
+                    let now = Hash_tracker.state_of ht (key [ i ]) in
+                    (match (state i, now) with
+                    | before, now when before = now -> ()
+                    | ( (Some Hash_tracker.In_progress | Some Hash_tracker.Aborted),
+                        Some Hash_tracker.Migrated ) ->
+                        ()
+                    | _ -> QCheck.Test.fail_reportf "key %d changed state illegally" i);
+                    Option.iter (Hashtbl.replace model i) now)
+                  ids)
+        | _ ->
+            let ids =
+              List.filter
+                (fun i ->
+                  match state i with
+                  | Some Hash_tracker.In_progress | Some Hash_tracker.Aborted -> true
+                  | Some Hash_tracker.Migrated | None -> false)
+                ids
+            in
+            List.iter (fun i -> Hashtbl.replace model i Hash_tracker.Aborted) ids;
+            Hash_tracker.mark_aborted ht (List.map (fun i -> key [ i ]) ids)
+      in
+      let agrees () =
+        for i = 0 to nkeys - 1 do
+          if Hash_tracker.state_of ht (key [ i ]) <> state i then
+            QCheck.Test.fail_reportf "key %d differs from the model" i
+        done;
+        let count v = Hashtbl.fold (fun _ s n -> if s = v then n + 1 else n) model 0 in
+        let s = Hash_tracker.stats ht in
+        if s.Tracker.total <> Hashtbl.length model
+           || s.Tracker.migrated <> count Hash_tracker.Migrated
+           || s.Tracker.in_progress <> count Hash_tracker.In_progress
+        then QCheck.Test.fail_report "stats differ from the model"
+      in
+      List.iter
+        (fun op ->
+          apply op;
+          agrees ())
+        ops;
+      true)
 
-(* Exactly-once when scalar, list-batch and run-based workers race: every
-   granule is committed exactly once (a double commit would raise), and the
-   bitmap ends complete. *)
+(* ---------------- concurrent list operations ---------------- *)
+
+(* The granules of [gs] this call acquired. *)
+let acquired bt gs =
+  List.fold_right2
+    (fun g d acc -> if d = Tracker.Migrate then g :: acc else acc)
+    gs (Bitmap_tracker.try_acquire bt gs) []
+
+(* Exactly-once when list workers of sizes 1 and 64 race a worker driven by
+   [next_unmigrated_run]: every granule is committed exactly once (a double
+   commit would raise), and the bitmap ends complete. *)
 let batch_thread_stress () =
   let n = 8192 in
   let bt = Bitmap_tracker.create ~size:n () in
   let commits = Array.make 4 0 in
-  let scalar_worker slot =
-    for g = 0 to n - 1 do
-      match Bitmap_tracker.try_acquire bt g with
-      | Tracker.Migrate ->
-          if g land 63 = 17 then Bitmap_tracker.mark_aborted bt g
-          else begin
-            Thread.yield ();
-            Bitmap_tracker.mark_migrated bt g;
-            commits.(slot) <- commits.(slot) + 1
-          end
-      | Tracker.Skip | Tracker.Already_migrated -> ()
-    done
-  in
-  let batch_worker slot =
+  (* the size-1 worker aborts some of its wins, leaving them to the others
+     or to the sweep below *)
+  let list_worker slot size =
     let g = ref 0 in
     while !g < n do
-      let len = min 64 (n - !g) in
-      let gs = List.init len (fun i -> !g + i) in
-      let wip, _, _ = Bitmap_tracker.try_acquire_batch bt gs in
+      let len = min size (n - !g) in
+      let wip = acquired bt (List.init len (fun i -> !g + i)) in
       Thread.yield ();
-      Bitmap_tracker.mark_migrated_batch bt wip;
-      commits.(slot) <- commits.(slot) + List.length wip;
+      let abort, commit = List.partition (fun g -> size = 1 && g land 63 = 17) wip in
+      Bitmap_tracker.mark_aborted bt abort;
+      Bitmap_tracker.mark_migrated bt commit;
+      commits.(slot) <- commits.(slot) + List.length commit;
       g := !g + len
     done
   in
@@ -424,37 +516,32 @@ let batch_thread_stress () =
       | None -> if !cursor = 0 then continue_ := false else cursor := 0
       | Some (start, len) ->
           let len = min len 96 in
-          let wip, _, _ = Bitmap_tracker.try_acquire_run bt ~start ~len in
+          let wip = acquired bt (List.init len (fun i -> start + i)) in
           Thread.yield ();
-          List.iter
-            (fun (s, l) ->
-              Bitmap_tracker.mark_migrated_run bt ~start:s ~len:l;
-              commits.(slot) <- commits.(slot) + l)
-            wip;
+          Bitmap_tracker.mark_migrated bt wip;
+          commits.(slot) <- commits.(slot) + List.length wip;
           cursor := start + len
     done
   in
   let ths =
     [
-      Thread.create (fun () -> scalar_worker 0) ();
-      Thread.create (fun () -> batch_worker 1) ();
+      Thread.create (fun () -> list_worker 0 1) ();
+      Thread.create (fun () -> list_worker 1 64) ();
       Thread.create (fun () -> run_worker 2) ();
-      Thread.create (fun () -> batch_worker 3) ();
+      Thread.create (fun () -> list_worker 3 64) ();
     ]
   in
   List.iter Thread.join ths;
-  (* granules whose scalar winner aborted may be left over; sweep serially *)
+  (* granules whose size-1 winner aborted may be left over; sweep serially *)
   let swept = ref 0 in
   let rec sweep () =
-    match Bitmap_tracker.first_unmigrated bt ~from:0 with
+    match Bitmap_tracker.next_unmigrated_run bt ~from:0 with
     | None -> ()
-    | Some g ->
-        (match Bitmap_tracker.try_acquire bt g with
-        | Tracker.Migrate ->
-            Bitmap_tracker.mark_migrated bt g;
-            incr swept
-        | Tracker.Skip -> Alcotest.fail "granule stuck in progress after join"
-        | Tracker.Already_migrated -> ());
+    | Some (start, len) ->
+        let wip = acquired bt (List.init len (fun i -> start + i)) in
+        if List.length wip <> len then Alcotest.fail "granule stuck in progress after join";
+        Bitmap_tracker.mark_migrated bt wip;
+        swept := !swept + len;
         sweep ()
   in
   sweep ();
@@ -469,16 +556,17 @@ let suite =
     Alcotest.test_case "bitmap pages" `Quick bitmap_pages;
     Alcotest.test_case "bitmap progress scan" `Quick bitmap_progress_scan;
     Alcotest.test_case "bitmap force idempotent" `Quick bitmap_force_idempotent;
+    Alcotest.test_case "bitmap failed flip keeps its count" `Quick bitmap_flip_error_counts;
     Alcotest.test_case "bitmap thread stress" `Slow bitmap_thread_stress;
     QCheck_alcotest.to_alcotest bitmap_prop_exactly_once;
-    QCheck_alcotest.to_alcotest batch_equiv_prop;
-    QCheck_alcotest.to_alcotest run_equiv_prop;
-    Alcotest.test_case "bitmap run edge cases" `Quick run_edges;
+    QCheck_alcotest.to_alcotest bitmap_model_prop;
     Alcotest.test_case "bitmap batch/run thread stress" `Slow batch_thread_stress;
     Alcotest.test_case "hash lifecycle" `Quick hash_lifecycle;
     Alcotest.test_case "hash abort takeover" `Quick hash_abort_takeover;
     Alcotest.test_case "hash errors" `Quick hash_errors;
     Alcotest.test_case "hash stats/iter" `Quick hash_stats_iter;
+    Alcotest.test_case "hash failed flip keeps its count" `Quick hash_flip_error_counts;
+    QCheck_alcotest.to_alcotest hash_model_prop;
     Alcotest.test_case "hash thread stress" `Slow hash_thread_stress;
     Alcotest.test_case "hash abort stress" `Slow hash_abort_stress;
   ]
