@@ -472,6 +472,14 @@ let qpath () =
     let k = next_key () in
     ignore (Database.exec db ~params:[| Value.Int k |] sql : Executor.result)
   in
+  (* scan: the same prepared machinery over a filtered full scan ([w] has
+     no index), so the per-row cost of the scan loop and the staged
+     predicate dominates; reported per row. *)
+  let scan_sql = "SELECT v FROM kv WHERE w = $1" in
+  let scan () =
+    let w = 3 * next_key () in
+    ignore (Database.exec db ~params:[| Value.Int w |] scan_sql : Executor.result)
+  in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 100) () in
   let instance = Toolkit.Instance.monotonic_clock in
   let measure name f =
@@ -502,6 +510,9 @@ let qpath () =
   let warm_ns = measure "prepared+cached+compiled" warm in
   let speedup = cold_ns /. warm_ns in
   say "  speedup (cold / warm): %.1fx" speedup;
+  let scan_ns = measure "prepared filtered full scan" scan in
+  let scan_row_ns = scan_ns /. float_of_int rows in
+  say "  full scan: %.1f ns/row over %d rows" scan_row_ns rows;
   let oc = open_out "BENCH_query_path.json" in
   Printf.fprintf oc
     {|{
@@ -513,15 +524,18 @@ let qpath () =
   "ns_per_op": {
     "cold_parse_plan_exec": %.1f,
     "spliced_literals": %.1f,
-    "prepared_cached_compiled": %.1f
+    "prepared_cached_compiled": %.1f,
+    "prepared_full_scan": %.1f
   },
-  "speedup_cold_over_warm": %.2f
+  "speedup_cold_over_warm": %.2f,
+  "scan_query": "%s",
+  "scan_ns_per_row": %.2f
 }
 |}
     (String.concat "" (String.split_on_char '"' sql))
     rows
     (match profile with Fast -> "fast" | Standard -> "standard" | Full -> "full")
-    seed cold_ns splice_ns warm_ns speedup;
+    seed cold_ns splice_ns warm_ns scan_ns speedup scan_sql scan_row_ns;
   close_out oc;
   say "  wrote BENCH_query_path.json"
 
@@ -533,15 +547,15 @@ let qpath () =
 (* ------------------------------------------------------------------ *)
 
 (* The background migrator's tracker path over an all-free bitmap:
-   [next_unmigrated_run] hands out runs, consumed in [batch]-granule
-   slices, each acquired and flipped with one list call.  Returns the
-   number of slices. *)
+   [next_unmigrated_run], capped at the slice, hands out runs consumed in
+   [batch]-granule slices, each acquired and flipped with one list call.
+   Returns the number of slices. *)
 let bitmap_sweep bt ~batch =
   let slices = ref 0 in
   let cursor = ref 0 in
   let continue_ = ref true in
   while !continue_ do
-    match Bitmap_tracker.next_unmigrated_run bt ~from:!cursor with
+    match Bitmap_tracker.next_unmigrated_run bt ~from:!cursor ~max_len:batch with
     | None -> continue_ := false
     | Some (start, len) ->
         incr slices;

@@ -171,76 +171,78 @@ let stats t =
 
 let complete t = Atomic.get t.migrated_count >= t.granules
 
-let free t g = byte_of t g land (migrate_mask g lor lock_mask g) = 0
+(* Runs are maximal stretches of "open" granules.  A free run ([~pending:
+   false], the background migrator's) stops at any set bit, in progress
+   or migrated; a pending run ([~pending:true], the candidate scan's)
+   stops only at migrated granules, so in-progress granules stay
+   candidates and their requests still SKIP-wait. *)
+let slot_open ~pending t g =
+  let closing = if pending then migrate_mask g else migrate_mask g lor lock_mask g in
+  byte_of t g land closing = 0
 
-(* Word-level free-granule finder: skip fully settled 8-byte words (32
-   granules per probe).  Reads are unlatched — a stale word only makes the
-   caller re-check a granule under the latch in [try_acquire].  Skips are
-   tallied locally and published with one [add] per call — a word-scan can
-   cover the whole bitmap, and one obs call per word would dominate the
-   1-2 ns word test itself. *)
+(* One lock-position bit per closed slot of an 8-byte word. *)
+let[@inline] closed_slots ~pending w =
+  let migrate = Int64.shift_right_logical w 1 in
+  Int64.logand (if pending then migrate else Int64.logor w migrate) settled_mask
+
+(* Word-level run finder: skip fully closed 8-byte words (32 granules per
+   probe) to the first open granule at or after [from], then extend
+   through fully open words, stopping at a closed granule or after
+   [max_len] granules — so one call costs O(max_len / 32) word probes
+   beyond the skipped prefix, however long the open region is.  Reads
+   are unlatched — a stale word only makes the caller re-check a granule
+   under the latch in [try_acquire].  Skips are tallied locally and
+   published with one [add] per call: one obs call per word would
+   dominate the 1-2 ns word test itself. *)
 let c_word_skips = Obs.Counters.make "core.bitmap.word_skips"
 
-let find_free t ~from =
+let next_run ~pending t ~from ~max_len =
+  if max_len < 1 then invalid_arg "Bitmap_tracker: run length cap must be positive";
   let bits = t.bits in
   let nbytes = Bytes.length bits in
-  let aligned g = g land (granules_per_word - 1) = 0 in
   let byte_idx g = g / granules_per_byte in
-  let word_readable g = byte_idx g + word_bytes <= nbytes in
-  let skips = ref 0 in
-  let publish r =
-    if !skips > 0 then Obs.Counters.add c_word_skips !skips;
-    r
+  (* [g] starts a whole word that lies inside the byte array *)
+  let at_word g = g land (granules_per_word - 1) = 0 && byte_idx g + word_bytes <= nbytes in
+  let word_is g mask =
+    Int64.equal (closed_slots ~pending (Bytes.get_int64_ne bits (byte_idx g))) mask
   in
+  let skips = ref 0 in
   let rec find g =
     if g >= t.granules then None
-    else if aligned g && word_readable g then begin
-      let w = Bytes.get_int64_ne bits (byte_idx g) in
-      let occ =
-        Int64.logand (Int64.logor w (Int64.shift_right_logical w 1)) settled_mask
-      in
-      if Int64.equal occ settled_mask then begin
-        incr skips;
-        find (g + granules_per_word)
-      end
-      else scan g (min (g + granules_per_word) t.granules)
+    else if at_word g && word_is g settled_mask then begin
+      incr skips;
+      find (g + granules_per_word)
     end
-    else if free t g then Some g
+    else if slot_open ~pending t g then Some g
     else find (g + 1)
-  and scan g limit =
-    (* the word holds a free slot, but it may lie in the padding past
-       [t.granules]; fall back to [find] at the limit in that case *)
-    if g >= limit then find g
-    else if free t g then Some g
-    else scan (g + 1) limit
   in
-  publish (find (max from 0))
+  let result =
+    match find (max from 0) with
+    | None -> None
+    | Some start ->
+        let limit = if max_len >= t.granules - start then t.granules else start + max_len in
+        let rec extend g =
+          if g >= limit then limit
+          else if at_word g && word_is g 0L then begin
+            incr skips;
+            extend (g + granules_per_word)
+          end
+          else if slot_open ~pending t g then extend (g + 1)
+          else g
+        in
+        (* a whole-word step may overshoot the cap or poke into the
+           padding of the last word; clamp *)
+        Some (start, min (extend (start + 1)) limit - start)
+  in
+  if !skips > 0 then Obs.Counters.add c_word_skips !skips;
+  result
 
-(* [find_free]'s hit extended to the maximal run of free granules. *)
-let next_unmigrated_run t ~from =
-  let bits = t.bits in
-  let nbytes = Bytes.length bits in
-  let aligned g = g land (granules_per_word - 1) = 0 in
-  let byte_idx g = g / granules_per_byte in
-  let word_readable g = byte_idx g + word_bytes <= nbytes in
-  match find_free t ~from with
-  | None -> None
-  | Some start ->
-      let skips = ref 0 in
-      let rec extend g =
-        if g >= t.granules then g
-        else if
-          aligned g && word_readable g
-          && Int64.equal (Bytes.get_int64_ne bits (byte_idx g)) 0L
-        then begin
-          incr skips;
-          extend (g + granules_per_word)
-        end
-        else if free t g then extend (g + 1)
-        else g
-      in
-      let stop = extend (start + 1) in
-      if !skips > 0 then Obs.Counters.add c_word_skips !skips;
-      (* the run may poke into the padding of its last word; clamp *)
-      Some (start, min stop t.granules - start)
+let next_unmigrated_run ?(max_len = max_int) t ~from = next_run ~pending:false t ~from ~max_len
 
+let pending_tids t tid =
+  let g = tid / t.page in
+  if g >= t.granules then Some (tid, max_int)
+  else
+    match next_run ~pending:true t ~from:g ~max_len:max_int with
+    | Some (start, len) -> Some (max tid (start * t.page), (start + len) * t.page)
+    | None -> Some (t.granules * t.page, max_int)

@@ -59,10 +59,23 @@ val stats : t -> Tracker.stats
 val complete : t -> bool
 (** Every granule migrated. *)
 
-val next_unmigrated_run : t -> from:int -> (int * int) option
-(** [(start, len)] of the first maximal run of granules [>= from] that are
-    neither migrated nor in progress.  The scan reads the bitmap 8
+val next_unmigrated_run : ?max_len:int -> t -> from:int -> (int * int) option
+(** [(start, len)] of the first run of granules [>= from] that are
+    neither migrated nor in progress: maximal, or [max_len] long when
+    the free stretch is longer (default: unbounded).  A caller that will
+    take only [k] granules passes [~max_len:k], so the call costs
+    O(k / 32) word probes past the skipped prefix instead of a walk to
+    the end of the free region.  The scan reads the bitmap 8
     granule-bytes at a time ({!Bytes.get_int64_ne}) and skips fully
     settled words, so a mostly-migrated bitmap is crossed at 32 granules
-    per probe.  Unlatched: the result is a hint that {!try_acquire} re-checks
-    under the chunk latch. *)
+    per probe.  Unlatched: the result is a hint that {!try_acquire}
+    re-checks under the chunk latch.
+    @raise Invalid_argument when [max_len < 1]. *)
+
+val pending_tids : t -> int -> (int * int) option
+(** The candidate scan's TID ranges: [pending_tids t tid] is the first
+    range [(lo, hi)] ([hi] exclusive, [tid <= lo]) of TIDs whose
+    granules are not migrated — free or in progress — found with the
+    same word skips as {!next_unmigrated_run}.  TIDs past the bitmap's
+    coverage (appended after it was sized) are not tracked and count as
+    pending.  Never [None]; the range may start past the table's end. *)

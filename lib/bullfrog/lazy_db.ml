@@ -777,7 +777,7 @@ let compile_row_pred db (heap : Heap.t) (p : Ast.expr) =
         (Planner.compile_with_descs pctx descs
            (Bullfrog_analysis.Predicate.unqualify p))
     in
-    Some (fun row -> ce.Expr.ce_pred [||] row)
+    Some (ce.Expr.ce_pred [||]).Expr.holds
   with _ -> None
 
 (* A live old-table row is stale — its authoritative image lives in the

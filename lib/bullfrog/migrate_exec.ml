@@ -860,6 +860,9 @@ let pair_key ta tb = [| Value.Int ta; Value.Int tb |]
 let run_pair_txn t (report : report) pr (wip : Value.t array list) =
   if wip = [] then ()
   else begin
+    let outputs =
+      List.map (fun po -> (po, (Expr.bind_filter po.po_where [||]).Expr.holds)) pr.pr_outputs
+    in
     report.r_txns <- report.r_txns + 1;
     Database.with_txn t.db (fun txn ->
         let ctx = Database.exec_ctx t.db in
@@ -872,13 +875,8 @@ let run_pair_txn t (report : report) pr (wip : Value.t array list) =
                 report.r_input_rows <- report.r_input_rows + 2;
                 let row = Array.append ra rb in
                 List.iter
-                  (fun po ->
-                    let ok =
-                      match po.po_where with
-                      | None -> true
-                      | Some f -> f.Expr.ce_pred [||] row
-                    in
-                    if ok then begin
+                  (fun (po, keep) ->
+                    if keep row then begin
                       let out =
                         Array.map (fun e -> e.Expr.ce_eval [||] row) po.po_projs
                       in
@@ -894,7 +892,7 @@ let run_pair_txn t (report : report) pr (wip : Value.t array list) =
                             txn.Txn.counters.Txn.rows_migrated + 1
                       | None -> ()
                     end)
-                  pr.pr_outputs
+                  outputs
             | _ -> () (* a side was deleted; the pair no longer exists *));
             Database.add_migration_mark t.db txn
               {
@@ -1080,6 +1078,23 @@ let note_sample t =
   t.tele_samples <-
     (Unix.gettimeofday (), migrated) :: take (tele_sample_cap - 1) t.tele_samples
 
+(* Algorithm 1's candidate scan over one input.  A bitmap-tracked
+   sequential scan visits only the TID ranges whose granules are not yet
+   migrated (free or in progress): a migrated granule could only answer
+   [Already_migrated], so skipping it changes no decision, and a complete
+   bitmap costs one word walk.  Index paths and hash-tracked inputs
+   fetch every match. *)
+let candidate_rows db heap tracker pred =
+  let ranges =
+    match tracker with
+    | RT_bitmap bt -> Some (Bitmap_tracker.pending_tids bt)
+    | RT_hash _ | RT_none -> None
+  in
+  let txn = Database.begin_txn db in
+  let rows = Access.scan_pred ~latest:true ?ranges txn heap pred in
+  Database.commit db txn;
+  rows
+
 let migrate_for_preds_inner ?(stmt_filter = fun (_ : rt_stmt) -> true) t report
     (preds : (string * Ast.expr option) list) =
   (* Candidate granules are gathered per statement and per tracker group:
@@ -1088,9 +1103,7 @@ let migrate_for_preds_inner ?(stmt_filter = fun (_ : rt_stmt) -> true) t report
      predicate-constrained side has a matching row in it (inner-join
      semantics); a side the request does not constrain is the universe. *)
   let scan_keys (input, pred) =
-    let txn = Database.begin_txn t.db in
-    let rows = Access.scan_pred ~latest:true txn input.ri_heap pred in
-    Database.commit t.db txn;
+    let rows = candidate_rows t.db input.ri_heap input.ri_tracker pred in
     report.r_input_rows <- report.r_input_rows + List.length rows;
     let set = Gset.create () in
     List.iter (fun (tid, row) -> Gset.add set (granule_of_row input tid row)) rows;
@@ -1235,7 +1248,10 @@ let background_step_inner t report ~batch =
                 let n = ref 0 in
                 let continue_ = ref true in
                 while !continue_ && !n < budget () do
-                  match Bitmap_tracker.next_unmigrated_run bt ~from:!cursor with
+                  match
+                    Bitmap_tracker.next_unmigrated_run bt ~from:!cursor
+                      ~max_len:(budget () - !n)
+                  with
                   | None ->
                       (* Wrap once to catch granules below the cursor. *)
                       if !cursor > 0 then cursor := 0

@@ -143,6 +143,20 @@ val install :
     survived via redo replay — and no DDL runs; trackers come back empty
     and are refilled from the log by {!Recovery.rebuild}. *)
 
+val candidate_rows :
+  Bullfrog_db.Database.t ->
+  Bullfrog_db.Heap.t ->
+  rt_tracker ->
+  Bullfrog_sql.Ast.expr option ->
+  (int * Bullfrog_db.Heap.row) list
+(** Algorithm 1's candidate scan of one input, in its own transaction,
+    reading every slot's newest version (trigger semantics).  Over a
+    bitmap tracker a sequential scan visits only the TID ranges of
+    granules that are not migrated — free or in progress — skipping
+    settled bitmap words 32 granules at a time, so the result is "scan
+    everything, then drop rows of migrated granules".  Index paths and
+    hash-tracked inputs return every match. *)
+
 val migrate_for_preds :
   ?stmt_filter:(rt_stmt -> bool) ->
   t ->

@@ -218,21 +218,14 @@ let compile_pred table where =
 
 let key_value params (e : Expr.cexpr) = e.Expr.ce_eval params [||]
 
-(* [latest] bypasses snapshot visibility and reads the raw slot array —
-   uncommitted writes of every transaction included.  SQL reads never use
-   it; BullFrog's interception does: a granule-candidate scan runs
-   mid-client-transaction and must see the client's in-flight input rows
-   (trigger semantics), exactly as the pre-MVCC heap did. *)
+(* [latest] reads every slot's newest version — uncommitted writes of
+   every transaction included.  SQL reads never use it; BullFrog's
+   interception does: a granule-candidate scan runs mid-client-transaction
+   and must see the client's in-flight input rows (trigger semantics),
+   exactly as the pre-MVCC heap did. *)
 
-let fetch_tids ?(params = [||]) ?(latest = false) (txn : Txn.t) table pred tids =
+let fetch_tids ~keep ~latest (txn : Txn.t) table tids =
   let c = txn.Txn.counters in
-  let matches row =
-    match pred.residual with
-    | None -> true
-    | Some f ->
-        c.Txn.rows_scanned <- c.Txn.rows_scanned + 1;
-        f.Expr.ce_pred params row
-  in
   let fetch tid =
     if latest then Heap.get table tid
     else Heap.snapshot_get table ~ts:txn.Txn.snapshot ~reader:txn.Txn.id tid
@@ -243,16 +236,25 @@ let fetch_tids ?(params = [||]) ?(latest = false) (txn : Txn.t) table pred tids 
       | None -> None
       | Some row ->
           c.Txn.rows_read <- c.Txn.rows_read + 1;
-          if matches row then Some (tid, row) else None)
+          if keep row then Some (tid, row) else None)
     (List.sort Stdlib.compare tids)
 
-let select_tids ?(params = [||]) ?latest (txn : Txn.t) table pred =
+let select_tids ?(params = [||]) ?(latest = false) ?ranges (txn : Txn.t) table pred =
   let c = txn.Txn.counters in
+  (* the residual is staged once; only a residual test counts as a scan *)
+  let keep =
+    match pred.residual with
+    | None -> fun _ -> true
+    | Some f ->
+        let holds = (f.Expr.ce_pred params).Expr.holds in
+        fun row ->
+          c.Txn.rows_scanned <- c.Txn.rows_scanned + 1;
+          holds row
+  in
   match pred.path with
   | P_eq (idx, key) ->
       c.Txn.index_probes <- c.Txn.index_probes + 1;
-      fetch_tids ~params ?latest txn table pred
-        (Index.find idx (Array.map (key_value params) key))
+      fetch_tids ~keep ~latest txn table (Index.find idx (Array.map (key_value params) key))
   | P_range (idx, prefix, lo, hi) ->
       c.Txn.index_probes <- c.Txn.index_probes + 1;
       let prefix = Array.map (key_value params) prefix in
@@ -263,27 +265,34 @@ let select_tids ?(params = [||]) ?latest (txn : Txn.t) table pred =
           ~f:(fun acc _key tids -> List.rev_append tids acc)
           ()
       in
-      fetch_tids ~params ?latest txn table pred tids
+      fetch_tids ~keep ~latest txn table tids
   | P_full ->
-      let matches row =
-        match pred.residual with
-        | None -> true
-        | Some f ->
-            c.Txn.rows_scanned <- c.Txn.rows_scanned + 1;
-            f.Expr.ce_pred params row
-      in
       let out = ref [] in
       let visit tid row =
-        if matches row then begin
+        if keep row then begin
           c.Txn.rows_read <- c.Txn.rows_read + 1;
           out := (tid, row) :: !out
         end
       in
-      if latest = Some true then Heap.iter_live table visit
-      else Heap.snapshot_iter table ~ts:txn.Txn.snapshot ~reader:txn.Txn.id visit;
+      let ts, reader =
+        if latest then (max_int, Heap.latest) else (txn.Txn.snapshot, txn.Txn.id)
+      in
+      (match ranges with
+      | None -> Heap.scan table ~ts ~reader visit
+      | Some next ->
+          let n = Heap.tid_count table in
+          let rec walk tid =
+            if tid < n then
+              match next tid with
+              | None -> ()
+              | Some (lo, hi) ->
+                  Heap.scan ~lo ~hi table ~ts ~reader visit;
+                  walk (max hi (lo + 1))
+          in
+          walk 0);
       List.rev !out
 
-let scan_pred ?params ?latest txn table where =
-  select_tids ?params ?latest txn table (compile_pred table where)
+let scan_pred ?params ?latest ?ranges txn table where =
+  select_tids ?params ?latest ?ranges txn table (compile_pred table where)
 
 let count_matching txn table where = List.length (scan_pred txn table where)

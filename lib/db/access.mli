@@ -39,19 +39,27 @@ val compile_pred : Heap.t -> Bullfrog_sql.Ast.expr option -> pred
 val select_tids :
   ?params:Value.t array ->
   ?latest:bool ->
+  ?ranges:(int -> (int * int) option) ->
   Txn.t ->
   Heap.t ->
   pred ->
   (int * Heap.row) list
 (** Matching rows in TID order.  Default: rows visible at the
     transaction's snapshot (plus its own writes).  [~latest:true] reads
-    the raw slot array instead — every transaction's uncommitted writes
-    included — for BullFrog's mid-transaction interception scans (trigger
-    semantics); SQL execution never passes it. *)
+    every slot's newest version instead — every transaction's uncommitted
+    writes included — for BullFrog's mid-transaction interception scans
+    (trigger semantics); SQL execution never passes it.
+
+    [ranges] narrows a sequential scan ([P_full]): [ranges tid] is the
+    next TID range [(lo, hi)], [tid <= lo < hi], to visit ([hi]
+    exclusive), or [None] when no TID at or after [tid] is wanted.  The
+    scan visits only those ranges.  Index paths ignore it: their TIDs
+    come from the index.  The residual is staged once per call. *)
 
 val scan_pred :
   ?params:Value.t array ->
   ?latest:bool ->
+  ?ranges:(int -> (int * int) option) ->
   Txn.t ->
   Heap.t ->
   Bullfrog_sql.Ast.expr option ->

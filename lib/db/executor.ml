@@ -154,8 +154,48 @@ let prof_annot pr node =
 let snap_get (txn : Txn.t) table tid =
   Heap.snapshot_get table ~ts:txn.Txn.snapshot ~reader:txn.Txn.id tid
 
-let snap_iter (txn : Txn.t) table f =
-  Heap.snapshot_iter table ~ts:txn.Txn.snapshot ~reader:txn.Txn.id f
+(* Every [Seq_scan] arm runs here: the filter is staged once for this
+   execution, each visible row counts as scanned and each kept one as
+   read. *)
+let scan_table ~params (txn : Txn.t) table filter f =
+  let c = txn.Txn.counters in
+  let keep = (Expr.bind_filter filter params).Expr.holds in
+  Heap.scan table ~ts:txn.Txn.snapshot ~reader:txn.Txn.id (fun _tid row ->
+      c.Txn.rows_scanned <- c.Txn.rows_scanned + 1;
+      if keep row then begin
+        c.Txn.rows_read <- c.Txn.rows_read + 1;
+        f row
+      end)
+
+(* Fetch [tids] in TID order at the snapshot, counting each visible row
+   as read; [f] sees the rows [keep] (a bound filter) accepts. *)
+let fetch_sorted (txn : Txn.t) table keep tids f =
+  let c = txn.Txn.counters in
+  List.iter
+    (fun tid ->
+      match snap_get txn table tid with
+      | None -> ()
+      | Some row ->
+          c.Txn.rows_read <- c.Txn.rows_read + 1;
+          if keep row then f row)
+    (List.sort Stdlib.compare tids)
+
+(* One index nested-loop probe: rows of [table] under [key] (a full key,
+   or a prefix of an ordered index) that [keep] accepts.  A NULL key
+   component matches nothing and costs no probe. *)
+let probe_inner (txn : Txn.t) table index keep key f =
+  if not (Array.exists Value.is_null key) then begin
+    let c = txn.Txn.counters in
+    c.Txn.index_probes <- c.Txn.index_probes + 1;
+    let tids =
+      if Array.length key = Array.length (Index.key_cols index) then Index.find index key
+      else
+        Index.fold_prefix_range index ~prefix:key ~init:[]
+          ~f:(fun acc _k ts -> List.rev_append ts acc)
+          ()
+    in
+    fetch_sorted txn table keep tids f
+  end
 
 let rec run_raw ?(params = [||]) (txn : Txn.t) (plan : Plan.t) : Value.t array list =
   let c = txn.Txn.counters in
@@ -164,31 +204,15 @@ let rec run_raw ?(params = [||]) (txn : Txn.t) (plan : Plan.t) : Value.t array l
   | Plan.Empty _ -> []
   | Plan.Seq_scan { table; filter } ->
       let out = ref [] in
-      snap_iter txn table (fun _tid row ->
-          c.Txn.rows_scanned <- c.Txn.rows_scanned + 1;
-          let keep =
-            match filter with None -> true | Some f -> f.Expr.ce_pred params row
-          in
-          if keep then begin
-            c.Txn.rows_read <- c.Txn.rows_read + 1;
-            out := row :: !out
-          end);
+      scan_table ~params txn table filter (fun row -> out := row :: !out);
       List.rev !out
   | Plan.Index_scan { table; index; key; filter } ->
       c.Txn.index_probes <- c.Txn.index_probes + 1;
       let key = Array.map (fun e -> e.Expr.ce_eval params [||]) key in
-      let tids = List.sort Stdlib.compare (Index.find index key) in
-      List.filter_map
-        (fun tid ->
-          match snap_get txn table tid with
-          | None -> None
-          | Some row ->
-              c.Txn.rows_read <- c.Txn.rows_read + 1;
-              let keep =
-                match filter with None -> true | Some f -> f.Expr.ce_pred params row
-              in
-              if keep then Some row else None)
-        tids
+      let out = ref [] in
+      fetch_sorted txn table (Expr.bind_filter filter params).Expr.holds (Index.find index key)
+        (fun row -> out := row :: !out);
+      List.rev !out
   | Plan.Index_range { table; index; prefix; lo; hi; filter } ->
       c.Txn.index_probes <- c.Txn.index_probes + 1;
       let prefix = Array.map (fun e -> e.Expr.ce_eval params [||]) prefix in
@@ -199,17 +223,10 @@ let rec run_raw ?(params = [||]) (txn : Txn.t) (plan : Plan.t) : Value.t array l
           ~f:(fun acc _k ts -> List.rev_append ts acc)
           ()
       in
-      List.filter_map
-        (fun tid ->
-          match snap_get txn table tid with
-          | None -> None
-          | Some row ->
-              c.Txn.rows_read <- c.Txn.rows_read + 1;
-              let keep =
-                match filter with None -> true | Some f -> f.Expr.ce_pred params row
-              in
-              if keep then Some row else None)
-        (List.sort Stdlib.compare tids)
+      let out = ref [] in
+      fetch_sorted txn table (Expr.bind_filter filter params).Expr.holds tids (fun row ->
+          out := row :: !out);
+      List.rev !out
   | Plan.Index_min { table; index; prefix; asc } ->
       c.Txn.index_probes <- c.Txn.index_probes + 1;
       c.Txn.rows_read <- c.Txn.rows_read + 1;
@@ -229,58 +246,29 @@ let rec run_raw ?(params = [||]) (txn : Txn.t) (plan : Plan.t) : Value.t array l
       [ [| v |] ]
   | Plan.Index_nl_join { outer; inner_table; index; outer_keys; inner_filter; cond } ->
       let outer_rows = run ~params txn outer in
+      let keep_inner = (Expr.bind_filter inner_filter params).Expr.holds in
+      let keep = (Expr.bind_filter cond params).Expr.holds in
       let out = ref [] in
       List.iter
         (fun orow ->
-          let key = Array.map (fun e -> e.Expr.ce_eval params orow) outer_keys in
-          if not (Array.exists Value.is_null key) then begin
-            c.Txn.index_probes <- c.Txn.index_probes + 1;
-            let tids =
-              if Array.length key = Array.length (Index.key_cols index) then
-                Index.find index key
-              else
-                (* probe an ordered index on a key prefix *)
-                Index.fold_prefix_range index ~prefix:key ~init:[]
-                  ~f:(fun acc _k ts -> List.rev_append ts acc)
-                  ()
-            in
-            List.iter
-              (fun tid ->
-                match snap_get txn inner_table tid with
-                | None -> ()
-                | Some irow ->
-                    c.Txn.rows_read <- c.Txn.rows_read + 1;
-                    let keep_inner =
-                      match inner_filter with
-                      | None -> true
-                      | Some f -> f.Expr.ce_pred params irow
-                    in
-                    if keep_inner then begin
-                      let row = Array.append orow irow in
-                      let keep =
-                        match cond with
-                        | None -> true
-                        | Some f -> f.Expr.ce_pred params row
-                      in
-                      if keep then out := row :: !out
-                    end)
-              (List.sort Stdlib.compare tids)
-          end)
+          probe_inner txn inner_table index keep_inner
+            (Array.map (fun e -> e.Expr.ce_eval params orow) outer_keys)
+            (fun irow ->
+              let row = Array.append orow irow in
+              if keep row then out := row :: !out))
         outer_rows;
       List.rev !out
   | Plan.Nested_loop { outer; inner; cond } ->
       let outer_rows = run ~params txn outer in
       let inner_rows = run ~params txn inner in
+      let keep = (Expr.bind_filter cond params).Expr.holds in
       let out = ref [] in
       List.iter
         (fun orow ->
           List.iter
             (fun irow ->
               let row = Array.append orow irow in
-              let keep =
-                match cond with None -> true | Some f -> f.Expr.ce_pred params row
-              in
-              if keep then out := row :: !out)
+              if keep row then out := row :: !out)
             inner_rows)
         outer_rows;
       List.rev !out
@@ -296,6 +284,7 @@ let rec run_raw ?(params = [||]) (txn : Txn.t) (plan : Plan.t) : Value.t array l
           end)
         inner_rows;
       let outer_rows = run ~params txn outer in
+      let keep = (Expr.bind_filter cond params).Expr.holds in
       let out = ref [] in
       List.iter
         (fun orow ->
@@ -308,16 +297,12 @@ let rec run_raw ?(params = [||]) (txn : Txn.t) (plan : Plan.t) : Value.t array l
                 List.iter
                   (fun irow ->
                     let row = Array.append orow irow in
-                    let keep =
-                      match cond with None -> true | Some f -> f.Expr.ce_pred params row
-                    in
-                    if keep then out := row :: !out)
+                    if keep row then out := row :: !out)
                   (List.rev irows)
           end)
         outer_rows;
       List.rev !out
-  | Plan.Filter (p, f) ->
-      List.filter (fun row -> f.Expr.ce_pred params row) (run ~params txn p)
+  | Plan.Filter (p, f) -> List.filter (f.Expr.ce_pred params).Expr.holds (run ~params txn p)
   | Plan.Project (p, exprs) ->
       List.map
         (fun row -> Array.map (fun e -> e.Expr.ce_eval params row) exprs)
@@ -399,45 +384,29 @@ and run_limited_raw ?(params = [||]) (txn : Txn.t) (plan : Plan.t) n : Value.t a
     | Plan.Index_scan { table; index; key; filter } ->
         c.Txn.index_probes <- c.Txn.index_probes + 1;
         let key = Array.map (fun e -> e.Expr.ce_eval params [||]) key in
-        let tids = List.sort Stdlib.compare (Index.find index key) in
+        let keep = (Expr.bind_filter filter params).Expr.holds in
         let out = ref [] and count = ref 0 in
+        (* stop right after the n-th row: no further row is fetched or
+           counted *)
         (try
-           List.iter
-             (fun tid ->
-               if !count >= n then raise Exit;
-               match snap_get txn table tid with
-               | None -> ()
-               | Some row ->
-                   c.Txn.rows_read <- c.Txn.rows_read + 1;
-                   let keep =
-                     match filter with None -> true | Some f -> f.Expr.ce_pred params row
-                   in
-                   if keep then begin
-                     out := row :: !out;
-                     incr count
-                   end)
-             tids
+           fetch_sorted txn table keep (Index.find index key) (fun row ->
+               out := row :: !out;
+               incr count;
+               if !count >= n then raise Exit)
          with Exit -> ());
         List.rev !out
     | Plan.Seq_scan { table; filter } ->
         let out = ref [] and count = ref 0 in
         (try
-           snap_iter txn table (fun _tid row ->
-               if !count >= n then raise Exit;
-               c.Txn.rows_scanned <- c.Txn.rows_scanned + 1;
-               let keep =
-                 match filter with None -> true | Some f -> f.Expr.ce_pred params row
-               in
-               if keep then begin
-                 c.Txn.rows_read <- c.Txn.rows_read + 1;
-                 out := row :: !out;
-                 incr count
-               end)
+           scan_table ~params txn table filter (fun row ->
+               out := row :: !out;
+               incr count;
+               if !count >= n then raise Exit)
          with Exit -> ());
         List.rev !out
     | Plan.Filter (p, f) ->
         (* no early cut below a filter without a streaming executor *)
-        take n (List.filter (fun row -> f.Expr.ce_pred params row) (run ~params txn p))
+        take n (List.filter (f.Expr.ce_pred params).Expr.holds (run ~params txn p))
     | Plan.Limit (p, m) -> run_limited ~params txn p (min n m)
     | other -> take n (run ~params txn other)
 
@@ -473,66 +442,30 @@ let rec iter_plan ?(params = [||]) (txn : Txn.t) (plan : Plan.t) (f : Value.t ar
   match plan with
   | Plan.Values rows -> List.iter f rows
   | Plan.Empty _ -> ()
-  | Plan.Seq_scan { table; filter } ->
-      snap_iter txn table (fun _tid row ->
-          c.Txn.rows_scanned <- c.Txn.rows_scanned + 1;
-          let keep =
-            match filter with None -> true | Some p -> p.Expr.ce_pred params row
-          in
-          if keep then begin
-            c.Txn.rows_read <- c.Txn.rows_read + 1;
-            f row
-          end)
+  | Plan.Seq_scan { table; filter } -> scan_table ~params txn table filter f
   | Plan.Filter (p, pred) ->
-      iter_plan ~params txn p (fun row -> if pred.Expr.ce_pred params row then f row)
+      let keep = (pred.Expr.ce_pred params).Expr.holds in
+      iter_plan ~params txn p (fun row -> if keep row then f row)
   | Plan.Project (p, exprs) ->
       iter_plan ~params txn p (fun row ->
           f (Array.map (fun e -> e.Expr.ce_eval params row) exprs))
   | Plan.Index_nl_join { outer; inner_table; index; outer_keys; inner_filter; cond } ->
+      let keep_inner = (Expr.bind_filter inner_filter params).Expr.holds in
+      let keep = (Expr.bind_filter cond params).Expr.holds in
       iter_plan ~params txn outer (fun orow ->
-          let key = Array.map (fun e -> e.Expr.ce_eval params orow) outer_keys in
-          if not (Array.exists Value.is_null key) then begin
-            c.Txn.index_probes <- c.Txn.index_probes + 1;
-            let tids =
-              if Array.length key = Array.length (Index.key_cols index) then
-                Index.find index key
-              else
-                Index.fold_prefix_range index ~prefix:key ~init:[]
-                  ~f:(fun acc _k ts -> List.rev_append ts acc)
-                  ()
-            in
-            List.iter
-              (fun tid ->
-                match snap_get txn inner_table tid with
-                | None -> ()
-                | Some irow ->
-                    c.Txn.rows_read <- c.Txn.rows_read + 1;
-                    let keep_inner =
-                      match inner_filter with
-                      | None -> true
-                      | Some p -> p.Expr.ce_pred params irow
-                    in
-                    if keep_inner then begin
-                      let row = Array.append orow irow in
-                      let keep =
-                        match cond with
-                        | None -> true
-                        | Some p -> p.Expr.ce_pred params row
-                      in
-                      if keep then f row
-                    end)
-              (List.sort Stdlib.compare tids)
-          end)
+          probe_inner txn inner_table index keep_inner
+            (Array.map (fun e -> e.Expr.ce_eval params orow) outer_keys)
+            (fun irow ->
+              let row = Array.append orow irow in
+              if keep row then f row))
   | Plan.Nested_loop { outer; inner; cond } ->
       let inner_rows = run ~params txn inner in
+      let keep = (Expr.bind_filter cond params).Expr.holds in
       iter_plan ~params txn outer (fun orow ->
           List.iter
             (fun irow ->
               let row = Array.append orow irow in
-              let keep =
-                match cond with None -> true | Some p -> p.Expr.ce_pred params row
-              in
-              if keep then f row)
+              if keep row then f row)
             inner_rows)
   | Plan.Hash_join { outer; inner; outer_keys; inner_keys; cond } ->
       let inner_rows = run ~params txn inner in
@@ -545,6 +478,7 @@ let rec iter_plan ?(params = [||]) (txn : Txn.t) (plan : Plan.t) (f : Value.t ar
             Key_tbl.replace tbl k (irow :: existing)
           end)
         inner_rows;
+      let keep = (Expr.bind_filter cond params).Expr.holds in
       iter_plan ~params txn outer (fun orow ->
           let k = Array.map (fun e -> e.Expr.ce_eval params orow) outer_keys in
           if not (Array.exists Value.is_null k) then begin
@@ -555,12 +489,7 @@ let rec iter_plan ?(params = [||]) (txn : Txn.t) (plan : Plan.t) (f : Value.t ar
                 List.iter
                   (fun irow ->
                     let row = Array.append orow irow in
-                    let keep =
-                      match cond with
-                      | None -> true
-                      | Some p -> p.Expr.ce_pred params row
-                    in
-                    if keep then f row)
+                    if keep row then f row)
                   (List.rev irows)
           end)
   | Plan.Index_scan _ | Plan.Index_range _ | Plan.Index_min _ | Plan.Aggregate _

@@ -287,6 +287,16 @@ let eval_pred_env params row e =
 (* on values *and* on raised [Eval_error]s.                            *)
 (* ------------------------------------------------------------------ *)
 
+(* [v IN (items)] for a non-NULL [v], items evaluated in order: hit,
+   else unknown after a NULL item, else false.  Top-level and recursive
+   so the row test allocates nothing. *)
+let rec in_items p r v saw_null = function
+  | [] -> if saw_null then -1 else 0
+  | f :: rest -> (
+      match f p r with
+      | Value.Null -> in_items p r v true rest
+      | w -> if Value.equal v w then 1 else in_items p r v saw_null rest)
+
 let rec compile_env (e : t) : Value.t array -> Value.t array -> Value.t =
   match e with
   | Const v -> fun _ _ -> v
@@ -331,21 +341,11 @@ let rec compile_env (e : t) : Value.t array -> Value.t array -> Value.t =
       fun p r -> (
         match fa p r with
         | Value.Null -> Value.Null
-        | v ->
-            let saw_null = ref false in
-            let hit =
-              List.exists
-                (fun fitem ->
-                  match fitem p r with
-                  | Value.Null ->
-                      saw_null := true;
-                      false
-                  | w -> Value.equal v w)
-                fitems
-            in
-            if hit then Value.Bool true
-            else if !saw_null then Value.Null
-            else Value.Bool false)
+        | v -> (
+            match in_items p r v false fitems with
+            | 1 -> Value.Bool true
+            | 0 -> Value.Bool false
+            | _ -> Value.Null))
   | Between (a, lo, hi) ->
       let fa = compile_env a and flo = compile_env lo and fhi = compile_env hi in
       fun p r -> (
@@ -544,14 +544,30 @@ and compile_fn name args : Value.t array -> Value.t array -> Value.t =
   | other -> fail "unknown function %S" other
 
 (* ------------------------------------------------------------------ *)
-(* Fused predicate compilation                                         *)
+(* Staged predicates                                                   *)
 (*                                                                     *)
 (* A predicate over comparisons / AND / OR / NOT / BETWEEN / IN /       *)
-(* IS NULL never needs the intermediate [Value.Bool] boxes: evaluate    *)
-(* three-valued logic directly as an unboxed int (1 true, 0 false,      *)
-(* -1 unknown).  Fusion is restricted to shapes whose interpreter       *)
-(* result is provably Bool/Null (or an error the fused form raises      *)
-(* identically); anything else falls back to the value compiler.        *)
+(* IS NULL never needs the intermediate [Value.Bool] boxes: it is       *)
+(* evaluated as an unboxed three-valued int (1 true, 0 false, -1        *)
+(* unknown).  [boolish] restricts this to shapes whose interpreter      *)
+(* result is provably Bool/Null (or an error raised identically);       *)
+(* anything else goes through the value compiler.                       *)
+(*                                                                     *)
+(* A filter runs once per row, but its constants and parameters do not *)
+(* change within one execution.  Staging splits the work: binding the  *)
+(* parameters evaluates every row-independent subtree once, folds the  *)
+(* AND/OR/NOT around it, and specialises the common leaves —           *)
+(* [Field op value], [Field IN (values)], [Field BETWEEN value AND      *)
+(* value] — into closures that read the field and, for an [Int] against *)
+(* an [Int], compare inline.  Every other pair goes through             *)
+(* [Value.compare], so mixed-type results are unchanged.                *)
+(*                                                                     *)
+(* Error precedence is the interpreter's: a row-independent subtree    *)
+(* that raises (an unbound [$n], say) is recorded at binding time and  *)
+(* re-raised only when a row evaluates it.  Where the interpreter's    *)
+(* order of evaluation could let a row error win over it, the node     *)
+(* keeps its generic form, which evaluates operands exactly as the     *)
+(* interpreter does.                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let rec boolish = function
@@ -562,122 +578,304 @@ let rec boolish = function
   | In_list _ | Between _ | Is_null _ -> true
   | _ -> false
 
-let rec compile_p3 (e : t) : Value.t array -> Value.t array -> int =
-  match e with
-  | Const (Value.Bool b) ->
-      let v = if b then 1 else 0 in
-      fun _ _ -> v
-  | Const Value.Null -> fun _ _ -> -1
-  | Binop ((Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op, a, b) ->
-      let fa = compile_env a and fb = compile_env b in
-      fun p r -> (
+(* [all_leaves ok e]: every [Const] / [Param] / [Field] leaf satisfies [ok]. *)
+let rec all_leaves ok = function
+  | (Const _ | Param _ | Field _) as leaf -> ok leaf
+  | Binop (_, a, b) -> all_leaves ok a && all_leaves ok b
+  | Unop (_, a) | Is_null (a, _) -> all_leaves ok a
+  | Fn (_, args) -> List.for_all (all_leaves ok) args
+  | Case (branches, els) ->
+      List.for_all (fun (c, v) -> all_leaves ok c && all_leaves ok v) branches
+      && Option.fold ~none:true ~some:(all_leaves ok) els
+  | In_list (a, items) -> all_leaves ok a && List.for_all (all_leaves ok) items
+  | Between (a, b, c) -> all_leaves ok a && all_leaves ok b && all_leaves ok c
+
+let row_independent = all_leaves (function Field _ -> false | _ -> true)
+
+type bound = { holds : Value.t array -> bool } [@@unboxed]
+
+(* A three-valued verdict as staged for one binding. *)
+type staged =
+  | Known of int  (* the same verdict for every row *)
+  | Raises of exn  (* a row-independent error, raised for every row *)
+  | Per_row of (Value.t array -> int)
+
+let per_row = function
+  | Known k -> fun _ -> k
+  | Raises e -> fun _ -> raise e
+  | Per_row f -> f
+
+let verdict ok = if ok then 1 else 0
+
+let cmp_ok op c =
+  match op with
+  | Ast.Eq -> c = 0
+  | Ast.Neq -> c <> 0
+  | Ast.Lt -> c < 0
+  | Ast.Le -> c <= 0
+  | Ast.Gt -> c > 0
+  | Ast.Ge -> c >= 0
+  | _ -> assert false
+
+(* [a op b] = [b (flip op) a]: [Value.compare] is antisymmetric. *)
+let flip_cmp = function
+  | Ast.Lt -> Ast.Gt
+  | Ast.Le -> Ast.Ge
+  | Ast.Gt -> Ast.Lt
+  | Ast.Ge -> Ast.Le
+  | op -> op
+
+let[@inline] field_at i r =
+  if i < 0 || i >= Array.length r then err "field %d out of row bounds" i
+  else Array.unsafe_get r i
+
+(* [v op k] for a field value [v]. *)
+let cmp_value op v k = match v with Value.Null -> -1 | v -> verdict (cmp_ok op (Value.compare v k))
+
+(* [row_side op k] with [k] already evaluated: the row side is the only
+   thing left that can raise, so evaluation order no longer matters. *)
+let stage_cmp op (row_side : t) : Value.t array -> Value.t -> staged =
+  let f = compile_env row_side in
+  fun p k ->
+    match (row_side, k) with
+    | _, Value.Null ->
+        Per_row
+          (fun r ->
+            ignore (f p r : Value.t);
+            -1)
+    | Field i, Value.Int n ->
+        (* the row test is a field load, a tag test and an int compare *)
+        Per_row
+          (fun r ->
+            match field_at i r with
+            | Value.Int x -> verdict (cmp_ok op (Int.compare x n))
+            | v -> cmp_value op v k)
+    | Field i, _ -> Per_row (fun r -> cmp_value op (field_at i r) k)
+    | _ -> Per_row (fun r -> cmp_value op (f p r) k)
+
+(* [a IN (items)] with every item evaluated: [hits] are the non-NULL
+   values before the first failing item, [miss] what a value matching
+   none of them yields — the failure, else unknown after a NULL item,
+   else false. *)
+let stage_in (a : t) : Value.t array -> Value.t list -> (unit -> int) -> staged =
+  let fa = compile_env a in
+  fun p hits miss ->
+    let generic v = if List.exists (Value.equal v) hits then 1 else miss () in
+    let ints = List.filter_map (function Value.Int n -> Some n | _ -> None) hits in
+    match (a, ints) with
+    | Field i, [ n ] when List.length hits = 1 ->
+        Per_row
+          (fun r ->
+            match field_at i r with
+            | Value.Int x -> if x = n then 1 else miss ()
+            | Value.Null -> -1
+            | v -> generic v)
+    | Field i, _ :: _ when List.length ints = List.length hits ->
+        let ints = Array.of_list ints in
+        let rec mem x j = j < Array.length ints && (Array.unsafe_get ints j = x || mem x (j + 1)) in
+        Per_row
+          (fun r ->
+            match field_at i r with
+            | Value.Int x -> if mem x 0 then 1 else miss ()
+            | Value.Null -> -1
+            | v -> generic v)
+    | _ -> Per_row (fun r -> match fa p r with Value.Null -> -1 | v -> generic v)
+
+let stage_not = function
+  | Known k -> Known (if k = 1 then 0 else if k = 0 then 1 else -1)
+  | Raises _ as s -> s
+  | Per_row f -> Per_row (fun r -> match f r with 1 -> 0 | 0 -> 1 | _ -> -1)
+
+(* AND ([d] = 0) and OR ([d] = 1): a left side equal to [d] decides
+   without evaluating the right; the other known value defers to the
+   right; unknown yields [d] only if the right side does. *)
+let stage_junction d a b =
+  match (a, b) with
+  | Raises _, _ -> a
+  | Known k, _ when k = d -> a
+  | Known k, _ when k = 1 - d -> b
+  | Known _, Known k -> if k = d then b else a
+  | Known _, Raises _ -> b
+  | Known _, Per_row fb -> Per_row (fun r -> if fb r = d then d else -1)
+  | Per_row fa, _ ->
+      let fb = per_row b in
+      Per_row
+        (fun r ->
+          let x = fa r in
+          if x = d then d else if x = 1 - d then fb r else if fb r = d then d else -1)
+
+let fixed f p = match f p [||] with v -> Ok v | exception e -> Error e
+
+(* The generic forms evaluate operands exactly as [eval_env] does (the
+   same tuple patterns), so they are the reference each specialisation
+   falls back to. *)
+let generic_cmp op a b =
+  let fa = compile_env a and fb = compile_env b in
+  fun p ->
+    Per_row
+      (fun r ->
         match (fa p r, fb p r) with
         | Value.Null, _ | _, Value.Null -> -1
-        | va, vb ->
-            let c = Value.compare va vb in
-            let ok =
-              match op with
-              | Ast.Eq -> c = 0
-              | Ast.Neq -> c <> 0
-              | Ast.Lt -> c < 0
-              | Ast.Le -> c <= 0
-              | Ast.Gt -> c > 0
-              | Ast.Ge -> c >= 0
-              | _ -> assert false
-            in
-            if ok then 1 else 0)
-  | Binop (Ast.And, a, b) ->
-      let fa = compile_p3 a and fb = compile_p3 b in
-      fun p r -> (
-        match fa p r with 0 -> 0 | 1 -> fb p r | _ -> if fb p r = 0 then 0 else -1)
-  | Binop (Ast.Or, a, b) ->
-      let fa = compile_p3 a and fb = compile_p3 b in
-      fun p r -> (
-        match fa p r with 1 -> 1 | 0 -> fb p r | _ -> if fb p r = 1 then 1 else -1)
-  | Unop (Ast.Not, a) ->
-      let fa = compile_p3 a in
-      fun p r -> ( match fa p r with 1 -> 0 | 0 -> 1 | _ -> -1)
-  | Between (a, lo, hi) ->
-      let fa = compile_env a and flo = compile_env lo and fhi = compile_env hi in
-      fun p r -> (
+        | va, vb -> verdict (cmp_ok op (Value.compare va vb)))
+
+let generic_between a lo hi =
+  let fa = compile_env a and flo = compile_env lo and fhi = compile_env hi in
+  fun p ->
+    Per_row
+      (fun r ->
         match (fa p r, flo p r, fhi p r) with
         | Value.Null, _, _ | _, Value.Null, _ | _, _, Value.Null -> -1
-        | v, l, h -> if Value.compare l v <= 0 && Value.compare v h <= 0 then 1 else 0)
+        | v, l, h -> verdict (Value.compare l v <= 0 && Value.compare v h <= 0))
+
+(* [stage_p3 e] compiles once; applying the result to a parameter
+   binding does the per-binding work and returns the row test. *)
+let rec stage_p3 (e : t) : Value.t array -> staged =
+  let s = stage_node e in
+  if not (row_independent e) then s
+  else fun p ->
+    (* evaluate once; a failure is kept for the rows that reach it *)
+    match s p with
+    | Per_row f -> ( match f [||] with k -> Known k | exception ex -> Raises ex)
+    | known -> known
+
+and stage_node (e : t) : Value.t array -> staged =
+  match e with
+  | Const (Value.Bool b) ->
+      let k = Known (verdict b) in
+      fun _ -> k
+  | Const Value.Null -> fun _ -> Known (-1)
+  | Binop ((Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op, a, b)
+    when row_independent a <> row_independent b ->
+      let op, row_side, fixed_side =
+        if row_independent b then (op, a, b) else (flip_cmp op, b, a)
+      in
+      let fk = compile_env fixed_side and staged = stage_cmp op row_side
+      and generic = generic_cmp op a b in
+      fun p -> ( match fixed fk p with Ok k -> staged p k | Error _ -> generic p)
+  | Binop ((Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op, a, b) ->
+      generic_cmp op a b
+  | Binop (Ast.And, a, b) ->
+      let sa = stage_p3 a and sb = stage_p3 b in
+      fun p -> stage_junction 0 (sa p) (sb p)
+  | Binop (Ast.Or, a, b) ->
+      let sa = stage_p3 a and sb = stage_p3 b in
+      fun p -> stage_junction 1 (sa p) (sb p)
+  | Unop (Ast.Not, a) ->
+      let sa = stage_p3 a in
+      fun p -> stage_not (sa p)
+  | In_list (a, items) when List.for_all row_independent items ->
+      (* [a] is evaluated first and the items in order, so an item's
+         failure can be deferred into the miss path exactly. *)
+      let fitems = List.map compile_env items and staged = stage_in a in
+      fun p ->
+        let rec bind hits nulls = function
+          | [] ->
+              let k = if nulls then -1 else 0 in
+              (List.rev hits, fun () -> k)
+          | f :: rest -> (
+              match fixed f p with
+              | Ok Value.Null -> bind hits true rest
+              | Ok v -> bind (v :: hits) nulls rest
+              | Error ex -> (List.rev hits, fun () -> raise ex))
+        in
+        let hits, miss = bind [] false fitems in
+        staged p hits miss
   | In_list (a, items) ->
-      let fa = compile_env a in
-      let fitems = List.map compile_env items in
-      fun p r -> (
-        match fa p r with
-        | Value.Null -> -1
-        | v ->
-            let saw_null = ref false in
-            let hit =
-              List.exists
-                (fun fitem ->
-                  match fitem p r with
-                  | Value.Null ->
-                      saw_null := true;
-                      false
-                  | w -> Value.equal v w)
-                fitems
-            in
-            if hit then 1 else if !saw_null then -1 else 0)
+      let fa = compile_env a and fitems = List.map compile_env items in
+      fun p ->
+        Per_row (fun r -> match fa p r with Value.Null -> -1 | v -> in_items p r v false fitems)
+  | Between (a, lo, hi) when row_independent lo && row_independent hi ->
+      let fa = compile_env a and flo = compile_env lo and fhi = compile_env hi in
+      let generic = generic_between a lo hi in
+      fun p -> (
+        match (fixed flo p, fixed fhi p) with
+        | Ok Value.Null, Ok _ | Ok _, Ok Value.Null ->
+            Per_row
+              (fun r ->
+                ignore (fa p r : Value.t);
+                -1)
+        | Ok l, Ok h -> (
+            match (a, l, h) with
+            | Field i, Value.Int l_int, Value.Int h_int ->
+                Per_row
+                  (fun r ->
+                    match field_at i r with
+                    | Value.Int x -> verdict (l_int <= x && x <= h_int)
+                    | Value.Null -> -1
+                    | v -> verdict (Value.compare l v <= 0 && Value.compare v h <= 0))
+            | _ ->
+                Per_row
+                  (fun r ->
+                    match fa p r with
+                    | Value.Null -> -1
+                    | v -> verdict (Value.compare l v <= 0 && Value.compare v h <= 0)))
+        | _ -> generic p)
+  | Between (a, lo, hi) -> generic_between a lo hi
   | Is_null (a, want_null) ->
       let fa = compile_env a in
-      fun p r -> if Value.is_null (fa p r) = want_null then 1 else 0
+      fun p -> Per_row (fun r -> verdict (Value.is_null (fa p r) = want_null))
   | e ->
-      (* Unreachable through [boolish]-guarded entry; kept total. *)
+      (* unreachable through the [boolish]-guarded entry; kept total *)
       let f = compile_env e in
-      fun p r -> (
-        match f p r with
-        | Value.Bool true -> 1
-        | Value.Bool false -> 0
-        | Value.Null -> -1
-        | v -> err "predicate applied to %s" (Value.type_name v))
+      fun p ->
+        Per_row
+          (fun r ->
+            match f p r with
+            | Value.Bool true -> 1
+            | Value.Bool false -> 0
+            | Value.Null -> -1
+            | v -> err "predicate applied to %s" (Value.type_name v))
 
-let compile_pred_env e : Value.t array -> Value.t array -> bool =
-  if boolish e then
-    let f = compile_p3 e in
-    fun p r -> f p r = 1
-  else
-    let f = compile_env e in
-    fun p r -> ( match f p r with Value.Bool true -> true | _ -> false)
+let always = { holds = (fun _ -> true) }
 
-(* Row-only entry points (no parameter environment). *)
-let compile e : Value.t array -> Value.t =
-  let f = compile_env e in
-  fun row -> f [||] row
+let never = { holds = (fun _ -> false) }
 
-let compile_pred e : Value.t array -> bool =
-  let f = compile_pred_env e in
-  fun row -> f [||] row
+let raising ex = { holds = (fun _ -> raise ex) }
+
+let stage_pred e : Value.t array -> bound =
+  let bind =
+    if boolish e then
+      let s = stage_p3 e in
+      fun p ->
+        match s p with
+        | Known 1 -> always
+        | Known _ -> never
+        | Raises ex -> raising ex
+        | Per_row f -> { holds = (fun r -> f r = 1) }
+    else
+      let f = compile_env e in
+      if row_independent e then fun p ->
+        match f p [||] with
+        | Value.Bool true -> always
+        | _ -> never
+        | exception ex -> raising ex
+      else fun p -> { holds = (fun r -> match f p r with Value.Bool true -> true | _ -> false) }
+  in
+  (* with no parameter to bind, one binding serves every execution *)
+  if all_leaves (function Param _ -> false | _ -> true) e then
+    let b = bind [||] in
+    fun _ -> b
+  else bind
 
 (* A compiled expression as held by physical plan nodes: the source tree
-   (for EXPLAIN / describe) alongside its value and predicate closures. *)
+   (for EXPLAIN / describe) alongside its value closure and its staged
+   predicate. *)
 type cexpr = {
   ce_expr : t;
   ce_eval : Value.t array -> Value.t array -> Value.t;
-  ce_pred : Value.t array -> Value.t array -> bool;
+  ce_pred : Value.t array -> bound;
 }
 
-let prepare e = { ce_expr = e; ce_eval = compile_env e; ce_pred = compile_pred_env e }
+let prepare e = { ce_expr = e; ce_eval = compile_env e; ce_pred = stage_pred e }
+
+let bind_filter filter params =
+  match filter with None -> always | Some f -> f.ce_pred params
 
 (* ------------------------------------------------------------------ *)
 (* Structural helpers                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let rec is_const = function
-  | Const _ -> true
-  | Param _ | Field _ -> false
-  | Binop (_, a, b) -> is_const a && is_const b
-  | Unop (_, a) -> is_const a
-  | Fn (_, args) -> List.for_all is_const args
-  | Case (branches, els) ->
-      List.for_all (fun (c, v) -> is_const c && is_const v) branches
-      && (match els with None -> true | Some e -> is_const e)
-  | In_list (a, items) -> is_const a && List.for_all is_const items
-  | Between (a, b, c) -> is_const a && is_const b && is_const c
-  | Is_null (a, _) -> is_const a
+let is_const = all_leaves (function Const _ -> true | _ -> false)
 
 let rec const_fold e =
   let e =

@@ -46,24 +46,30 @@ val compile_env : t -> Value.t array -> Value.t array -> Value.t
 (** Closure-compile: one tree walk, then [fun params row -> ...] with no
     per-row dispatch.  Agrees exactly with {!eval_env}. *)
 
-val compile : t -> Value.t array -> Value.t
-(** [compile e] is {!compile_env} specialised to an empty parameter
-    environment: [fun row -> ...]. *)
-
-val compile_pred_env : t -> Value.t array -> Value.t array -> bool
-(** Compiled predicate; boolean-shaped trees (comparisons, AND/OR/NOT,
-    BETWEEN, IN, IS NULL) are fused into unboxed three-valued logic. *)
-
-val compile_pred : t -> Value.t array -> bool
+type bound = { holds : Value.t array -> bool } [@@unboxed]
+(** A predicate with its parameters bound: [holds row] is the row test
+    ([Null] and [Bool false] → [false]). *)
 
 type cexpr = {
   ce_expr : t;  (** source tree, for EXPLAIN / plan description *)
   ce_eval : Value.t array -> Value.t array -> Value.t;
-  ce_pred : Value.t array -> Value.t array -> bool;
+  ce_pred : Value.t array -> bound;
+      (** Staged predicate: bind the parameters once per operator
+          execution, then test rows with [holds].  Binding evaluates the
+          row-independent parts (constants, parameters, and comparisons,
+          [IN], [BETWEEN], [AND]/[OR]/[NOT] over them) once, and
+          specialises [Field op value] / [Field IN (...)] / [Field BETWEEN
+          ...] leaves, with an inline path for [Int] against [Int].
+          Binding never raises: an error from a row-independent part is
+          raised by [holds], for each row that evaluates it — exactly the
+          rows, and the message, of {!eval_pred_env}. *)
 }
 (** A compiled expression as held by physical plan nodes. *)
 
 val prepare : t -> cexpr
+
+val bind_filter : cexpr option -> Value.t array -> bound
+(** [ce_pred] of an optional filter; [None] keeps every row. *)
 
 val is_const : t -> bool
 

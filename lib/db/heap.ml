@@ -376,33 +376,42 @@ let stamp t tid ~writer ~ts =
 (* Snapshot reads (latch-free)                                         *)
 (* ------------------------------------------------------------------ *)
 
-let rec chain_visible ~ts v =
-  if v.v_writer = 0 && v.v_begin <= ts then Some v
-  else match v.v_older with None -> None | Some o -> chain_visible ~ts o
+(* The reader id that sees every head version — the newest write of any
+   transaction, committed or not.  BullFrog's interception scans read
+   this way (trigger semantics); it never walks a chain. *)
+let latest = -1
+
+let rec chain_row ~ts v =
+  if v.v_writer = 0 && v.v_begin <= ts then v.v_row
+  else match v.v_older with None -> tombstone | Some o -> chain_row ~ts o
 
 (* Visibility: the newest version with a committed begin timestamp at or
-   below the snapshot, or the reader's own uncommitted write.  One
-   [Vec.get] loads an immutable descriptor, so the check never tears and
-   never latches; the chain walk is the (counted) slow path. *)
-let visible_version t ~ts ~reader tid =
-  let v = Vec.get t.vers tid in
-  if (v.v_writer = 0 && v.v_begin <= ts) || (reader > 0 && v.v_writer = reader) then Some v
+   below the snapshot, or the reader's own uncommitted write ([tombstone]
+   when none is visible).  One [Vec.get] loads an immutable descriptor,
+   so the check never tears and never latches.  The head test is inline
+   and returns the row itself — no [option] box — so a scan allocates
+   nothing per row; the chain walk is the (counted) slow path. *)
+let[@inline] visible_row ~ts ~reader v =
+  if reader < 0 || (if v.v_writer = 0 then v.v_begin <= ts else v.v_writer = reader) then
+    v.v_row
   else begin
     Obs.Counters.bump c_walks;
-    match v.v_older with None -> None | Some o -> chain_visible ~ts o
+    match v.v_older with None -> tombstone | Some o -> chain_row ~ts o
   end
 
 let snapshot_get t ~ts ~reader tid =
-  match visible_version t ~ts ~reader tid with
-  | Some v when v.v_row != tombstone -> Some v.v_row
-  | _ -> None
+  let row = visible_row ~ts ~reader (Vec.get t.vers tid) in
+  if row == tombstone then None else Some row
 
-let snapshot_iter t ~ts ~reader f =
-  let n = Vec.length t.vers in
-  for tid = 0 to n - 1 do
-    match visible_version t ~ts ~reader tid with
-    | Some v when v.v_row != tombstone -> f tid v.v_row
-    | _ -> ()
+(* The one full-scan loop of the engine: snapshot reads, [latest] reads
+   and every executor / access-path / migration scan run through it. *)
+let scan ?(lo = 0) ?hi t ~ts ~reader f =
+  let vers = t.vers in
+  let n = Vec.length vers in
+  let hi = match hi with Some h when h < n -> h | _ -> n in
+  for tid = max lo 0 to hi - 1 do
+    let row = visible_row ~ts ~reader (Vec.get vers tid) in
+    if row != tombstone then f tid row
   done
 
 (* ------------------------------------------------------------------ *)
@@ -543,8 +552,7 @@ let tid_count t = Vec.length t.slots
 
 let live_count t = t.live
 
-let iter_live t f =
-  Vec.iteri (fun tid row -> if row != tombstone then f tid row) t.slots
+let iter_live t f = scan t ~ts:max_int ~reader:latest f
 
 let fold_live t ~init ~f =
   let acc = ref init in

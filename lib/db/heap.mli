@@ -120,8 +120,18 @@ val snapshot_get : t -> ts:int -> reader:int -> int -> row option
     write ([reader = 0] for none).  [None] if the visible version is a
     tombstone or no version is visible. *)
 
-val snapshot_iter : t -> ts:int -> reader:int -> (int -> row -> unit) -> unit
-(** Latch-free scan of every row visible at snapshot [ts]. *)
+val latest : int
+(** The reader id that sees every slot's newest version, committed or
+    not ([ts] is then ignored).  SQL reads never use it; BullFrog's
+    interception scans do (trigger semantics). *)
+
+val scan : ?lo:int -> ?hi:int -> t -> ts:int -> reader:int -> (int -> row -> unit) -> unit
+(** Latch-free scan, in TID order, of every row visible to [ts]/[reader]
+    (as {!snapshot_get}) among TIDs [lo] to [hi - 1] (default: the
+    whole table).  The head version is tested inline and nothing is allocated
+    per row; only a head the reader cannot see walks its chain (counted
+    as [mvcc.version_walks]).  Every full scan in the engine runs through
+    this one loop. *)
 
 val rewrite_in_place : t -> int -> row -> unit
 (** Column-DDL rewrite: replace the slot's row in its current version
@@ -161,6 +171,7 @@ val tid_count : t -> int
 val live_count : t -> int
 
 val iter_live : t -> (int -> row -> unit) -> unit
+(** [scan ~reader:latest]: every live slot, uncommitted writes included. *)
 
 val fold_live : t -> init:'a -> f:('a -> int -> row -> 'a) -> 'a
 

@@ -217,7 +217,7 @@ let interp_compile_agree =
           (match iv with Ok v -> Value.to_string v | Error m -> "error: " ^ m)
           (match cv with Ok v -> Value.to_string v | Error m -> "error: " ^ m);
       let ip = outcome (fun () -> Expr.eval_pred_env params row e) in
-      let cp = outcome (fun () -> ce.Expr.ce_pred params row) in
+      let cp = outcome (fun () -> (ce.Expr.ce_pred params).Expr.holds row) in
       let preds_agree =
         match (ip, cp) with
         | Ok a, Ok b -> Bool.equal a b
@@ -229,6 +229,140 @@ let interp_compile_agree =
           (match ip with Ok b -> string_of_bool b | Error m -> "error: " ^ m)
           (match cp with Ok b -> string_of_bool b | Error m -> "error: " ^ m);
       true)
+
+(* ------------------------------------------------------------------ *)
+(* Staged predicate ≡ interpreter (randomised)                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The staged form binds the parameters once and then tests many rows;
+   the generator leans into what binding specialises: a field against
+   constants and parameters in either orientation, IN lists with NULL
+   items, BETWEEN, and NOT / AND / OR over them.  Values mix Int, Float,
+   Date, Str and NULL; parameters sit in every operand position and are
+   sometimes unbound; some rows are too short for the fields they name. *)
+
+let gen_mixed_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun i -> Value.Int i) (int_range (-2) 2));
+        (2, map (fun f -> Value.Float f) (oneofl [ -1.0; 0.0; 0.5; 2.0 ]));
+        (1, map (fun d -> Value.Date d) (int_range 0 2));
+        (1, map (fun s -> Value.Str s) (oneofl [ "a"; "1" ]));
+        (2, return Value.Null);
+      ])
+
+let gen_staged_expr =
+  let open QCheck.Gen in
+  let open Bullfrog_sql.Ast in
+  let fixed =
+    frequency
+      [
+        (3, map (fun v -> Expr.Const v) gen_mixed_value);
+        (3, map (fun i -> Expr.Param i) (int_range 0 (n_params - 1)));
+        (1, return (Expr.Param n_params));
+        ( 1,
+          map2
+            (fun a b -> Expr.Binop (Add, a, b))
+            (map (fun i -> Expr.Param i) (int_range 0 n_params))
+            (map (fun v -> Expr.Const v) gen_mixed_value) );
+      ]
+  in
+  let field = map (fun i -> Expr.Field i) (int_range 0 (row_arity - 1)) in
+  let operand = frequency [ (4, field); (3, fixed); (1, gen_expr) ] in
+  let leaf =
+    frequency
+      [
+        ( 4,
+          map3
+            (fun op a b -> Expr.Binop (op, a, b))
+            (oneofl [ Eq; Neq; Lt; Le; Gt; Ge ])
+            operand operand );
+        (3, map2 (fun a items -> Expr.In_list (a, items)) operand (list_size (int_range 0 4) fixed));
+        (2, map3 (fun a lo hi -> Expr.Between (a, lo, hi)) operand fixed fixed);
+        (1, map2 (fun a want -> Expr.Is_null (a, want)) operand bool);
+        (1, gen_expr);
+      ]
+  in
+  fix
+    (fun self n ->
+      if n = 0 then leaf
+      else
+        frequency
+          [
+            (2, leaf);
+            (1, map (fun a -> Expr.Unop (Not, a)) (self (n - 1)));
+            ( 2,
+              map3
+                (fun op a b -> Expr.Binop (op, a, b))
+                (oneofl [ And; Or ])
+                (self (n / 2))
+                (self (n / 2)) );
+          ])
+    4
+
+let gen_staged_case =
+  QCheck.Gen.(
+    triple gen_staged_expr
+      (array_size (return n_params) gen_mixed_value)
+      (list_size (int_range 0 8)
+         (array_size (frequency [ (5, return row_arity); (1, return (row_arity - 1)) ])
+            gen_mixed_value)))
+
+let print_staged_case (e, params, rows) =
+  let vals a = String.concat "; " (Array.to_list (Array.map Value.to_string a)) in
+  Printf.sprintf "expr: %s\nparams: [| %s |]\nrows: %s" (Expr.to_string e) (vals params)
+    (String.concat " " (List.map (fun r -> "[| " ^ vals r ^ " |]") rows))
+
+let staged_interp_agree =
+  QCheck.Test.make ~name:"staged predicate ≡ interpreter (one binding, many rows)" ~count:3000
+    (QCheck.make gen_staged_case ~print:print_staged_case)
+    (fun (e, params, rows) ->
+      let ce = Expr.prepare e in
+      (* binding never raises, whatever the parameters; only rows do *)
+      let bound =
+        match ce.Expr.ce_pred params with
+        | b -> b
+        | exception ex -> QCheck.Test.fail_reportf "binding raised %s" (Printexc.to_string ex)
+      in
+      List.iteri
+        (fun i row ->
+          let ip = outcome (fun () -> Expr.eval_pred_env params row e) in
+          let sp = outcome (fun () -> bound.Expr.holds row) in
+          let agree =
+            match (ip, sp) with
+            | Ok a, Ok b -> Bool.equal a b
+            | Error a, Error b -> String.equal a b
+            | _ -> false
+          in
+          if not agree then
+            QCheck.Test.fail_reportf "row %d:\ninterp: %s\nstaged: %s" i
+              (match ip with Ok b -> string_of_bool b | Error m -> "error: " ^ m)
+              (match sp with Ok b -> string_of_bool b | Error m -> "error: " ^ m))
+        rows;
+      true)
+
+let staged_edges () =
+  let open Bullfrog_sql.Ast in
+  let holds e params row = (( Expr.prepare e).Expr.ce_pred params).Expr.holds row in
+  let f0 = Expr.Field 0 and i n = Expr.Const (Value.Int n) in
+  (* unknown is not false: NOT flips false to true but keeps unknown *)
+  check Alcotest.bool "NOT (2 IN (1))" true (holds (Expr.Unop (Not, Expr.In_list (f0, [ i 1 ]))) [||] [| Value.Int 2 |]);
+  check Alcotest.bool "NOT (2 IN (1, NULL))" false
+    (holds (Expr.Unop (Not, Expr.In_list (f0, [ i 1; Expr.Const Value.Null ]))) [||] [| Value.Int 2 |]);
+  (* Int against Float and Date keeps Value.compare's answers *)
+  check Alcotest.bool "2.0 = 2" true (holds (Expr.Binop (Eq, f0, i 2)) [||] [| Value.Float 2.0 |]);
+  check Alcotest.bool "3 IN ($1) with $1 = 3.0" true
+    (holds (Expr.In_list (f0, [ Expr.Param 0 ])) [| Value.Float 3.0 |] [| Value.Int 3 |]);
+  check Alcotest.bool "date vs int ranks" true (holds (Expr.Binop (Gt, f0, i 5)) [||] [| Value.Date 1 |]);
+  (* an unbound parameter raises per row, never at binding *)
+  let b = (Expr.prepare (Expr.Binop (Eq, f0, Expr.Param 2))).Expr.ce_pred [| Value.Int 1 |] in
+  Alcotest.check_raises "first row raises" (Expr.Eval_error "unbound parameter $3") (fun () ->
+      ignore (b.Expr.holds [| Value.Int 1 |] : bool));
+  (* ... unless a short-circuit skips it: false AND <error> is false *)
+  check Alcotest.bool "short-circuit" false
+    (holds (Expr.Binop (And, Expr.Binop (Eq, f0, i 0), Expr.Binop (Eq, f0, Expr.Param 2))) [||]
+       [| Value.Int 1 |])
 
 let compiled_params () =
   let open Bullfrog_sql.Ast in
@@ -255,4 +389,6 @@ let suite =
     Alcotest.test_case "fields/shift" `Quick fields_and_shift;
     Alcotest.test_case "compiled params" `Quick compiled_params;
     QCheck_alcotest.to_alcotest interp_compile_agree;
+    Alcotest.test_case "staged predicate edges" `Quick staged_edges;
+    QCheck_alcotest.to_alcotest staged_interp_agree;
   ]

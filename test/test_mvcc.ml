@@ -54,9 +54,9 @@ let visibility () =
   check Alcotest.bool "deleted at new snapshot" true
     (Heap.snapshot_get h ~ts:ts_d ~reader:0 tid = None);
   check Alcotest.string "delete keeps old version readable" "b" (v_at h ~ts:ts_b tid);
-  (* snapshot_iter agrees with point reads *)
+  (* scan agrees with point reads *)
   let seen = ref [] in
-  Heap.snapshot_iter h ~ts:ts_b ~reader:0 (fun t r -> seen := (t, Value.to_string r.(1)) :: !seen);
+  Heap.scan h ~ts:ts_b ~reader:0 (fun t r -> seen := (t, Value.to_string r.(1)) :: !seen);
   check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
     "iter at old snapshot" [ (tid, "b") ] !seen
 
@@ -333,9 +333,41 @@ let lock_waiting_gauge () =
   check Alcotest.int "gauge balanced on timeout" 0 (Lock_manager.waiting_count lm2);
   Lock_manager.release_all lm2 ~owner:1
 
+(* -- the one scan loop: snapshot vs latest readers, TID ranges -------- *)
+
+let scan_readers_and_ranges () =
+  let h = mk_heap () in
+  let t0 = Heap.insert h (row 0 "a") in
+  let t1 = Heap.insert h (row 1 "b") in
+  let t2 = Heap.insert h (row 2 "c") in
+  let ts = Mvcc.now () in
+  (* writer 7 updates t1 and inserts t3 without committing, deletes t2 *)
+  ignore (Heap.update ~writer:7 h t1 (row 1 "B") : Heap.row);
+  let t3 = Heap.insert ~writer:7 h (row 3 "d") in
+  ignore (Heap.delete ~writer:7 h t2 : Heap.row);
+  let seen ?lo ?hi ~reader () =
+    let acc = ref [] in
+    Heap.scan ?lo ?hi h ~ts ~reader (fun tid r -> acc := (tid, Value.to_string r.(1)) :: !acc);
+    List.rev !acc
+  in
+  let rows = Alcotest.(list (pair int string)) in
+  check rows "other readers see the committed versions" [ (t0, "a"); (t1, "b"); (t2, "c") ]
+    (seen ~reader:0 ());
+  check rows "the writer sees its own writes" [ (t0, "a"); (t1, "B"); (t3, "d") ]
+    (seen ~reader:7 ());
+  check rows "latest sees every head, uncommitted included"
+    [ (t0, "a"); (t1, "B"); (t3, "d") ]
+    (seen ~reader:Heap.latest ());
+  check rows "a TID range bounds the scan" [ (t1, "b"); (t2, "c") ] (seen ~lo:1 ~hi:3 ~reader:0 ());
+  check rows "a range past the end is clamped" [ (t3, "d") ] (seen ~lo:3 ~hi:99 ~reader:Heap.latest ());
+  let live = ref [] in
+  Heap.iter_live h (fun tid _ -> live := tid :: !live);
+  check Alcotest.(list int) "iter_live is the latest scan" [ t0; t1; t3 ] (List.rev !live)
+
 let suite =
   [
     Alcotest.test_case "snapshot visibility across update/delete" `Quick visibility;
+    Alcotest.test_case "one scan loop: readers and TID ranges" `Quick scan_readers_and_ranges;
     Alcotest.test_case "uncommitted writes and atomic publish" `Quick uncommitted_and_publish;
     Alcotest.test_case "aborts pop uncommitted versions" `Quick abort_pops;
     Alcotest.test_case "gc respects the pin horizon" `Quick gc_horizon_pins;

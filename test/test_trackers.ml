@@ -4,6 +4,7 @@
 
 open Bullfrog_core
 open Bullfrog_db
+open Bullfrog_sql
 
 let check = Alcotest.check
 
@@ -73,6 +74,150 @@ let bitmap_progress_scan () =
   List.iter (Bitmap_tracker.force_migrated bt) [ 6; 7; 9 ];
   check run "none left" None (Bitmap_tracker.next_unmigrated_run bt ~from:0);
   check Alcotest.bool "complete" true (Bitmap_tracker.complete bt)
+
+(* The background migrator passes its remaining budget as the run cap:
+   the walk stops there instead of crossing the whole free region, and
+   resuming from the cursor still reaches every granule. *)
+let bitmap_run_cap () =
+  let n = 200_000 in
+  let bt = Bitmap_tracker.create ~size:n () in
+  let run = Alcotest.(option (pair int int)) in
+  check run "capped" (Some (0, 10)) (Bitmap_tracker.next_unmigrated_run bt ~from:0 ~max_len:10);
+  check run "uncapped is maximal" (Some (0, n)) (Bitmap_tracker.next_unmigrated_run bt ~from:0);
+  check run "cap past the end" (Some (n - 5, 5))
+    (Bitmap_tracker.next_unmigrated_run bt ~from:(n - 5) ~max_len:64);
+  Alcotest.check_raises "cap must be positive"
+    (Invalid_argument "Bitmap_tracker: run length cap must be positive") (fun () ->
+      ignore (Bitmap_tracker.next_unmigrated_run bt ~from:0 ~max_len:0));
+  (* whole-word steps are the walk's cost: bounded by the cap, not by n *)
+  let was = Obs.Counters.enabled () in
+  Obs.Counters.set_enabled true;
+  let skips = Obs.Counters.make "core.bitmap.word_skips" in
+  let steps f =
+    let v0 = Obs.Counters.value skips in
+    ignore (f () : (int * int) option);
+    Obs.Counters.value skips - v0
+  in
+  let capped, uncapped =
+    Fun.protect
+      ~finally:(fun () -> Obs.Counters.set_enabled was)
+      (fun () ->
+        ( steps (fun () -> Bitmap_tracker.next_unmigrated_run bt ~from:0 ~max_len:100),
+          steps (fun () -> Bitmap_tracker.next_unmigrated_run bt ~from:0) ))
+  in
+  check Alcotest.bool (Printf.sprintf "capped walk takes %d word steps" capped) true (capped <= 4);
+  check Alcotest.bool
+    (Printf.sprintf "uncapped walk takes %d word steps" uncapped)
+    true
+    (uncapped >= (n / 32) - 2);
+  (* resumption: scattered settled granules, cap 7, cursor wrap as in
+     the background migrator; every granule is committed exactly once *)
+  let n = 1000 in
+  let bt = Bitmap_tracker.create ~size:n () in
+  let pre = List.filter (fun g -> g mod 37 = 5 || (g >= 300 && g < 340)) (List.init n Fun.id) in
+  Bitmap_tracker.mark_migrated bt pre;
+  let seen = Array.make n 0 in
+  List.iter (fun g -> seen.(g) <- 1) pre;
+  let cursor = ref 0 and continue_ = ref true in
+  while !continue_ do
+    match Bitmap_tracker.next_unmigrated_run bt ~from:!cursor ~max_len:7 with
+    | None -> if !cursor > 0 then cursor := 0 else continue_ := false
+    | Some (start, len) ->
+        if len < 1 || len > 7 then Alcotest.failf "run (%d, %d) breaks the cap" start len;
+        let gs = List.init len (fun i -> start + i) in
+        Bitmap_tracker.mark_migrated bt gs;
+        List.iter (fun g -> seen.(g) <- seen.(g) + 1) gs;
+        cursor := start + len
+  done;
+  check Alcotest.bool "complete" true (Bitmap_tracker.complete bt);
+  check Alcotest.bool "every granule exactly once" true (Array.for_all (( = ) 1) seen)
+
+(* Candidate scans skip migrated runs ([Migrate_exec.candidate_rows]).
+   From random bitmap states — free / in-progress / migrated runs of 1-70
+   granules, so runs straddle the 32-granule words, at page sizes 1 and
+   above, with deleted rows and rows appended past the bitmap — a
+   sequential candidate scan returns exactly "scan everything, then drop
+   rows of migrated granules".  In-progress granules stay candidates (the
+   request must still SKIP-wait for them); index paths skip nothing. *)
+let candidate_scan_model_prop =
+  let gen =
+    QCheck.Gen.(
+      quad
+        (list_size (int_range 1 14) (pair (int_range 0 2) (int_range 1 70)))
+        (oneofl [ 1; 1; 2; 5 ])
+        (pair (int_range 0 4) (int_range 0 9))
+        (pair (int_range 0 6) (int_range 0 1000)))
+  in
+  let print (runs, page, (slack, k), (extra, seed)) =
+    Printf.sprintf "runs=[%s] page=%d slack=%d k=%d extra=%d seed=%d"
+      (String.concat "; " (List.map (fun (s, l) -> Printf.sprintf "%d×%d" s l) runs))
+      page slack k extra seed
+  in
+  QCheck.Test.make ~name:"candidate scan skips exactly the migrated granules" ~count:150
+    (QCheck.make gen ~print) (fun (runs, page, (slack, k), (extra, seed)) ->
+      let rng = Random.State.make [| seed |] in
+      let states = Array.of_list (List.concat_map (fun (st, len) -> List.init len (fun _ -> st)) runs) in
+      let granules = Array.length states in
+      let rows = max 1 ((granules * page) - min slack (page - 1)) in
+      let db = Database.create () in
+      ignore (Database.exec db "CREATE TABLE s (id INT PRIMARY KEY, v INT)" : Executor.result);
+      let heap = Catalog.find_table_exn db.Database.catalog "s" in
+      for id = 0 to rows - 1 do
+        ignore (Heap.insert heap [| Value.Int id; Value.Int (Random.State.int rng 10) |] : int)
+      done;
+      for tid = 0 to rows - 1 do
+        if Random.State.int rng 8 = 0 then ignore (Heap.delete heap tid : Heap.row)
+      done;
+      let bt = Bitmap_tracker.create ~page_size:page ~size:(Heap.tid_count heap) () in
+      Array.iteri
+        (fun g st ->
+          if g < Bitmap_tracker.granule_count bt && st > 0 then begin
+            ignore (Bitmap_tracker.try_acquire bt [ g ] : Tracker.decision list);
+            if st = 2 then Bitmap_tracker.mark_migrated bt [ g ]
+          end)
+        states;
+      (* rows appended after the bitmap was sized are not tracked *)
+      for id = rows to rows + extra - 1 do
+        ignore (Heap.insert heap [| Value.Int id; Value.Int (Random.State.int rng 10) |] : int)
+      done;
+      let migrated tid =
+        let g = Bitmap_tracker.granule_of_tid bt tid in
+        g < Bitmap_tracker.granule_count bt && Bitmap_tracker.is_migrated bt g
+      in
+      let tids rs = List.map fst rs in
+      let compare_with ~skips where =
+        let pred = Option.map Parser.parse_expr where in
+        let full =
+          Database.with_txn db (fun txn -> Access.scan_pred ~latest:true txn heap pred)
+        in
+        let want = if skips then List.filter (fun (tid, _) -> not (migrated tid)) full else full in
+        let got = Migrate_exec.candidate_rows db heap (Migrate_exec.RT_bitmap bt) pred in
+        if tids got <> tids want then begin
+          let only a b =
+            List.filteri (fun i _ -> i < 10) (List.filter (fun t -> not (List.mem t b)) a)
+            |> List.map string_of_int |> String.concat ","
+          in
+          QCheck.Test.fail_reportf "%s: %d candidates vs %d in the model; extra [%s] missing [%s]"
+            (Option.value where ~default:"no predicate")
+            (List.length got) (List.length want)
+            (only (tids got) (tids want))
+            (only (tids want) (tids got))
+        end;
+        List.iter
+          (fun (tid, _) ->
+            let g = Bitmap_tracker.granule_of_tid bt tid in
+            if
+              g < Bitmap_tracker.granule_count bt
+              && Bitmap_tracker.is_in_progress bt g
+              && not (List.mem_assoc tid got)
+            then QCheck.Test.fail_reportf "in-progress tid %d dropped" tid)
+          full
+      in
+      compare_with ~skips:true None;
+      compare_with ~skips:true (Some (Printf.sprintf "v < %d" k));
+      compare_with ~skips:true (Some (Printf.sprintf "v = %d OR v IN (%d, NULL)" k (k + 3)));
+      compare_with ~skips:false (Some (Printf.sprintf "id = %d" (k * 7)));
+      true)
 
 let bitmap_force_idempotent () =
   let bt = Bitmap_tracker.create ~size:4 () in
@@ -555,6 +700,8 @@ let suite =
     Alcotest.test_case "bitmap abort" `Quick bitmap_abort;
     Alcotest.test_case "bitmap pages" `Quick bitmap_pages;
     Alcotest.test_case "bitmap progress scan" `Quick bitmap_progress_scan;
+    Alcotest.test_case "bitmap run cap" `Quick bitmap_run_cap;
+    QCheck_alcotest.to_alcotest candidate_scan_model_prop;
     Alcotest.test_case "bitmap force idempotent" `Quick bitmap_force_idempotent;
     Alcotest.test_case "bitmap failed flip keeps its count" `Quick bitmap_flip_error_counts;
     Alcotest.test_case "bitmap thread stress" `Slow bitmap_thread_stress;
