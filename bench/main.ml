@@ -667,6 +667,51 @@ let migpath () =
   in
   let copy_rps = float_of_int esrc /. copy_t in
   say "  eager copy    %10.0f rows/s   %7.1f MB allocated" copy_rps (!alloc /. 1e6);
+  (* -- lazy candidates: one lazy [grp = $1] statement through Lazy_db on
+     a bitmap-tracked input with no index on grp, over half the groups
+     (the migrating phase of a regroup) -- *)
+  let lrows, groups =
+    match profile with Fast -> (20_000, 500) | Standard -> (80_000, 2_000) | Full -> (200_000, 5_000)
+  in
+  let lstmts = groups / 2 in
+  let order =
+    let rng = Rng.create seed in
+    let a = Array.init groups Fun.id in
+    for i = groups - 1 downto 1 do
+      let j = Rng.int rng (i + 1) in
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    done;
+    Array.sub a 0 lstmts
+  in
+  let lazy_t =
+    best_of_3 (fun () ->
+        let db = Database.create () in
+        ignore
+          (Database.exec db "CREATE TABLE src (id INT PRIMARY KEY, grp INT, v INT)"
+            : Executor.result);
+        let src = Catalog.find_table_exn db.Database.catalog "src" in
+        for k = 0 to lrows - 1 do
+          ignore (Heap.insert src [| Value.Int k; Value.Int (k * 7919 mod groups); Value.Int k |] : int)
+        done;
+        let ld = Lazy_db.create db in
+        ignore
+          (Lazy_db.start_migration ld
+             (Migration.make ~name:"regroup"
+                [ Migration.statement_of_sql "CREATE TABLE dst AS (SELECT grp, id, v FROM src)" ])
+            : Migrate_exec.t);
+        time (fun () ->
+            Array.iter
+              (fun g ->
+                ignore
+                  (Lazy_db.exec ld ~params:[| Value.Int g |] "SELECT id, v FROM dst WHERE grp = $1"
+                    : Executor.result))
+              order))
+  in
+  let lazy_us = lazy_t *. 1e6 /. float_of_int lstmts in
+  say "  lazy cand.    %10.1f us/stmt   (%d rows, %d groups, %d statements)" lazy_us lrows
+    groups lstmts;
   let oc = open_out "BENCH_migration_path.json" in
   Printf.fprintf oc
     {|{
@@ -691,11 +736,19 @@ let migpath () =
     "rows": %d,
     "rows_per_sec": %.0f,
     "alloc_mb": %.1f
+  },
+  "lazy_candidates": {
+    "path": "Lazy_db.exec grp = $1 on a bitmap input without an index on grp",
+    "rows": %d,
+    "groups": %d,
+    "statements": %d,
+    "us_per_stmt": %.1f
   }
 }
 |}
     (match profile with Fast -> "fast" | Standard -> "standard" | Full -> "full")
-    seed granules sweep_batch sweep_gps nrows load_rps esrc copy_rps (!alloc /. 1e6);
+    seed granules sweep_batch sweep_gps nrows load_rps esrc copy_rps (!alloc /. 1e6)
+    lrows groups lstmts lazy_us;
   close_out oc;
   say "  wrote BENCH_migration_path.json"
 

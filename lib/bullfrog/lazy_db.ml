@@ -723,31 +723,11 @@ let check_input_writes t (stmt : Ast.stmt) =
         | _ -> None
       in
       match target with
-      | Some table when not (List.mem table act.output_names) ->
-          let tid_tracked_input (i : Migrate_exec.rt_input) =
-            i.Migrate_exec.ri_heap.Heap.name = table
-            &&
-            match i.Migrate_exec.ri_tracker with
-            | Migrate_exec.RT_bitmap _ -> true
-            | Migrate_exec.RT_hash _ | Migrate_exec.RT_none -> false
-          in
-          let is_input =
-            List.exists
-              (fun (s : Migrate_exec.rt_stmt) ->
-                List.exists tid_tracked_input s.Migrate_exec.rs_inputs
-                ||
-                match s.Migrate_exec.rs_pair with
-                | Some pr ->
-                    tid_tracked_input pr.Migrate_exec.pr_a
-                    || tid_tracked_input pr.Migrate_exec.pr_b
-                | None -> false)
-              act.rt.Migrate_exec.stmts
-          in
-          if is_input then
-            err
-              "relation %S is an input of the in-flight migration %S; write \
-               through the new schema"
-              table act.rt.Migrate_exec.spec.Migration.name
+      | Some table when Migrate_exec.read_only_table act.rt table ->
+          err
+            "relation %S is an input of the in-flight migration %S; write \
+             through the new schema"
+            table act.rt.Migrate_exec.spec.Migration.name
       | _ -> ())
 
 (* ------------------------------------------------------------------ *)

@@ -21,6 +21,7 @@ type rt_input = {
   ri_plan : Classify.input_plan;
   ri_tracker : rt_tracker;
   ri_tracker_uid : int;
+  ri_probe : Probe_map.t;
   mutable ri_bg_cursor : int;
   mutable ri_bg_done : bool;
 }
@@ -312,6 +313,7 @@ let install ?(mode = Tracked) ?(overwrite = false) ?(page_size = 1)
                 ri_plan = plan;
                 ri_tracker = tracker;
                 ri_tracker_uid = uid;
+                ri_probe = Probe_map.create ();
                 ri_bg_cursor = 0;
                 ri_bg_done = false;
               })
@@ -340,6 +342,7 @@ let install ?(mode = Tracked) ?(overwrite = false) ?(page_size = 1)
                   ri_plan = plan;
                   ri_tracker = RT_none;
                   ri_tracker_uid = 0;
+                  ri_probe = Probe_map.create ();
                   ri_bg_cursor = 0;
                   ri_bg_done = false;
                 }
@@ -1084,16 +1087,54 @@ let note_sample t =
    [Already_migrated], so skipping it changes no decision, and a complete
    bitmap costs one word walk.  Index paths and hash-tracked inputs
    fetch every match. *)
-let candidate_rows db heap tracker pred =
-  let ranges =
-    match tracker with
-    | RT_bitmap bt -> Some (Bitmap_tracker.pending_tids bt)
-    | RT_hash _ | RT_none -> None
-  in
+let candidate_rows ?probe db heap tracker pred =
   let txn = Database.begin_txn db in
-  let rows = Access.scan_pred ~latest:true ?ranges txn heap pred in
+  let compiled = Access.compile_pred heap pred in
+  let rows =
+    match tracker with
+    | RT_hash _ | RT_none -> Access.select_tids ~latest:true txn heap compiled
+    | RT_bitmap bt -> (
+        let probed =
+          match (probe, compiled.Access.path) with
+          | Some map, Access.P_full ->
+              Probe_map.candidates map txn heap bt
+                ~epoch:(Catalog.epoch db.Database.catalog)
+                pred compiled
+          | _ -> None
+        in
+        match probed with
+        | Some rows -> rows
+        | None ->
+            Access.select_tids ~latest:true ~ranges:(Bitmap_tracker.pending_tids bt)
+              txn heap compiled)
+  in
   Database.commit db txn;
   rows
+
+(* An input no statement may write while the migration runs: tracked by
+   TID (a bitmap granule is a TID range fixed at the switch) and not also
+   an output.  [Lazy_db.check_input_writes] rejects writes to these, and
+   the probe map relies on exactly that. *)
+let read_only_table t name =
+  let name = String.lowercase_ascii name in
+  let tid_tracked input =
+    input.ri_heap.Heap.name = name
+    && match input.ri_tracker with RT_bitmap _ -> true | RT_hash _ | RT_none -> false
+  in
+  List.exists (fun stmt -> List.exists tid_tracked stmt.rs_inputs) t.stmts
+  && not
+       (List.exists
+          (fun (stmt : Migration.statement) ->
+            List.exists
+              (fun (o : Migration.output) -> String.lowercase_ascii o.Migration.out_name = name)
+              stmt.Migration.outputs)
+          t.spec.Migration.statements)
+
+let input_candidates t input pred =
+  let probe =
+    if read_only_table t input.ri_heap.Heap.name then Some input.ri_probe else None
+  in
+  candidate_rows ?probe t.db input.ri_heap input.ri_tracker pred
 
 let migrate_for_preds_inner ?(stmt_filter = fun (_ : rt_stmt) -> true) t report
     (preds : (string * Ast.expr option) list) =
@@ -1103,7 +1144,7 @@ let migrate_for_preds_inner ?(stmt_filter = fun (_ : rt_stmt) -> true) t report
      predicate-constrained side has a matching row in it (inner-join
      semantics); a side the request does not constrain is the universe. *)
   let scan_keys (input, pred) =
-    let rows = candidate_rows t.db input.ri_heap input.ri_tracker pred in
+    let rows = input_candidates t input pred in
     report.r_input_rows <- report.r_input_rows + List.length rows;
     let set = Gset.create () in
     List.iter (fun (tid, row) -> Gset.add set (granule_of_row input tid row)) rows;
@@ -1254,11 +1295,7 @@ let background_step_inner t report ~batch =
                   with
                   | None ->
                       (* Wrap once to catch granules below the cursor. *)
-                      if !cursor > 0 then cursor := 0
-                      else begin
-                        continue_ := false;
-                        if Bitmap_tracker.complete bt then input.ri_bg_done <- true
-                      end
+                      if !cursor > 0 then cursor := 0 else continue_ := false
                   | Some (start, len) ->
                       let take = min len (budget () - !n) in
                       for g = start to start + take - 1 do
@@ -1274,7 +1311,10 @@ let background_step_inner t report ~batch =
                   migrated := !migrated + (report.r_granules_migrated - before);
                   Fault.point Fault.p_bg_batch
                 end;
-                if Bitmap_tracker.complete bt then input.ri_bg_done <- true
+                if Bitmap_tracker.complete bt then begin
+                  input.ri_bg_done <- true;
+                  Probe_map.clear input.ri_probe
+                end
             | RT_hash (ht, key_cols) ->
                 let collected = ref [] in
                 let collected_set = Gset.create () in

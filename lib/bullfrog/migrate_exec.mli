@@ -41,6 +41,9 @@ type rt_input = {
   ri_plan : Classify.input_plan;
   ri_tracker : rt_tracker;
   ri_tracker_uid : int;  (** inputs sharing a tracker share the uid *)
+  ri_probe : Probe_map.t;
+      (** transient [col = v] probe map of a read-only bitmap input
+          (DESIGN.md §4.2b); empty otherwise *)
   mutable ri_bg_cursor : int;  (** background-scan position (TID / granule) *)
   mutable ri_bg_done : bool;
 }
@@ -144,6 +147,7 @@ val install :
     and are refilled from the log by {!Recovery.rebuild}. *)
 
 val candidate_rows :
+  ?probe:Probe_map.t ->
   Bullfrog_db.Database.t ->
   Bullfrog_db.Heap.t ->
   rt_tracker ->
@@ -155,7 +159,21 @@ val candidate_rows :
     granules that are not migrated — free or in progress — skipping
     settled bitmap words 32 granules at a time, so the result is "scan
     everything, then drop rows of migrated granules".  Index paths and
-    hash-tracked inputs return every match. *)
+    hash-tracked inputs return every match.  With [probe], a bitmap
+    scan whose path is sequential asks the probe map first
+    ({!Probe_map.candidates}): same rows, without the range scan. *)
+
+val read_only_table : t -> string -> bool
+(** The table is a TID-tracked (bitmap) input of the migration and not
+    also one of its outputs: no statement may write it while the
+    migration runs.  {!Lazy_db.check_input_writes} rejects such writes,
+    and only such inputs get a probe map. *)
+
+val input_candidates :
+  t -> rt_input -> Bullfrog_sql.Ast.expr option -> (int * Bullfrog_db.Heap.row) list
+(** The candidate scan a lazy request runs on one input:
+    {!candidate_rows} with the input's probe map when
+    {!read_only_table} holds for it. *)
 
 val migrate_for_preds :
   ?stmt_filter:(rt_stmt -> bool) ->

@@ -133,6 +133,7 @@ let simulate_crash (rt : Migrate_exec.t) =
                    ri_plan = plan;
                    ri_tracker = tracker;
                    ri_tracker_uid = uid;
+                   ri_probe = Probe_map.create ();
                    ri_bg_cursor = 0;
                    ri_bg_done = false;
                  })

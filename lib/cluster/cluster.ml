@@ -55,6 +55,8 @@ type t = {
   latch : Mutex.t;  (* serialises statements and migration driving *)
   mutable migration : migration_state option;
   prov : string;  (* this cluster's Obs stats-provider name *)
+  parsed : (string, Ast.stmt) Hashtbl.t;  (* [exec]'s parse cache, by SQL text *)
+  parsed_latch : Mutex.t;
 }
 
 let lc = String.lowercase_ascii
@@ -84,6 +86,8 @@ let create ?(shards = 4) () =
       migration = None;
       prov =
         Printf.sprintf "cluster:%d" (Atomic.fetch_and_add next_cluster_id 1);
+      parsed = Hashtbl.create 64;
+      parsed_latch = Mutex.create ();
     }
   in
   Obs.register_stats t.prov (fun () -> !stats_of t);
@@ -275,53 +279,54 @@ let sum_affected results =
 (* ------------------------------------------------------------------ *)
 (* migration row movement                                              *)
 
-(* A migrated row whose NEW-schema home shard (by the output table's
-   partition) differs from the shard that produced it moves as a 2PC
-   delete+insert — the hard case where the migration changes the
-   partition key. *)
-let move_row t ~out src dst tid row =
-  let src_sh = t.shards.(src) and dst_sh = t.shards.(dst) in
-  let src_heap = Catalog.find_table_exn src_sh.sh_db.Database.catalog out in
-  let dst_heap = Catalog.find_table_exn dst_sh.sh_db.Database.catalog out in
-  ignore
-    (two_pc t
-       [
-         ( src,
-           fun txn ->
-             Executor.delete_row (Database.exec_ctx src_sh.sh_db) txn src_heap tid;
-             Executor.Affected 1 );
-         ( dst,
-           fun txn ->
-             ignore
-               (Executor.insert_row (Database.exec_ctx dst_sh.sh_db) txn dst_heap row
-                 : int option);
-             Executor.Affected 1 );
-       ]
-      : Executor.result list);
-  Counters.bump c_rows_moved
-
+(* Migrated rows whose NEW-schema home shard (by the output table's
+   partition) differs from the shard that produced them move — the hard
+   case where the migration changes the partition key.  One call moves
+   every such row it finds on shard [s] in ONE 2PC: the deletes on [s],
+   the inserts grouped per home shard.  The watermarks advance only once
+   that 2PC commits, so a failed move is found again by the next call. *)
 let move_misplaced t m s =
+  let scanned = ref [] and moves = ref [] in
   List.iter
     (fun out ->
-      match partition_of t out with
-      | None -> ()
-      | Some part -> (
-          let sh = t.shards.(s) in
-          match Catalog.find_table sh.sh_db.Database.catalog out with
-          | None -> ()
-          | Some heap ->
-              let wms = Hashtbl.find m.mig_watermarks out in
-              let n = Heap.tid_count heap in
-              for tid = wms.(s) to n - 1 do
-                (match Heap.get heap tid with
-                | None -> ()
-                | Some row -> (
-                    match Partition.shard_of_row part heap.Heap.schema row with
-                    | Some home when home <> s -> move_row t ~out s home tid row
-                    | Some _ | None -> ()))
-              done;
-              wms.(s) <- n))
-    m.mig_outputs
+      match (partition_of t out, Catalog.find_table t.shards.(s).sh_db.Database.catalog out) with
+      | Some part, Some heap ->
+          let wms = Hashtbl.find m.mig_watermarks out in
+          let n = Heap.tid_count heap in
+          for tid = wms.(s) to n - 1 do
+            match Heap.get heap tid with
+            | None -> ()
+            | Some row -> (
+                match Partition.shard_of_row part heap.Heap.schema row with
+                | Some home when home <> s -> moves := (out, home, tid, row) :: !moves
+                | Some _ | None -> ())
+          done;
+          scanned := (wms, n) :: !scanned
+      | _ -> ())
+    m.mig_outputs;
+  let moves = List.rev !moves in
+  if moves <> [] then begin
+    let ctx i = Database.exec_ctx t.shards.(i).sh_db in
+    let heap i out = Catalog.find_table_exn t.shards.(i).sh_db.Database.catalog out in
+    let deletes txn =
+      List.iter (fun (out, _, tid, _) -> Executor.delete_row (ctx s) txn (heap s out) tid) moves;
+      Executor.Affected (List.length moves)
+    in
+    let inserts home txn =
+      let mine = List.filter (fun (_, h, _, _) -> h = home) moves in
+      List.iter
+        (fun (out, _, _, row) ->
+          ignore (Executor.insert_row (ctx home) txn (heap home out) row : int option))
+        mine;
+      Executor.Affected (List.length mine)
+    in
+    let homes = List.sort_uniq Int.compare (List.map (fun (_, h, _, _) -> h) moves) in
+    ignore
+      (two_pc t ((s, deletes) :: List.map (fun h -> (h, inserts h)) homes)
+        : Executor.result list);
+    Counters.add c_rows_moved (List.length moves)
+  end;
+  List.iter (fun (wms, n) -> wms.(s) <- n) !scanned
 
 let drive_migration t stmt =
   match t.migration with
@@ -660,9 +665,25 @@ let exec_ast t stmt =
           body
       else body ())
 
-let exec t ?params sql =
-  let stmt = Database.bind_stmt params (Parser.parse_one sql) in
-  exec_ast t stmt
+(* The wire server's prepared statements reach [exec] with the same text
+   on every call, so each text is parsed once; parameters are bound per
+   call.  Bounded like the shard databases' statement caches, and a parse
+   error raises before anything is cached. *)
+let parse t sql =
+  Mutex.lock t.parsed_latch;
+  let hit = Hashtbl.find_opt t.parsed sql in
+  Mutex.unlock t.parsed_latch;
+  match hit with
+  | Some stmt -> stmt
+  | None ->
+      let stmt = Parser.parse_one sql in
+      Mutex.lock t.parsed_latch;
+      if Hashtbl.length t.parsed >= Database.stmt_cache_cap then Hashtbl.reset t.parsed;
+      Hashtbl.replace t.parsed sql stmt;
+      Mutex.unlock t.parsed_latch;
+      stmt
+
+let exec t ?params sql = exec_ast t (Database.bind_stmt params (parse t sql))
 
 let exec_script t sql =
   Parser.parse sql |> List.map (fun stmt -> exec_ast t stmt)
@@ -982,6 +1003,8 @@ let recover old =
       migration = None;
       prov =
         Printf.sprintf "cluster:%d" (Atomic.fetch_and_add next_cluster_id 1);
+      parsed = Hashtbl.create 64;
+      parsed_latch = Mutex.create ();
     }
   in
   (* the recovered cluster replaces the crashed one: its stats provider

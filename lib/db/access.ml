@@ -239,18 +239,24 @@ let fetch_tids ~keep ~latest (txn : Txn.t) table tids =
           if keep row then Some (tid, row) else None)
     (List.sort Stdlib.compare tids)
 
+(* The residual is staged once per call; only a residual test counts as
+   a scan. *)
+let staged_residual params (txn : Txn.t) pred =
+  let c = txn.Txn.counters in
+  match pred.residual with
+  | None -> fun _ -> true
+  | Some f ->
+      let holds = (f.Expr.ce_pred params).Expr.holds in
+      fun row ->
+        c.Txn.rows_scanned <- c.Txn.rows_scanned + 1;
+        holds row
+
+let select_listed ?(params = [||]) ?(latest = false) txn table pred tids =
+  fetch_tids ~keep:(staged_residual params txn pred) ~latest txn table tids
+
 let select_tids ?(params = [||]) ?(latest = false) ?ranges (txn : Txn.t) table pred =
   let c = txn.Txn.counters in
-  (* the residual is staged once; only a residual test counts as a scan *)
-  let keep =
-    match pred.residual with
-    | None -> fun _ -> true
-    | Some f ->
-        let holds = (f.Expr.ce_pred params).Expr.holds in
-        fun row ->
-          c.Txn.rows_scanned <- c.Txn.rows_scanned + 1;
-          holds row
-  in
+  let keep = staged_residual params txn pred in
   match pred.path with
   | P_eq (idx, key) ->
       c.Txn.index_probes <- c.Txn.index_probes + 1;

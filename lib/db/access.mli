@@ -56,6 +56,19 @@ val select_tids :
     scan visits only those ranges.  Index paths ignore it: their TIDs
     come from the index.  The residual is staged once per call. *)
 
+val select_listed :
+  ?params:Value.t array ->
+  ?latest:bool ->
+  Txn.t ->
+  Heap.t ->
+  pred ->
+  int list ->
+  (int * Heap.row) list
+(** [select_tids] over the given TIDs instead of [pred]'s path: each
+    live row among them (as [latest] picks) that passes the residual,
+    in TID order, counted like an index fetch.  For callers that keep
+    their own TID lists, such as the lazy candidate scan's probe map. *)
+
 val scan_pred :
   ?params:Value.t array ->
   ?latest:bool ->

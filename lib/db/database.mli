@@ -78,6 +78,9 @@ val resolve_2pc : t -> Txn.t -> gid:string -> commit:int option -> unit
     [ts]) and closes the transaction; [None] rolls the writes back and
     appends an abort marker.  Releases the transaction's locks. *)
 
+val stmt_cache_cap : int
+(** Entries the statement cache holds before it is emptied and refilled. *)
+
 val prepare : t -> string -> prepared
 (** Look up (or parse and cache) [sql].  One parse serves every
     subsequent execution of the same text; [$n] placeholders stay in the

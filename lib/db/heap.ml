@@ -414,6 +414,15 @@ let scan ?(lo = 0) ?hi t ~ts ~reader f =
     if row != tombstone then f tid row
   done
 
+(* Every row slot [tid]'s versions carry, newest first, tombstones
+   skipped: one descriptor load, then the immutable chain. *)
+let iter_versions t tid f =
+  let rec walk v =
+    if v.v_row != tombstone then f v.v_row;
+    match v.v_older with None -> () | Some o -> walk o
+  in
+  if tid < Vec.length t.vers then walk (Vec.get t.vers tid)
+
 (* ------------------------------------------------------------------ *)
 (* DDL in-place rewrite                                                *)
 (* ------------------------------------------------------------------ *)

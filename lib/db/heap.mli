@@ -133,6 +133,13 @@ val scan : ?lo:int -> ?hi:int -> t -> ts:int -> reader:int -> (int -> row -> uni
     as [mvcc.version_walks]).  Every full scan in the engine runs through
     this one loop. *)
 
+val iter_versions : t -> int -> (row -> unit) -> unit
+(** Every row any version of slot [tid] carries — the newest (committed
+    or not) first, then each older committed one — skipping deletions.
+    Latch-free, like {!scan}.  A row an in-flight writer replaced is
+    still reached, so a caller indexing these rows covers the slot
+    whether that writer commits or aborts. *)
+
 val rewrite_in_place : t -> int -> row -> unit
 (** Column-DDL rewrite: replace the slot's row in its current version
     without creating a new one, and truncate the slot's older chain (the

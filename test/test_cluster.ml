@@ -461,6 +461,93 @@ let migration_row_movement () =
   check Alcotest.int "new-key point query routes single" 1
     (counter_delta b0 b1 "shard.selects_single")
 
+(* One call's misplaced rows move in ONE 2PC.  An uncrashed run shows
+   the batching (more rows moved than 2PCs committed); a crash between
+   the prepares of that first multi-row move recovers, under presumed
+   abort, to every row on exactly one shard — its home — once the
+   migration drains. *)
+let multi_row_move_crash () =
+  with_counters @@ fun () ->
+  let module Fault = Bullfrog_core.Fault in
+  let shards = 4 in
+  let part = Partition.hash ~column:"grp" ~shards in
+  let drive = "SELECT v FROM dst WHERE grp IN (0, 1, 2, 3, 4)" in
+  let fresh () =
+    let c = Cluster.create ~shards () in
+    mig_setup (fun sql -> ignore (Cluster.exec c sql : Executor.result));
+    Cluster.start_migration ~partitions:[ ("dst", part) ] c (regroup_spec ());
+    c
+  in
+  let clean = fresh () in
+  let b0 = Obs.Counters.snapshot () in
+  ignore (Cluster.exec clean drive : Executor.result);
+  let b1 = Obs.Counters.snapshot () in
+  let moved = counter_delta b0 b1 "shard.rows_moved"
+  and commits = counter_delta b0 b1 "shard.2pc_commits" in
+  check Alcotest.bool
+    (Printf.sprintf "%d rows moved in %d 2PCs" moved commits)
+    true
+    (commits > 0 && moved > commits);
+  let c = fresh () in
+  (* the drive migrates shard 0 first, so the first 2PC is its move *)
+  let first_move =
+    List.length
+      (List.filter
+         (fun row -> Partition.shard_of_value part row.(0) <> 0)
+         (Database.query (Cluster.shard_db c 0) "SELECT grp FROM src"))
+  in
+  check Alcotest.bool "the crashed move is multi-row" true (first_move >= 2);
+  Fault.arm Fault.p_2pc_prepare;
+  let c =
+    match Cluster.exec c drive with
+    | _ ->
+        Fault.disarm ();
+        Alcotest.fail "the armed move should have crashed"
+    | exception Fault.Crash _ ->
+        Fault.disarm ();
+        Cluster.recover c
+  in
+  ignore (Cluster.exec c drive : Executor.result);
+  while not (Cluster.migration_complete c) do
+    ignore (Cluster.background_step c ~batch:8 : int)
+  done;
+  Cluster.finalize c;
+  let placed =
+    List.concat
+      (List.init shards (fun i ->
+           List.map
+             (fun row ->
+               match row with
+               | [| Value.Int id; g; _ |] ->
+                   check Alcotest.int
+                     (Printf.sprintf "id %d on its home shard" id)
+                     (Partition.shard_of_value part g) i;
+                   id
+               | _ -> Alcotest.fail "unexpected row shape")
+             (Database.query (Cluster.shard_db c i) "SELECT id, grp, v FROM dst")))
+  in
+  check (Alcotest.list Alcotest.int) "every row on exactly one shard"
+    (List.init 24 Fun.id) (List.sort compare placed)
+
+(* Cluster.exec parses each SQL text once and binds parameters per call;
+   a text that does not parse raises on every call (nothing is cached
+   for it). *)
+let parse_cache_binds_per_call () =
+  let c = mk_cluster 12 in
+  let sql = "SELECT v FROM t WHERE id = $1" in
+  List.iter
+    (fun id ->
+      check (Alcotest.list Alcotest.string)
+        (Printf.sprintf "id %d" id)
+        [ Printf.sprintf "g%d" (id mod 3) ]
+        (List.map row_str (Cluster.query c ~params:[| Value.Int id |] sql)))
+    [ 1; 5; 5; 10; 1 ];
+  for _ = 1 to 2 do
+    match Cluster.exec c "SELEC v FROM t" with
+    | _ -> Alcotest.fail "expected a parse error"
+    | exception Bullfrog_sql.Parser.Parse_error _ -> ()
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Aggregate (n:1) migrations: group key must cover the partition key  *)
 (* ------------------------------------------------------------------ *)
@@ -827,6 +914,8 @@ let suite =
     Alcotest.test_case "crash points leave flight dumps" `Quick
       sweep_leaves_flight_dumps;
     Alcotest.test_case "row-moving migration vs oracle" `Quick migration_row_movement;
+    Alcotest.test_case "crash inside a multi-row move" `Quick multi_row_move_crash;
+    Alcotest.test_case "parse cache binds per call" `Quick parse_cache_binds_per_call;
     Alcotest.test_case "aggregate partition guard" `Quick aggregate_partition_guard;
     Alcotest.test_case "cluster recovery" `Quick recover_preserves_rows;
     Alcotest.test_case "mid-migration recovery resumes" `Quick recover_mid_migration;

@@ -233,6 +233,32 @@ let copy_rollback_mid_flight () =
       [ "UPDATE t SET v = 'edited' WHERE id = 5"; "DELETE FROM t WHERE id = 6" ]
     ()
 
+(* A rollback after lazy requests on the unindexed [k] built and probed
+   the forward runtime's probe map: the map goes with that runtime, and
+   the rollback still ends row-exact. *)
+let rollback_after_probe_build () =
+  let was = Obs.Counters.enabled () in
+  Obs.Counters.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Counters.set_enabled was) @@ fun () ->
+  let before = Obs.Counters.snapshot () in
+  rollback_vs_oracle ~spec:copy_spec
+    ~new_edits:(fun ld ->
+      exec ld "SELECT * FROM t2 WHERE k = 3";
+      exec ld "SELECT * FROM t2 WHERE k IN (4, 5)";
+      ignore (Lazy_db.background_step ld ~batch:2 : int);
+      exec ld "UPDATE t2 SET v = 'edited' WHERE k = 4";
+      exec ld "DELETE FROM t2 WHERE k = 7")
+    ~old_edits:[ "UPDATE t SET v = 'edited' WHERE k = 4"; "DELETE FROM t WHERE k = 7" ]
+    ();
+  let delta name =
+    Option.value ~default:0
+      (List.assoc_opt name (Obs.Counters.diff (Obs.Counters.snapshot ()) before))
+  in
+  check Alcotest.bool "the forward runtime built a probe map" true
+    (delta "core.migrate.candidate_probe_builds" >= 1);
+  check Alcotest.bool "later requests probed it" true
+    (delta "core.migrate.candidate_probes" >= 3)
+
 let row_split_rollback () =
   rollback_vs_oracle ~spec:row_split_spec
     ~new_edits:(fun ld ->
@@ -476,6 +502,8 @@ let suite =
       rollback_without_migration_refused;
     Alcotest.test_case "copy rollback mid-flight is row-exact" `Quick
       copy_rollback_mid_flight;
+    Alcotest.test_case "rollback after a probe-map build is row-exact" `Quick
+      rollback_after_probe_build;
     Alcotest.test_case "row-split rollback is row-exact" `Quick
       row_split_rollback;
     Alcotest.test_case "two-statement split rollback purges per row" `Quick

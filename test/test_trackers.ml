@@ -219,6 +219,126 @@ let candidate_scan_model_prop =
       compare_with ~skips:false (Some (Printf.sprintf "id = %d" (k * 7)));
       true)
 
+(* The probe map ([Probe_map], through [Migrate_exec.input_candidates])
+   answers exactly like the pending-range scan it replaces.  The map is
+   built on the first probe and then outlives granules migrating, in
+   progress ones aborting, rows appended past the bitmap, a transaction
+   open across the switch that re-keyed a row and aborts after the build,
+   and optionally an ADD COLUMN (a new epoch: the map is rebuilt). *)
+let probe_map_model_prop =
+  let gen =
+    QCheck.Gen.(
+      quad
+        (list_size (int_range 1 14) (pair (int_range 0 2) (int_range 1 70)))
+        (oneofl [ 1; 2; 5 ])
+        (pair (int_range 0 9) bool)
+        (pair (int_range 0 6) (int_range 0 1000)))
+  in
+  let print (runs, page, (k, alter), (extra, seed)) =
+    Printf.sprintf "runs=[%s] page=%d k=%d alter=%b extra=%d seed=%d"
+      (String.concat "; " (List.map (fun (s, l) -> Printf.sprintf "%d×%d" s l) runs))
+      page k alter extra seed
+  in
+  QCheck.Test.make ~name:"probe map answers like the pending-range scan" ~count:150
+    (QCheck.make gen ~print) (fun (runs, page, (k, alter), (extra, seed)) ->
+      let was = Obs.Counters.enabled () in
+      Obs.Counters.set_enabled true;
+      Fun.protect ~finally:(fun () -> Obs.Counters.set_enabled was) @@ fun () ->
+      let rng = Random.State.make [| seed |] in
+      let states =
+        Array.of_list (List.concat_map (fun (st, len) -> List.init len (fun _ -> st)) runs)
+      in
+      let rows = Array.length states * page in
+      let victim = rows / 2 in
+      let value () =
+        if Random.State.int rng 12 = 0 then Value.Null else Value.Int (Random.State.int rng 10)
+      in
+      let db = Database.create () in
+      ignore (Database.exec db "CREATE TABLE s (id INT PRIMARY KEY, v INT)" : Executor.result);
+      let heap = Catalog.find_table_exn db.Database.catalog "s" in
+      for id = 0 to rows - 1 do
+        let v = if id = victim then Value.Int k else value () in
+        ignore (Heap.insert heap [| Value.Int id; v |] : int)
+      done;
+      for tid = 0 to rows - 1 do
+        if tid <> victim && Random.State.int rng 8 = 0 then ignore (Heap.delete heap tid : Heap.row)
+      done;
+      (* open across the switch: re-keys the victim, aborts after the build *)
+      let pre = Database.begin_txn db in
+      ignore
+        (Database.exec_in db pre (Printf.sprintf "UPDATE s SET v = %d WHERE id = %d" (k + 50) victim)
+          : Executor.result);
+      let rt =
+        Migrate_exec.install ~page_size:page ~mig_id:1 db
+          (Migration.make ~name:"pm"
+             [ Migration.statement_of_sql "CREATE TABLE d AS (SELECT id, v FROM s)" ])
+      in
+      let input = List.hd (List.hd rt.Migrate_exec.stmts).Migrate_exec.rs_inputs in
+      let bt =
+        match input.Migrate_exec.ri_tracker with
+        | Migrate_exec.RT_bitmap bt -> bt
+        | _ -> QCheck.Test.fail_report "copy input should be bitmap-tracked"
+      in
+      Array.iteri
+        (fun g st ->
+          if g < Bitmap_tracker.granule_count bt && st > 0 then begin
+            ignore (Bitmap_tracker.try_acquire bt [ g ] : Tracker.decision list);
+            if st = 2 then Bitmap_tracker.mark_migrated bt [ g ]
+          end)
+        states;
+      let preds =
+        [
+          Printf.sprintf "v = %d" k;
+          Printf.sprintf "v IN (%d, %d, NULL, %d)" k k (k + 3);
+          Printf.sprintf "%d = v AND id <> 3" ((k + 1) mod 10);
+          Printf.sprintf "v = %d AND id > 3" k;
+          "v IN (NULL)";
+          "v = 1000";
+        ]
+      in
+      let compare_all phase =
+        List.iter
+          (fun where ->
+            let pred = Some (Parser.parse_expr where) in
+            let want = Migrate_exec.candidate_rows db heap input.Migrate_exec.ri_tracker pred in
+            let got = Migrate_exec.input_candidates rt input pred in
+            if got <> want then
+              QCheck.Test.fail_reportf "%s, %s: %d rows [%s] vs %d in the pending scan [%s]"
+                phase where (List.length got)
+                (String.concat "," (List.map (fun (t, _) -> string_of_int t) got))
+                (List.length want)
+                (String.concat "," (List.map (fun (t, _) -> string_of_int t) want)))
+          preds
+      in
+      let before = Obs.Counters.snapshot () in
+      compare_all "at the build";
+      Database.abort db pre;
+      Array.iteri
+        (fun g _ ->
+          if g < Bitmap_tracker.granule_count bt then
+            match Random.State.int rng 4 with
+            | 0 when Bitmap_tracker.is_in_progress bt g -> Bitmap_tracker.mark_aborted bt [ g ]
+            | 1 when not (Bitmap_tracker.is_migrated bt g) ->
+                ignore (Bitmap_tracker.try_acquire bt [ g ] : Tracker.decision list);
+                Bitmap_tracker.mark_migrated bt [ g ]
+            | _ -> ())
+        states;
+      for id = rows to rows + extra - 1 do
+        let v = if id mod 2 = 0 then Value.Int k else value () in
+        ignore (Heap.insert heap [| Value.Int id; v |] : int)
+      done;
+      if alter then
+        ignore (Database.exec db "ALTER TABLE s ADD COLUMN w INT" : Executor.result);
+      compare_all "after the build";
+      let probes =
+        Option.value ~default:0
+          (List.assoc_opt "core.migrate.candidate_probes"
+             (Obs.Counters.diff (Obs.Counters.snapshot ()) before))
+      in
+      if probes = 0 && not (Bitmap_tracker.complete bt) then
+        QCheck.Test.fail_report "no scan was answered from the probe map";
+      true)
+
 let bitmap_force_idempotent () =
   let bt = Bitmap_tracker.create ~size:4 () in
   Bitmap_tracker.force_migrated bt 1;
@@ -702,6 +822,7 @@ let suite =
     Alcotest.test_case "bitmap progress scan" `Quick bitmap_progress_scan;
     Alcotest.test_case "bitmap run cap" `Quick bitmap_run_cap;
     QCheck_alcotest.to_alcotest candidate_scan_model_prop;
+    QCheck_alcotest.to_alcotest probe_map_model_prop;
     Alcotest.test_case "bitmap force idempotent" `Quick bitmap_force_idempotent;
     Alcotest.test_case "bitmap failed flip keeps its count" `Quick bitmap_flip_error_counts;
     Alcotest.test_case "bitmap thread stress" `Slow bitmap_thread_stress;
