@@ -68,82 +68,6 @@ let db t = t.database
 
 let err = Db_error.sql_error
 
-(* §2.4: a migration adding a uniqueness constraint over data that already
-   contains duplicates would otherwise only surface the problem after the
-   new schema is live.  [precheck_unique] synchronously evaluates each
-   output's population and counts the rows that would fail its UNIQUE /
-   PRIMARY KEY constraints. *)
-let precheck_unique t (spec : Migration.t) =
-  let db = t.database in
-  let failures = ref [] in
-  List.iter
-    (fun (stmt : Migration.statement) ->
-      List.iter
-        (fun (o : Migration.output) ->
-          match o.Migration.out_create with
-          | Some (Ast.Create_table { columns; constraints; _ }) ->
-              let names =
-                let pctx =
-                  { Planner.catalog = db.Database.catalog; run_subquery = (fun _ -> []) }
-                in
-                Planner.output_names (Planner.expand_select pctx o.Migration.out_population)
-              in
-              let pos c =
-                let c = String.lowercase_ascii c in
-                let rec go i = function
-                  | [] -> err "precheck: output %s lacks column %S" o.Migration.out_name c
-                  | n :: rest ->
-                      if String.lowercase_ascii n = c then i else go (i + 1) rest
-                in
-                go 0 names
-              in
-              let unique_sets =
-                List.filter_map
-                  (fun tc ->
-                    match tc with
-                    | Ast.C_primary_key cols | Ast.C_unique cols ->
-                        Some (List.map pos cols)
-                    | Ast.C_foreign_key _ | Ast.C_check _ -> None)
-                  constraints
-                @ List.filter_map
-                    (fun (cd : Ast.column_def) ->
-                      if cd.Ast.col_primary_key || cd.Ast.col_unique then
-                        Some [ pos cd.Ast.col_name ]
-                      else None)
-                    columns
-              in
-              if unique_sets <> [] then begin
-                let rows =
-                  Database.with_txn db (fun txn ->
-                      match
-                        Executor.exec_stmt (Database.exec_ctx db) txn
-                          (Ast.Select_stmt o.Migration.out_population)
-                      with
-                      | Executor.Rows (_, rows) -> rows
-                      | _ -> [])
-                in
-                List.iter
-                  (fun cols ->
-                    let seen = Hashtbl.create 1024 in
-                    let dups = ref 0 in
-                    List.iter
-                      (fun row ->
-                        let key =
-                          List.map (fun i -> Value.to_string row.(i)) cols
-                          |> String.concat "\x00"
-                        in
-                        if Hashtbl.mem seen key then incr dups
-                        else Hashtbl.add seen key ())
-                      rows;
-                    if !dups > 0 then
-                      failures := (o.Migration.out_name, !dups) :: !failures)
-                  unique_sets
-              end
-          | Some _ | None -> ())
-        stmt.Migration.outputs)
-    spec.Migration.statements;
-  List.rev !failures
-
 (* Expose tracker-level migration progress through [Obs.snapshot].  A
    fixed provider name + replace-on-register keeps repeated migrations
    (and repeated [Lazy_db.create]s in tests) from accumulating thunks. *)
@@ -210,65 +134,97 @@ let output_names_of (spec : Migration.t) =
            stmt.Migration.outputs)
        spec.Migration.statements)
 
-let start_migration ?mode ?page_size ?stripes ?nn ?fk_join ?(precheck = `Off)
-    ?(lint = `Auto) t (spec : Migration.t) =
+let drop_restored t (fwd_spec : Migration.t) =
+  let restored = List.map String.lowercase_ascii fwd_spec.Migration.drop_old in
+  t.dropped <- List.filter (fun n -> not (List.mem n restored)) t.dropped
+
+(* The mode a migration runs in, from its lint verdict: split outputs
+   not provably disjoint need ON CONFLICT mode, unless the caller already
+   asked for it.  Start and resume both decide through here, so a resumed
+   migration runs in the mode its original switch chose. *)
+let mode_of_verdict ?mode (spec : Migration.t) verdict =
+  match verdict with
+  | Some { Mig_lint.lint_action = Mig_lint.Act_on_conflict; _ }
+    when mode <> Some Migrate_exec.On_conflict ->
+      Logs.warn (fun m ->
+          m
+            "migration %S: split outputs not provably disjoint; switching to ON \
+             CONFLICT mode"
+            spec.Migration.name);
+      Some Migrate_exec.On_conflict
+  | _ -> mode
+
+(* The bookkeeping every install path shares once its runtime exists:
+   shadow catalogs over the base tables (every table except the
+   outputs), the active record, the planner watch and stats provider,
+   the big-flip list, and the epoch bump.  A rollback makes the forward
+   migration's dropped tables legal again before the backward spec drops
+   the abandoned new ones. *)
+let activate ?rollback t (rt : Migrate_exec.t) =
+  let catalog = t.database.Database.catalog in
+  let spec = rt.Migrate_exec.spec in
+  let output_names = output_names_of spec in
+  let base_tables =
+    List.filter_map
+      (fun name ->
+        if List.mem (String.lowercase_ascii name) output_names then None
+        else Some (Catalog.find_table_exn catalog name))
+      (Catalog.table_names catalog)
+  in
+  t.act <-
+    Some
+      {
+        rt;
+        shadows = build_shadows base_tables spec;
+        output_names;
+        cumulative = Migrate_exec.new_report ();
+        rollback;
+      };
+  (* While the migration is live, a full scan over a partially-populated
+     output forces a whole-table lazy migration — have the planner flag it. *)
+  Planner.set_migration_watch catalog output_names;
+  register_migration_stats t;
+  (* a rollback's id is allocated after its forward migration's *)
+  t.next_mig_id <- max t.next_mig_id (rt.Migrate_exec.mig_id + 1);
+  Option.iter (fun rb -> drop_restored t rb.rb_fwd_spec) rollback;
+  t.dropped <- t.dropped @ List.map String.lowercase_ascii spec.Migration.drop_old;
+  (* The logical switch changes what every cached plan would resolve to
+     (output tables exist, old names are rejected): invalidate them. *)
+  Catalog.bump_epoch catalog;
+  rt
+
+(* The inverse of [activate], for [finalize] and a rollback that has
+   nothing to reconstruct. *)
+let deactivate t =
+  t.act <- None;
+  Planner.clear_migration_watch t.database.Database.catalog;
+  Obs.unregister_stats "bullfrog.migration";
+  Catalog.bump_epoch t.database.Database.catalog
+
+let start_migration ?mode ?page_size ?nn ?fk_join t (spec : Migration.t) =
   if t.act <> None then err "a schema migration is already in progress";
   (* Static analysis before the switch: prove split disjointness/coverage
      and surface data-loss hazards while rejecting is still free. *)
-  let verdict, mode =
-    match lint with
-    | `Off -> (None, mode)
-    | (`Warn | `Auto | `Enforce) as level ->
-        let v = Mig_lint.lint ?fk_join t.database.Database.catalog spec in
-        List.iter
-          (fun h ->
-            Logs.warn (fun m ->
-                m "migration %S lint [%s]: %s" spec.Migration.name
-                  (Mig_lint.hazard_kind_to_string h.Mig_lint.hz_kind)
-                  h.Mig_lint.hz_detail))
-          (Mig_lint.all_hazards v);
-        let mode =
-          match (level, v.Mig_lint.lint_action) with
-          | `Warn, _ -> mode
-          | (`Auto | `Enforce), Mig_lint.Act_reject ->
-              err "migration %S rejected by lint: %s" spec.Migration.name
-                (String.concat "; "
-                   (List.map
-                      (fun h -> h.Mig_lint.hz_detail)
-                      (Mig_lint.errors v)))
-          | _, Mig_lint.Act_on_conflict when mode = Some Migrate_exec.On_conflict ->
-              mode
-          | `Auto, Mig_lint.Act_on_conflict ->
-              Logs.warn (fun m ->
-                  m
-                    "migration %S: split outputs not provably disjoint; switching \
-                     to ON CONFLICT mode"
-                    spec.Migration.name);
-              Some Migrate_exec.On_conflict
-          | `Enforce, Mig_lint.Act_on_conflict ->
-              err
-                "migration %S rejected by lint: overlapping split outputs require \
-                 ON CONFLICT mode"
-                spec.Migration.name
-          | _, Mig_lint.Act_ok -> mode
-        in
-        (* Invertibility gate (§4.2j): a provably non-invertible spec can
-           never be rolled back mid-flight.  `Enforce refuses the flip;
-           the other levels warn so the operator knows rollback is off
-           the table before committing to the switch. *)
-        if not (Mig_lint.invertible v) then begin
-          let reasons = String.concat "; " (Mig_lint.non_invertible_reasons v) in
-          if level = `Enforce then
-            err "migration %S rejected: provably non-invertible (%s)"
-              spec.Migration.name reasons
-          else
-            Logs.warn (fun m ->
-                m "migration %S is not invertible — mid-flight rollback will be \
-                   refused (%s)"
-                  spec.Migration.name reasons)
-        end;
-        (Some v, mode)
-  in
+  let v = Mig_lint.lint ?fk_join t.database.Database.catalog spec in
+  List.iter
+    (fun h ->
+      Logs.warn (fun m ->
+          m "migration %S lint [%s]: %s" spec.Migration.name
+            (Mig_lint.hazard_kind_to_string h.Mig_lint.hz_kind)
+            h.Mig_lint.hz_detail))
+    (Mig_lint.all_hazards v);
+  if v.Mig_lint.lint_action = Mig_lint.Act_reject then
+    err "migration %S rejected by lint: %s" spec.Migration.name
+      (String.concat "; "
+         (List.map (fun h -> h.Mig_lint.hz_detail) (Mig_lint.errors v)));
+  let mode = mode_of_verdict ?mode spec (Some v) in
+  (* Invertibility (§4.2j): a provably non-invertible spec can never be
+     rolled back mid-flight; say so before committing to the switch. *)
+  if not (Mig_lint.invertible v) then
+    Logs.warn (fun m ->
+        m "migration %S is not invertible — mid-flight rollback will be refused (%s)"
+          spec.Migration.name
+          (String.concat "; " (Mig_lint.non_invertible_reasons v)));
   (* The logical switch itself (§2): cold, so the span is unconditional.
      Under MVCC the switch takes no table locks and stalls no reader:
      granule moves are ordinary versioned writes, and each migration
@@ -284,112 +240,41 @@ let start_migration ?mode ?page_size ?stripes ?nn ?fk_join ?(precheck = `Off)
         ("mvcc_ts", string_of_int (Mvcc.now ()));
       ]
   @@ fun () ->
-  (match precheck with
-  | `Off -> ()
-  | (`Error | `Warn) as level -> (
-      match precheck_unique t spec with
-      | [] -> ()
-      | failures ->
-          let msg =
-            String.concat "; "
-              (List.map
-                 (fun (out, n) ->
-                   Printf.sprintf "%d row(s) would violate a uniqueness constraint of %s" n out)
-                 failures)
-          in
-          if level = `Error then err "migration precheck failed: %s" msg
-          else
-            Logs.warn (fun m ->
-                m "migration %S: %s (those records will fail to migrate)"
-                  spec.Migration.name msg)));
-  (* Snapshot the old tables before outputs appear in the catalog. *)
-  let old_tables =
-    List.map
-      (fun name -> Catalog.find_table_exn t.database.Database.catalog name)
-      (Catalog.table_names t.database.Database.catalog)
-  in
   let mig_id = t.next_mig_id in
   t.next_mig_id <- mig_id + 1;
-  let rt =
-    Migrate_exec.install ?mode ?page_size ?stripes ?nn ?fk_join ?lint:verdict
-      ~mig_id t.database spec
-  in
-  let shadows = build_shadows old_tables spec in
-  let output_names = output_names_of spec in
-  t.act <-
-    Some
-      {
-        rt;
-        shadows;
-        output_names;
-        cumulative = Migrate_exec.new_report ();
-        rollback = None;
-      };
-  (* While the migration is live, a full scan over a partially-populated
-     output forces a whole-table lazy migration — have the planner flag it. *)
-  Planner.set_migration_watch t.database.Database.catalog output_names;
-  register_migration_stats t;
-  t.dropped <- t.dropped @ spec.Migration.drop_old;
-  (* The logical switch changes what every cached plan would resolve to
-     (output tables exist, old names are rejected): invalidate them. *)
-  Catalog.bump_epoch t.database.Database.catalog;
-  rt
+  activate t
+    (Migrate_exec.install ?mode ?page_size ?nn ?fk_join ~lint:v ~mig_id t.database
+       spec)
 
 (* Crash-restart path: re-install a migration whose logical switch
    already happened before the crash.  The output tables (and the rows
    already migrated into them) survived via redo replay; trackers come
    back empty and are refilled from the committed granule marks in the
    log, so migration resumes exactly where the durable state left it.
-   No precheck, and lint runs without enforcement — the spec was
-   validated at the original switch; the fresh verdict is attached to
-   the runtime only so a post-crash [rollback_migration] still has the
-   derived backward transform. *)
-let resume_migration ?mode ?page_size ?stripes ?nn ?fk_join t ~mig_id
-    (spec : Migration.t) =
+   The spec was validated at the original switch, so nothing is rejected
+   here; the fresh verdict picks the same mode the switch did and is
+   attached to the runtime so a post-crash [rollback_migration] still
+   has the derived backward transform. *)
+let resume_migration ?mode ?page_size ?nn ?fk_join t ~mig_id (spec : Migration.t) =
   if t.act <> None then err "a schema migration is already in progress";
   Obs.Flight.notef ~cat:"migration" "resume %s after crash restart"
     spec.Migration.name;
   Obs.Trace.with_span ~cat:"migration" "resume"
     ~args:[ ("migration", spec.Migration.name) ]
   @@ fun () ->
-  let catalog = t.database.Database.catalog in
-  let output_names = output_names_of spec in
-  (* The replayed catalog already holds the outputs; the shadow catalogs
-     must expose only the old tables (plus the output views). *)
-  let old_tables =
-    List.filter_map
-      (fun name ->
-        if List.mem (String.lowercase_ascii name) output_names then None
-        else Some (Catalog.find_table_exn catalog name))
-      (Catalog.table_names catalog)
-  in
   let verdict =
-    try Some (Mig_lint.lint ?fk_join catalog spec) with _ -> None
+    try Some (Mig_lint.lint ?fk_join t.database.Database.catalog spec) with _ -> None
   in
   let rt =
-    Migrate_exec.install ?mode ?page_size ?stripes ?nn ?fk_join ?lint:verdict
-      ~resume:true ~mig_id t.database spec
+    Migrate_exec.install
+      ?mode:(mode_of_verdict ?mode spec verdict)
+      ?page_size ?nn ?fk_join ?lint:verdict ~resume:true ~mig_id t.database spec
   in
   let restored = Recovery.rebuild rt t.database.Database.redo in
   Logs.info (fun m ->
       m "migration %S resumed after restart: %d granule mark(s) restored"
         spec.Migration.name restored);
-  let shadows = build_shadows old_tables spec in
-  t.act <-
-    Some
-      {
-        rt;
-        shadows;
-        output_names;
-        cumulative = Migrate_exec.new_report ();
-        rollback = None;
-      };
-  Planner.set_migration_watch t.database.Database.catalog output_names;
-  register_migration_stats t;
-  t.next_mig_id <- max t.next_mig_id (mig_id + 1);
-  t.dropped <- t.dropped @ spec.Migration.drop_old;
-  Catalog.bump_epoch t.database.Database.catalog;
-  rt
+  activate t rt
 
 let active t = Option.map (fun a -> a.rt) t.act
 
@@ -1023,10 +908,7 @@ let finalize t =
           if Catalog.exists t.database.Database.catalog name then
             Catalog.drop t.database.Database.catalog name)
         (List.sort_uniq String.compare inputs);
-      t.act <- None;
-      Planner.clear_migration_watch t.database.Database.catalog;
-      Obs.unregister_stats "bullfrog.migration";
-      Catalog.bump_epoch t.database.Database.catalog
+      deactivate t
 
 (* ------------------------------------------------------------------ *)
 (* Mid-flight rollback (§4.2j)                                         *)
@@ -1114,10 +996,6 @@ let purges_of_forward db (fwd : Migrate_exec.t) =
    other outstanding marks. *)
 let purge_mark_prefix = "#purge#"
 
-let drop_restored t (fwd_spec : Migration.t) =
-  let restored = List.map String.lowercase_ascii fwd_spec.Migration.drop_old in
-  t.dropped <- List.filter (fun n -> not (List.mem n restored)) t.dropped
-
 let rollback_migration t =
   match t.act with
   | None -> err "no schema migration is in progress; nothing to roll back"
@@ -1132,8 +1010,8 @@ let rollback_migration t =
         | Some v -> v
         | None ->
             err
-              "migration %S was started with lint off, so no backward transform \
-               was derived; cannot roll back"
+              "migration %S has no lint verdict (the analyzer failed when it was \
+               resumed), so no backward transform was derived; cannot roll back"
               spec.Migration.name
       in
       if not (Mig_lint.invertible lint) then
@@ -1154,11 +1032,8 @@ let rollback_migration t =
               if Catalog.exists t.database.Database.catalog name then
                 Catalog.drop t.database.Database.catalog name)
             (List.sort_uniq String.compare act.output_names);
-          t.act <- None;
-          Planner.clear_migration_watch t.database.Database.catalog;
-          Obs.unregister_stats "bullfrog.migration";
           drop_restored t spec;
-          Catalog.bump_epoch t.database.Database.catalog;
+          deactivate t;
           None
       | Some bspec ->
           let purges = purges_of_forward t.database fwd in
@@ -1193,39 +1068,16 @@ let rollback_migration t =
               ~page_size:fwd.Migrate_exec.page_size ~resume:true ~mig_id:rb_mig_id
               t.database bspec
           in
-          let output_names = output_names_of bspec in
-          let base_tables =
-            List.filter_map
-              (fun name ->
-                if List.mem (String.lowercase_ascii name) output_names then None
-                else Some (Catalog.find_table_exn t.database.Database.catalog name))
-              (Catalog.table_names t.database.Database.catalog)
-          in
-          let shadows = build_shadows base_tables bspec in
-          t.act <-
-            Some
-              {
-                rt = brt;
-                shadows;
-                output_names;
-                cumulative = Migrate_exec.new_report ();
-                rollback =
-                  Some
-                    {
-                      rb_fwd_mig_id = fwd.Migrate_exec.mig_id;
-                      rb_fwd_spec = spec;
-                      rb_purges = purges;
-                    };
-              };
-          Planner.set_migration_watch t.database.Database.catalog output_names;
-          register_migration_stats t;
           (* The old schema is legal again; the abandoned new tables are
              not (they are now the inputs being drained). *)
-          drop_restored t spec;
-          t.dropped <-
-            t.dropped @ List.map String.lowercase_ascii bspec.Migration.drop_old;
-          Catalog.bump_epoch t.database.Database.catalog;
-          Some brt)
+          Some
+            (activate t brt
+               ~rollback:
+                 {
+                   rb_fwd_mig_id = fwd.Migrate_exec.mig_id;
+                   rb_fwd_spec = spec;
+                   rb_purges = purges;
+                 }))
 
 (* Crash-restart mid-rollback.  The forward spec is re-installed
    throwaway (resume mode, no DDL) purely to refill its trackers from
@@ -1234,7 +1086,7 @@ let rollback_migration t =
    per granule; re-purging is idempotent (the TIDs are tombstones).
    [page_size] must match the original forward install for granule ids
    to line up, as with {!resume_migration}. *)
-let resume_rollback ?mode ?page_size ?stripes ?nn ?fk_join t ~fwd_mig_id ~mig_id
+let resume_rollback ?mode ?page_size ?nn ?fk_join t ~fwd_mig_id ~mig_id
     (fwd_spec : Migration.t) (bspec : Migration.t) =
   if t.act <> None then err "a schema migration is already in progress";
   Obs.Flight.notef ~cat:"migration" "resume rollback of %s after crash restart"
@@ -1242,10 +1094,9 @@ let resume_rollback ?mode ?page_size ?stripes ?nn ?fk_join t ~fwd_mig_id ~mig_id
   Obs.Trace.with_span ~cat:"migration" "resume-rollback"
     ~args:[ ("migration", fwd_spec.Migration.name) ]
   @@ fun () ->
-  let catalog = t.database.Database.catalog in
   let fwd_rt =
-    Migrate_exec.install ?mode ?page_size ?stripes ?nn ?fk_join ~resume:true
-      ~mig_id:fwd_mig_id t.database fwd_spec
+    Migrate_exec.install ?mode ?page_size ?nn ?fk_join ~resume:true ~mig_id:fwd_mig_id
+      t.database fwd_spec
   in
   ignore (Recovery.rebuild fwd_rt t.database.Database.redo);
   let purges = purges_of_forward t.database fwd_rt in
@@ -1277,36 +1128,12 @@ let resume_rollback ?mode ?page_size ?stripes ?nn ?fk_join t ~fwd_mig_id ~mig_id
       purges
   in
   let brt =
-    Migrate_exec.install ?mode ~overwrite:true ?page_size ?stripes ?nn ?fk_join
-      ~resume:true ~mig_id t.database bspec
+    Migrate_exec.install ?mode ~overwrite:true ?page_size ?nn ?fk_join ~resume:true
+      ~mig_id t.database bspec
   in
   let restored = Recovery.rebuild brt t.database.Database.redo in
   Logs.info (fun m ->
       m "rollback of %S resumed after restart: %d granule mark(s) restored"
         fwd_spec.Migration.name restored);
-  let output_names = output_names_of bspec in
-  let base_tables =
-    List.filter_map
-      (fun name ->
-        if List.mem (String.lowercase_ascii name) output_names then None
-        else Some (Catalog.find_table_exn catalog name))
-      (Catalog.table_names catalog)
-  in
-  let shadows = build_shadows base_tables bspec in
-  t.act <-
-    Some
-      {
-        rt = brt;
-        shadows;
-        output_names;
-        cumulative = Migrate_exec.new_report ();
-        rollback =
-          Some { rb_fwd_mig_id = fwd_mig_id; rb_fwd_spec = fwd_spec; rb_purges = purges };
-      };
-  Planner.set_migration_watch catalog output_names;
-  register_migration_stats t;
-  t.next_mig_id <- max t.next_mig_id (max fwd_mig_id mig_id + 1);
-  drop_restored t fwd_spec;
-  t.dropped <- t.dropped @ List.map String.lowercase_ascii bspec.Migration.drop_old;
-  Catalog.bump_epoch catalog;
-  brt
+  activate t brt
+    ~rollback:{ rb_fwd_mig_id = fwd_mig_id; rb_fwd_spec = fwd_spec; rb_purges = purges }

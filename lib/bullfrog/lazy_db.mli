@@ -22,33 +22,26 @@ val db : t -> Bullfrog_db.Database.t
 val start_migration :
   ?mode:Migrate_exec.mode ->
   ?page_size:int ->
-  ?stripes:int ->
   ?nn:Migrate_exec.nn_granularity ->
   ?fk_join:[ `Tuple | `Class ] ->
-  ?precheck:[ `Off | `Warn | `Error ] ->
-  ?lint:[ `Off | `Warn | `Auto | `Enforce ] ->
   t ->
   Migration.t ->
   Migrate_exec.t
-(** The logical switch.  [precheck] (§2.4, default [`Off]) synchronously
-    evaluates the populations of outputs that declare UNIQUE / PRIMARY KEY
-    constraints: [`Error] rejects the migration when existing data would
-    violate them, [`Warn] logs and proceeds with the pure lazy approach
-    (those records will fail to migrate).
-
-    [lint] (default [`Auto]) runs the static analyzer ({!Mig_lint.lint})
-    before the switch: [`Warn] only logs hazards; [`Auto] rejects provable
-    row loss and, when split outputs are not provably disjoint, switches
-    to ON CONFLICT mode (unless the caller already asked for it); [`Enforce]
-    rejects instead of switching.  The verdict is recorded on the returned
-    runtime ([Migrate_exec.lint]).
+(** The logical switch.  The static analyzer ({!Mig_lint.lint}) runs
+    first and its verdict is recorded on the returned runtime
+    ([Migrate_exec.lint]): provable row loss is rejected; split outputs
+    that are not provably disjoint switch the migration to ON CONFLICT
+    mode (unless the caller already asked for it); hazards and a
+    non-invertible spec (mid-flight rollback will be refused) are logged
+    as warnings.  Uniqueness is not pre-checked: a row that violates an
+    output's UNIQUE / PRIMARY KEY constraint fails when its granule
+    migrates (§2.4's pure lazy approach).
     @raise Db_error.Sql_error when a migration is already active, or when
     the linter rejects the spec. *)
 
 val resume_migration :
   ?mode:Migrate_exec.mode ->
   ?page_size:int ->
-  ?stripes:int ->
   ?nn:Migrate_exec.nn_granularity ->
   ?fk_join:[ `Tuple | `Class ] ->
   t ->
@@ -61,10 +54,11 @@ val resume_migration :
     replay — so no DDL runs; trackers are refilled from the committed
     granule marks in the redo log ({!Recovery.rebuild}) and migration
     resumes from the durable frontier.  [mig_id] must be the original
-    runtime's id (granule marks are filtered by it).  Precheck is
-    skipped and lint runs without enforcement — the spec was validated
-    at the original switch; the fresh verdict is attached to the runtime
-    so {!rollback_migration} keeps working across a crash.
+    runtime's id (granule marks are filtered by it).  The analyzer runs
+    again but rejects nothing — the switch already happened; its verdict
+    picks the mode exactly as {!start_migration} does (an overlapping
+    split resumes in ON CONFLICT mode) and is attached to the runtime so
+    {!rollback_migration} keeps working across a crash.
     @raise Db_error.Sql_error when a migration is already active. *)
 
 val active : t -> Migrate_exec.t option
@@ -153,13 +147,13 @@ val rollback_migration : t -> Migrate_exec.t option
     replaced by the reconstructed rows, so reads after the rollback flip
     are exactly the never-migrated history plus the new-schema edits.
     @raise Db_error.Sql_error when no migration is active, a rollback is
-    already in flight, the migration was started with [~lint:`Off], or
-    the spec is not invertible. *)
+    already in flight, the runtime has no lint verdict (the analyzer
+    raised when the migration was resumed), or the spec is not
+    invertible. *)
 
 val resume_rollback :
   ?mode:Migrate_exec.mode ->
   ?page_size:int ->
-  ?stripes:int ->
   ?nn:Migrate_exec.nn_granularity ->
   ?fk_join:[ `Tuple | `Class ] ->
   t ->
@@ -175,6 +169,9 @@ val resume_rollback :
     purged; the purge TID ceilings come from the synthetic marks logged
     at rollback time; the backward runtime resumes from its own marks
     (under [mig_id]).  [page_size] must match the original installs.
+    No analyzer runs: like {!rollback_migration}'s, the backward runtime
+    takes the caller's [mode] (default [Tracked]); a derived backward
+    spec is disjoint by construction.
     @raise Db_error.Sql_error when a migration is already active. *)
 
 val extract_predicates_for_stmt :

@@ -199,9 +199,8 @@ let infer_output_schema catalog (population : Ast.select) =
 (* Installation (the logical switch)                                   *)
 (* ------------------------------------------------------------------ *)
 
-let install ?(mode = Tracked) ?(overwrite = false) ?(page_size = 1)
-    ?(stripes = 64) ?(nn = Nn_pair) ?(fk_join = `Tuple) ?lint
-    ?(resume = false) ~mig_id db (spec : Migration.t) =
+let install ?(mode = Tracked) ?(overwrite = false) ?(page_size = 1) ?(nn = Nn_pair)
+    ?(fk_join = `Tuple) ?lint ?(resume = false) ~mig_id db (spec : Migration.t) =
   (* Installation is the logical switch (§3.2) — rare and cold, so the
      span is unconditional. *)
   Obs.Trace.with_span ~cat:"migration" "install"
@@ -274,7 +273,7 @@ let install ?(mode = Tracked) ?(overwrite = false) ?(page_size = 1)
            a granule is the join-key class spanning both. *)
         let shared_hash =
           if (not pair_mode) && List.length nn_inputs >= 2 then
-            Some (Hash_tracker.create ~stripes (), fresh_uid ())
+            Some (Hash_tracker.create (), fresh_uid ())
           else None
         in
         let inputs =
@@ -290,7 +289,7 @@ let install ?(mode = Tracked) ?(overwrite = false) ?(page_size = 1)
                     (RT_none, 0)
                 | Classify.T_bitmap ->
                     ( RT_bitmap
-                        (Bitmap_tracker.create ~page_size ~stripes
+                        (Bitmap_tracker.create ~page_size
                            ~size:(Heap.tid_count heap) ()),
                       fresh_uid () )
                 | Classify.T_hash cols ->
@@ -303,7 +302,7 @@ let install ?(mode = Tracked) ?(overwrite = false) ?(page_size = 1)
                         (plan.Classify.ip_category, shared_hash)
                       with
                       | Classify.Many_to_many, Some (shared, uid) -> (shared, uid)
-                      | _ -> (Hash_tracker.create ~stripes (), fresh_uid ())
+                      | _ -> (Hash_tracker.create (), fresh_uid ())
                     in
                     (RT_hash (ht, idxs), uid)
               in
@@ -390,7 +389,7 @@ let install ?(mode = Tracked) ?(overwrite = false) ?(page_size = 1)
                 Some
                   {
                     pr_uid = fresh_uid ();
-                    pr_tracker = Hash_tracker.create ~stripes ();
+                    pr_tracker = Hash_tracker.create ();
                     pr_a = a;
                     pr_b = b;
                     pr_a_key = a_key;

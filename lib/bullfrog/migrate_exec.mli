@@ -129,7 +129,6 @@ val install :
   ?mode:mode ->
   ?overwrite:bool ->
   ?page_size:int ->
-  ?stripes:int ->
   ?nn:nn_granularity ->
   ?fk_join:[ `Tuple | `Class ] ->
   ?lint:Mig_lint.t ->

@@ -742,6 +742,27 @@ let spec_outputs (mig : Migration.t) =
        (fun st -> List.map (fun o -> lc o.Migration.out_name) st.Migration.outputs)
        mig.Migration.statements)
 
+(* The coordinator's record of an active migration.  Row-mover
+   watermarks start at each output heap's current top when the rows below
+   it are already home ([from_tops]), or at 0 after a restart: the mover
+   then rescans every output heap, which is idempotent (moving is a 2PC
+   delete+insert keyed by the row's home shard; already-home rows are
+   skipped). *)
+let migration_record t ~from_tops spec rts =
+  let outputs = spec_outputs spec in
+  let wms = Hashtbl.create 8 in
+  List.iter
+    (fun out ->
+      Hashtbl.replace wms out
+        (Array.map
+           (fun sh ->
+             match Catalog.find_table sh.sh_db.Database.catalog out with
+             | Some h when from_tops -> Heap.tid_count h
+             | Some _ | None -> 0)
+           t.shards))
+    outputs;
+  { mig_spec = spec; mig_rts = rts; mig_outputs = outputs; mig_watermarks = wms }
+
 let start_migration ?(partitions = []) t mig =
   with_latch t (fun () ->
       if t.migration <> None then sql_error "cluster: a migration is already active";
@@ -757,7 +778,7 @@ let start_migration ?(partitions = []) t mig =
         (Printf.sprintf "BFMIG-START %d %s"
            rts.(0).Migrate_exec.mig_id
            (Migration.serialize mig));
-      let outputs = spec_outputs mig in
+      let m = migration_record t ~from_tops:true mig rts in
       let partitions = List.map (fun (k, v) -> (lc k, v)) partitions in
       List.iter
         (fun out ->
@@ -767,20 +788,8 @@ let start_migration ?(partitions = []) t mig =
               match default_partition t out with
               | Some p when partition_of t out = None -> set_partition t out p
               | _ -> ()))
-        outputs;
-      let wms = Hashtbl.create 8 in
-      List.iter
-        (fun out ->
-          Hashtbl.replace wms out
-            (Array.map
-               (fun sh ->
-                 match Catalog.find_table sh.sh_db.Database.catalog out with
-                 | Some h -> Heap.tid_count h
-                 | None -> 0)
-               t.shards))
-        outputs;
-      t.migration <-
-        Some { mig_spec = mig; mig_rts = rts; mig_outputs = outputs; mig_watermarks = wms };
+        m.mig_outputs;
+      t.migration <- Some m;
       t.dropped <- List.map lc mig.Migration.drop_old @ t.dropped;
       (* the cluster-wide flip: one store, after every shard acked *)
       Atomic.incr t.epoch;
@@ -887,29 +896,10 @@ let rollback_migration t =
                 (Printf.sprintf "BFMIG-RB %d %d %s" fwd_mig_id
                    brts.(0).Migrate_exec.mig_id
                    (Migration.serialize bspec));
-              let outputs = spec_outputs bspec in
               (* Watermarks start at the current heap tops: the surviving
                  old rows never moved (they are already home), only
                  reconstructed rows appended above need the row mover. *)
-              let wms = Hashtbl.create 8 in
-              List.iter
-                (fun out ->
-                  Hashtbl.replace wms out
-                    (Array.map
-                       (fun sh ->
-                         match Catalog.find_table sh.sh_db.Database.catalog out with
-                         | Some h -> Heap.tid_count h
-                         | None -> 0)
-                       t.shards))
-                outputs;
-              t.migration <-
-                Some
-                  {
-                    mig_spec = bspec;
-                    mig_rts = brts;
-                    mig_outputs = outputs;
-                    mig_watermarks = wms;
-                  };
+              t.migration <- Some (migration_record t ~from_tops:true bspec brts);
               t.dropped <- List.map lc bspec.Migration.drop_old @ t.dropped);
           Atomic.incr t.epoch;
           Obs.Flight.notef ~cat:"cluster" "migration %s rolled back (epoch %d)"
@@ -930,53 +920,44 @@ type pending_migration =
   | P_rollback of int * string * int * string
       (* forward mig_id, forward spec, rollback mig_id, backward spec *)
 
+(* [split_words n s]: the first [n] space-separated words of [s] and
+   the rest after them (spaces and all), or [None] when [s] has fewer
+   than [n] spaces. *)
+let split_words n s =
+  let rec go n i acc =
+    if n = 0 then Some (List.rev acc, String.sub s i (String.length s - i))
+    else
+      match String.index_from_opt s i ' ' with
+      | Some j -> go (n - 1) (j + 1) (String.sub s i (j - i) :: acc)
+      | None -> None
+  in
+  go n 0 []
+
 let pending_migration_marker coord_log =
+  let marker acc d_sql =
+    match split_words 1 d_sql with
+    | Some ([ "BFMIG-START" ], rest) -> (
+        match split_words 1 rest with
+        | Some ([ id ], spec) -> Some (P_forward (int_of_string id, spec))
+        | _ -> acc)
+    | Some ([ "BFMIG-RB" ], rest) -> (
+        match split_words 2 rest with
+        | Some ([ fwd_id; rb_id ], bspec) -> (
+            let fwd_id = int_of_string fwd_id and rb_id = int_of_string rb_id in
+            match acc with
+            | Some (P_forward (mid, mw)) when mid = fwd_id ->
+                Some (P_rollback (mid, mw, rb_id, bspec))
+            | _ -> acc)
+        | _ -> acc)
+    | Some ([ "BFMIG-END" ], id) -> (
+        match (acc, int_of_string_opt id) with
+        | Some (P_forward (mid, _)), Some eid when mid = eid -> None
+        | Some (P_rollback (_, _, rbid, _)), Some eid when rbid = eid -> None
+        | _ -> acc)
+    | _ -> acc
+  in
   List.fold_left
-    (fun acc entry ->
-      match entry with
-      | Redo_log.E_ddl { d_sql; _ } -> (
-          match String.index_opt d_sql ' ' with
-          | Some sp when String.sub d_sql 0 sp = "BFMIG-START" -> (
-              let rest = String.sub d_sql (sp + 1) (String.length d_sql - sp - 1) in
-              match String.index_opt rest ' ' with
-              | Some sp2 ->
-                  let mig_id = int_of_string (String.sub rest 0 sp2) in
-                  let spec =
-                    String.sub rest (sp2 + 1) (String.length rest - sp2 - 1)
-                  in
-                  Some (P_forward (mig_id, spec))
-              | None -> acc)
-          | Some sp when String.sub d_sql 0 sp = "BFMIG-RB" -> (
-              let rest = String.sub d_sql (sp + 1) (String.length d_sql - sp - 1) in
-              match String.index_opt rest ' ' with
-              | Some sp2 -> (
-                  let fwd_id = int_of_string (String.sub rest 0 sp2) in
-                  let rest2 =
-                    String.sub rest (sp2 + 1) (String.length rest - sp2 - 1)
-                  in
-                  match String.index_opt rest2 ' ' with
-                  | Some sp3 -> (
-                      let rb_id = int_of_string (String.sub rest2 0 sp3) in
-                      let bspec =
-                        String.sub rest2 (sp3 + 1) (String.length rest2 - sp3 - 1)
-                      in
-                      match acc with
-                      | Some (P_forward (mid, mw)) when mid = fwd_id ->
-                          Some (P_rollback (mid, mw, rb_id, bspec))
-                      | _ -> acc)
-                  | None -> acc)
-              | None -> acc)
-          | Some sp when String.sub d_sql 0 sp = "BFMIG-END" -> (
-              let id =
-                int_of_string_opt
-                  (String.sub d_sql (sp + 1) (String.length d_sql - sp - 1))
-              in
-              match (acc, id) with
-              | Some (P_forward (mid, _)), Some eid when mid = eid -> None
-              | Some (P_rollback (_, _, rbid, _)), Some eid when rbid = eid -> None
-              | _ -> acc)
-          | _ -> acc)
-      | _ -> acc)
+    (fun acc -> function Redo_log.E_ddl { d_sql; _ } -> marker acc d_sql | _ -> acc)
     None (Redo_log.entries coord_log)
 
 let recover old =
@@ -1013,53 +994,26 @@ let recover old =
   Obs.register_stats t.prov (fun () -> !stats_of t);
   Obs.Flight.notef ~cat:"cluster" "recovered %d shard(s), epoch %d"
     (Array.length shards) (Atomic.get t.epoch);
-  (* Watermarks restart from 0 in both resume paths: the row mover
-     rescans every output heap, which is idempotent (moving is a 2PC
-     delete+insert keyed by the row's home shard; already-home rows are
-     skipped). *)
-  let zero_watermarks outputs =
-    let wms = Hashtbl.create 8 in
-    List.iter
-      (fun out -> Hashtbl.replace wms out (Array.make (Array.length t.shards) 0))
-      outputs;
-    wms
-  in
   (match pending_migration_marker coord_log with
   | None -> ()
-  | Some (P_forward (mig_id, wire)) ->
-      let mig = Migration.deserialize wire in
-      let rts =
-        Array.map
-          (fun sh -> Lazy_db.resume_migration sh.sh_lazy ~mig_id mig)
-          t.shards
+  | Some pending ->
+      let spec, rts =
+        match pending with
+        | P_forward (mig_id, wire) ->
+            let mig = Migration.deserialize wire in
+            ( mig,
+              Array.map (fun sh -> Lazy_db.resume_migration sh.sh_lazy ~mig_id mig) t.shards
+            )
+        | P_rollback (fwd_mig_id, fwd_wire, mig_id, rb_wire) ->
+            let fwd_spec = Migration.deserialize fwd_wire in
+            let bspec = Migration.deserialize rb_wire in
+            ( bspec,
+              Array.map
+                (fun sh ->
+                  Lazy_db.resume_rollback sh.sh_lazy ~fwd_mig_id ~mig_id fwd_spec bspec)
+                t.shards )
       in
-      let outputs = spec_outputs mig in
-      t.migration <-
-        Some
-          {
-            mig_spec = mig;
-            mig_rts = rts;
-            mig_outputs = outputs;
-            mig_watermarks = zero_watermarks outputs;
-          }
-  | Some (P_rollback (fwd_mig_id, fwd_wire, mig_id, rb_wire)) ->
-      let fwd_spec = Migration.deserialize fwd_wire in
-      let bspec = Migration.deserialize rb_wire in
-      let rts =
-        Array.map
-          (fun sh ->
-            Lazy_db.resume_rollback sh.sh_lazy ~fwd_mig_id ~mig_id fwd_spec bspec)
-          t.shards
-      in
-      let outputs = spec_outputs bspec in
-      t.migration <-
-        Some
-          {
-            mig_spec = bspec;
-            mig_rts = rts;
-            mig_outputs = outputs;
-            mig_watermarks = zero_watermarks outputs;
-          });
+      t.migration <- Some (migration_record t ~from_tops:false spec rts));
   t
 
 (* ------------------------------------------------------------------ *)

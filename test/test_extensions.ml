@@ -1,5 +1,5 @@
-(* Paper-extension features: the §2.4 synchronous uniqueness pre-check and
-   the §3.6 option-1 (FK-class) join granularity. *)
+(* Paper-extension features: §2.4 uniqueness under the pure lazy
+   approach and the §3.6 option-1 (FK-class) join granularity. *)
 
 open Bullfrog_db
 open Bullfrog_core
@@ -39,51 +39,54 @@ let keyed_spec () =
       };
     ]
 
-let precheck_error_mode () =
-  let db = dup_db () in
-  let bf = Lazy_db.create db in
-  (* `Error rejects the migration before the logical switch *)
-  (try
-     ignore (Lazy_db.start_migration ~precheck:`Error bf (keyed_spec ()) : Migrate_exec.t);
-     Alcotest.fail "duplicates must be detected synchronously"
-   with Db_error.Sql_error msg ->
-     check Alcotest.bool "message mentions the output" true
-       (let rec has i =
-          i + 2 <= String.length msg && (String.sub msg i 2 = "t2" || has (i + 1))
-        in
-        has 0));
-  (* the switch did not happen: no output table, no active migration *)
-  check Alcotest.bool "no output table" false (Catalog.exists db.Database.catalog "t2");
-  check Alcotest.bool "no active migration" true (Lazy_db.active bf = None);
-  (* after fixing the data the same migration goes through *)
-  ignore (Database.exec db "DELETE FROM t WHERE v = 'dup'" : Executor.result);
-  ignore (Lazy_db.start_migration ~precheck:`Error bf (keyed_spec ()) : Migrate_exec.t);
-  let rec drain () = if Lazy_db.background_step bf ~batch:8 > 0 then drain () in
-  drain ();
-  check Alcotest.int "migrated after fix" 3 (count db "t2")
+(* §2.4's pure lazy approach: uniqueness is not checked at the switch.
+   Over duplicate data the switch still happens and the duplicate fails
+   when its granule migrates. *)
+let drain bf =
+  let rec go () = if Lazy_db.background_step bf ~batch:8 > 0 then go () in
+  go ()
 
-let precheck_warn_mode () =
+let duplicate_fails_lazily () =
   let db = dup_db () in
   let bf = Lazy_db.create db in
-  (* `Warn proceeds with the pure lazy approach *)
-  ignore (Lazy_db.start_migration ~precheck:`Warn bf (keyed_spec ()) : Migrate_exec.t);
+  ignore (Lazy_db.start_migration bf (keyed_spec ()) : Migrate_exec.t);
   check Alcotest.bool "switch happened" true (Catalog.exists db.Database.catalog "t2");
-  (* the duplicate record fails to migrate when its granule is reached *)
   try
-    let rec drain () = if Lazy_db.background_step bf ~batch:8 > 0 then drain () in
-    drain ();
+    drain bf;
     Alcotest.fail "the duplicate should surface during migration"
   with Db_error.Constraint_violation _ -> ()
 
-let precheck_clean_data_passes () =
+let clean_data_migrates () =
   let db = Database.create () in
   ignore
     (Database.exec_script db
        "CREATE TABLE t (id INT, v TEXT); INSERT INTO t VALUES (1,'a'),(2,'b')");
   let bf = Lazy_db.create db in
-  ignore (Lazy_db.start_migration ~precheck:`Error bf (keyed_spec ()) : Migrate_exec.t);
-  check Alcotest.bool "clean data passes the precheck" true
-    (Catalog.exists db.Database.catalog "t2")
+  ignore (Lazy_db.start_migration bf (keyed_spec ()) : Migrate_exec.t);
+  drain bf;
+  check Alcotest.int "clean data migrates" 2 (count db "t2")
+
+(* Only the duplicate's records fail: requests for other keys migrate
+   and read normally, and the unmigrated duplicate keeps the migration
+   from finalizing. *)
+let duplicate_fails_alone () =
+  let db = dup_db () in
+  let bf = Lazy_db.create db in
+  ignore (Lazy_db.start_migration bf (keyed_spec ()) : Migrate_exec.t);
+  let read id =
+    match Lazy_db.exec bf (Printf.sprintf "SELECT v FROM t2 WHERE id = %d" id) with
+    | Executor.Rows (_, rows) -> rows
+    | _ -> []
+  in
+  check Alcotest.bool "id 1 reads" true (read 1 = [ [| Value.Str "a" |] ]);
+  check Alcotest.bool "id 3 reads" true (read 3 = [ [| Value.Str "c" |] ]);
+  (match read 2 with
+  | _ -> Alcotest.fail "the duplicate key should fail to migrate"
+  | exception Db_error.Constraint_violation _ -> ());
+  check Alcotest.int "other keys migrated" 2 (count db "t2");
+  match Lazy_db.finalize bf with
+  | () -> Alcotest.fail "finalize must wait for the duplicate's granule"
+  | exception Db_error.Sql_error _ -> ()
 
 (* ---------------- §3.6 option 1 ---------------- *)
 
@@ -159,9 +162,9 @@ let option1_exactly_once_under_overlap () =
 
 let suite =
   [
-    Alcotest.test_case "precheck `Error rejects duplicates" `Quick precheck_error_mode;
-    Alcotest.test_case "precheck `Warn proceeds lazily" `Quick precheck_warn_mode;
-    Alcotest.test_case "precheck passes clean data" `Quick precheck_clean_data_passes;
+    Alcotest.test_case "duplicate key fails lazily" `Quick duplicate_fails_lazily;
+    Alcotest.test_case "clean data migrates" `Quick clean_data_migrates;
+    Alcotest.test_case "duplicate fails alone" `Quick duplicate_fails_alone;
     Alcotest.test_case "FK-PK option 2 (tuple)" `Quick option2_tuple_granularity;
     Alcotest.test_case "FK-PK option 1 (class)" `Quick option1_class_granularity;
     Alcotest.test_case "option 1 exactly-once" `Quick option1_exactly_once_under_overlap;

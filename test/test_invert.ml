@@ -100,36 +100,25 @@ let join_not_invertible () =
   | _ -> Alcotest.fail "expected exactly one non-invertibility reason"
 
 (* ------------------------------------------------------------------ *)
-(* enforce-mode gating                                                 *)
+(* invertibility at the switch                                         *)
 (* ------------------------------------------------------------------ *)
 
-let enforce_rejects_non_invertible () =
+let invertible_spec_installs () =
   let db = tpcc_db () in
   let ld = Lazy_db.create db in
-  expect_sql_error "enforce over join spec" (fun () ->
-      ignore
-        (Lazy_db.start_migration ld ~lint:`Enforce (Tpcc_migrations.join_spec ())
-          : Migrate_exec.t));
-  (* the rejected flip left nothing behind *)
-  check Alcotest.bool "no active migration" true (Lazy_db.active ld = None);
-  check Alcotest.bool "no output table" false
-    (Catalog.exists db.Database.catalog "orderline_stock")
+  let rt = Lazy_db.start_migration ld (Tpcc_migrations.aggregate_spec ()) in
+  check Alcotest.bool "active" true (Lazy_db.active ld <> None);
+  check Alcotest.bool "verdict says invertible" true
+    (match rt.Migrate_exec.lint with Some v -> Mig_lint.invertible v | None -> false)
 
-let enforce_accepts_invertible () =
-  let db = tpcc_db () in
-  let ld = Lazy_db.create db in
-  ignore
-    (Lazy_db.start_migration ld ~lint:`Enforce
-       (Tpcc_migrations.aggregate_spec ())
-      : Migrate_exec.t);
-  check Alcotest.bool "active" true (Lazy_db.active ld <> None)
-
+(* A non-invertible spec installs (the switch only warns), and rollback
+   is refused later. *)
 let warn_allows_but_rollback_refused () =
   let db = tpcc_db () in
   let ld = Lazy_db.create db in
-  ignore
-    (Lazy_db.start_migration ld ~lint:`Warn (Tpcc_migrations.join_spec ())
-      : Migrate_exec.t);
+  ignore (Lazy_db.start_migration ld (Tpcc_migrations.join_spec ()) : Migrate_exec.t);
+  check Alcotest.bool "join installed" true
+    (Catalog.exists db.Database.catalog "orderline_stock");
   expect_sql_error "rollback of non-invertible" (fun () ->
       ignore (Lazy_db.rollback_migration ld : Migrate_exec.t option))
 
@@ -492,10 +481,7 @@ let suite =
     Alcotest.test_case "TPC-C aggregate trivially invertible" `Quick
       aggregate_trivially_invertible;
     Alcotest.test_case "TPC-C join is not invertible" `Quick join_not_invertible;
-    Alcotest.test_case "enforce rejects non-invertible spec" `Quick
-      enforce_rejects_non_invertible;
-    Alcotest.test_case "enforce accepts invertible spec" `Quick
-      enforce_accepts_invertible;
+    Alcotest.test_case "invertible spec installs" `Quick invertible_spec_installs;
     Alcotest.test_case "warn installs but rollback is refused" `Quick
       warn_allows_but_rollback_refused;
     Alcotest.test_case "rollback without a migration is refused" `Quick

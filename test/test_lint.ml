@@ -177,7 +177,7 @@ let split_spec ?(drop = []) ~name lo_where hi_where =
 
 let overlap_auto_switches_mode () =
   (* v < 10 and v > 5 overlap on (5, 10): a lazily migrated row may be
-     inserted into both outputs, so Auto must fall back to ON CONFLICT. *)
+     inserted into both outputs, so the switch must fall back to ON CONFLICT. *)
   let spec = split_spec ~name:"overlap" "v < 10" "v > 5" in
   let v = Mig_lint.lint (mk_split_db ()).Database.catalog spec in
   check Alcotest.bool "verdict: on-conflict" true
@@ -191,25 +191,11 @@ let overlap_auto_switches_mode () =
     (match rt.Migrate_exec.lint with
     | Some v -> v.Mig_lint.lint_action = Mig_lint.Act_on_conflict
     | None -> false);
-  (* Enforce rejects instead of switching... *)
-  (let bf = Lazy_db.create (mk_split_db ()) in
-   match Lazy_db.start_migration ~lint:`Enforce bf spec with
-   | _ -> Alcotest.fail "expected Enforce to reject the overlapping split"
-   | exception Db_error.Sql_error msg ->
-       check Alcotest.bool "mentions ON CONFLICT" true (contains msg "ON CONFLICT"));
-  (* ...unless the caller already asked for ON CONFLICT mode. *)
+  (* A caller that already asked for ON CONFLICT mode keeps it. *)
   let bf = Lazy_db.create (mk_split_db ()) in
-  let rt =
-    Lazy_db.start_migration ~mode:Migrate_exec.On_conflict ~lint:`Enforce bf spec
-  in
+  let rt = Lazy_db.start_migration ~mode:Migrate_exec.On_conflict bf spec in
   check Alcotest.bool "explicit on-conflict accepted" true
-    (rt.Migrate_exec.mode = Migrate_exec.On_conflict);
-  (* `Off skips the analyzer entirely (seed behaviour). *)
-  let bf = Lazy_db.create (mk_split_db ()) in
-  let rt = Lazy_db.start_migration ~lint:`Off bf spec in
-  check Alcotest.bool "lint off: mode untouched" true
-    (rt.Migrate_exec.mode = Migrate_exec.Tracked);
-  check Alcotest.bool "lint off: no verdict" true (rt.Migrate_exec.lint = None)
+    (rt.Migrate_exec.mode = Migrate_exec.On_conflict)
 
 let lost_rows_rejected () =
   (* Disjoint but non-covering over a dropped input: rows with
@@ -222,14 +208,26 @@ let lost_rows_rejected () =
     (List.mem Mig_lint.Lost_rows (kinds (Mig_lint.errors v)));
   (let bf = Lazy_db.create (mk_split_db ()) in
    match Lazy_db.start_migration bf spec with
-   | _ -> Alcotest.fail "expected Auto to reject a lossy split"
+   | _ -> Alcotest.fail "expected the switch to reject a lossy split"
    | exception Db_error.Sql_error msg ->
        check Alcotest.bool "mentions lint" true (contains msg "rejected by lint"));
-  (* `Warn only logs: the (lossy) migration still installs. *)
+  (* A single filtered output over the dropped input sheds rows on
+     purpose (the paper's own examples do): lint only warns, and the
+     migration installs. *)
+  let spec =
+    Migration.make ~name:"filter" ~drop_old:[ "t" ]
+      [ stmt_of_population "t_low" "SELECT id, v FROM t WHERE v < 10" ]
+  in
   let bf = Lazy_db.create (mk_split_db ()) in
-  let rt = Lazy_db.start_migration ~lint:`Warn bf spec in
-  check Alcotest.bool "warn-only install goes through" true
-    (rt.Migrate_exec.mode = Migrate_exec.Tracked)
+  let rt = Lazy_db.start_migration bf spec in
+  check Alcotest.bool "lost-rows warning recorded" true
+    (match rt.Migrate_exec.lint with
+    | Some v ->
+        v.Mig_lint.lint_action = Mig_lint.Act_ok
+        && List.mem Mig_lint.Lost_rows (kinds (Mig_lint.warnings v))
+    | None -> false);
+  check Alcotest.int "filtered rows migrate" 9
+    (List.length (rows_of (Lazy_db.exec bf "SELECT id FROM t_low")))
 
 let covering_split_accepted () =
   (* v < 10 / v >= 10 with v NOT NULL: provably disjoint AND covering,
@@ -388,7 +386,8 @@ let suite =
     Alcotest.test_case "tpcc: aggregate verdict" `Quick tpcc_aggregate_verdict;
     Alcotest.test_case "tpcc: join verdict" `Quick tpcc_join_verdict;
     Alcotest.test_case "classifier error shapes" `Quick classify_error_shapes;
-    Alcotest.test_case "overlap: auto-switch / enforce" `Quick overlap_auto_switches_mode;
+    Alcotest.test_case "overlap: auto-switch / caller mode" `Quick
+      overlap_auto_switches_mode;
     Alcotest.test_case "lost rows: reject / warn" `Quick lost_rows_rejected;
     Alcotest.test_case "covering split accepted" `Quick covering_split_accepted;
     Alcotest.test_case "nullable split rejected" `Quick nullable_split_rejected;

@@ -166,6 +166,57 @@ let hash_tracker_recovery () =
     rep.Migrate_exec.r_granules_migrated;
   check Alcotest.int "no duplicate group rows" 1 (count db "agg")
 
+(* A restart resumes an overlapping split in the ON CONFLICT mode its
+   switch chose, and the resumed copy drains to the original's rows. *)
+let resume_keeps_on_conflict () =
+  let db = Database.create () in
+  ignore
+    (Database.exec_script db "CREATE TABLE t (id INT PRIMARY KEY, v INT NOT NULL)");
+  for i = 1 to 20 do
+    ignore
+      (Database.exec db (Printf.sprintf "INSERT INTO t VALUES (%d, %d)" i i)
+        : Executor.result)
+  done;
+  let out name where =
+    {
+      Migration.out_name = name;
+      out_create = None;
+      out_population =
+        Parser.parse_select ("SELECT id, v FROM t WHERE " ^ where);
+      out_indexes = [];
+    }
+  in
+  let spec =
+    Migration.make ~name:"overlap"
+      [
+        {
+          Migration.stmt_name = "overlap";
+          outputs = [ out "t_low" "v < 10"; out "t_high" "v > 5" ];
+        };
+      ]
+  in
+  let bf = Lazy_db.create db in
+  let rt = Lazy_db.start_migration bf spec in
+  ignore (Lazy_db.background_step bf ~batch:5 : int);
+  let db' =
+    Database.replay (Redo_log.deserialize (Redo_log.serialize db.Database.redo))
+  in
+  let bf' = Lazy_db.create db' in
+  let rt' = Lazy_db.resume_migration bf' ~mig_id:rt.Migrate_exec.mig_id spec in
+  check Alcotest.bool "resumed in ON CONFLICT mode" true
+    (rt'.Migrate_exec.mode = Migrate_exec.On_conflict);
+  let drain bf =
+    let rec go () = if Lazy_db.background_step bf ~batch:8 > 0 then go () in
+    go ()
+  in
+  drain bf;
+  drain bf';
+  List.iter
+    (fun tbl ->
+      let rows db = Database.query db ("SELECT id, v FROM " ^ tbl ^ " ORDER BY id") in
+      check Alcotest.bool (tbl ^ " row-identical after resume") true (rows db = rows db'))
+    [ "t_low"; "t_high" ]
+
 let shared_tracker_recovery () =
   let db = Database.create () in
   ignore
@@ -365,6 +416,7 @@ let suite =
     Alcotest.test_case "corrupt logs rejected" `Quick corrupt_rejected;
     Alcotest.test_case "hash tracker recovery" `Quick hash_tracker_recovery;
     Alcotest.test_case "shared (join-key) tracker recovery" `Quick shared_tracker_recovery;
+    Alcotest.test_case "resume keeps ON CONFLICT mode" `Quick resume_keeps_on_conflict;
     Alcotest.test_case "checkpoint preserves marks" `Quick checkpoint_preserves_marks;
     Alcotest.test_case "out-of-range marks reported" `Quick dropped_marks_reported;
     QCheck_alcotest.to_alcotest prefix_replay_prop;

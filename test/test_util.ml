@@ -1,5 +1,5 @@
 (* Unit and property tests for the utility substrate: Vec, Rng, Stats,
-   Histogram, Pqueue, Striped_mutex, Zipf. *)
+   Histogram, Pqueue, Striped_mutex. *)
 
 let check = Alcotest.check
 
@@ -180,20 +180,6 @@ let striped_mutex_exceptions () =
   check Alcotest.int "latch released after exception" 1
     (Striped_mutex.with_stripe sm 0 (fun () -> 1))
 
-let zipf_skew () =
-  let z = Zipf.create 1000 in
-  let rng = Rng.create 11 in
-  let first_decile = ref 0 in
-  let n = 50_000 in
-  for _ = 1 to n do
-    let v = Zipf.sample z rng in
-    if v < 0 || v >= 1000 then Alcotest.fail "zipf out of range";
-    if v < 100 then incr first_decile
-  done;
-  (* With theta=0.99 the first 10% of keys draw well over half the mass. *)
-  if !first_decile < n / 2 then
-    Alcotest.failf "zipf not skewed enough: %d/%d in first decile" !first_decile n
-
 let suite =
   [
     Alcotest.test_case "vec basic" `Quick vec_basic;
@@ -211,5 +197,4 @@ let suite =
     QCheck_alcotest.to_alcotest pqueue_prop;
     Alcotest.test_case "striped mutex exclusion" `Quick striped_mutex_exclusion;
     Alcotest.test_case "striped mutex exceptions" `Quick striped_mutex_exceptions;
-    Alcotest.test_case "zipf skew" `Slow zipf_skew;
   ]
