@@ -5,6 +5,9 @@
    Usage:
      dune exec bench/main.exe                run everything
      dune exec bench/main.exe -- fig3 fig9   run a subset
+     dune exec bench/main.exe -- --out DIR ...
+                                             write BENCH_*.json there
+                                             (default _build/bench-out)
      BF_FAST=1   shrink scale and windows (quick smoke, ~2 min)
      BF_FULL=1   the paper-proportioned 1/10 scale (slow, ~40 min)
      BF_SEED=n   change the experiment seed
@@ -19,6 +22,21 @@ open Bullfrog_core
 open Bullfrog_harness
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
+
+(* Where the BENCH_*.json and trace files go: under _build/ by default,
+   so a gate run leaves the tracked tree clean; [--out .] (make
+   bench-record) rewrites the committed copies at the repository root. *)
+let out_dir = ref (Filename.concat "_build" "bench-out")
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end
+
+let out_path name =
+  mkdir_p !out_dir;
+  Filename.concat !out_dir name
 
 type profile = Fast | Standard | Full
 
@@ -513,7 +531,7 @@ let qpath () =
   let scan_ns = measure "prepared filtered full scan" scan in
   let scan_row_ns = scan_ns /. float_of_int rows in
   say "  full scan: %.1f ns/row over %d rows" scan_row_ns rows;
-  let oc = open_out "BENCH_query_path.json" in
+  let oc = open_out (out_path "BENCH_query_path.json") in
   Printf.fprintf oc
     {|{
   "benchmark": "query_path",
@@ -537,7 +555,7 @@ let qpath () =
     (match profile with Fast -> "fast" | Standard -> "standard" | Full -> "full")
     seed cold_ns splice_ns warm_ns scan_ns speedup scan_sql scan_row_ns;
   close_out oc;
-  say "  wrote BENCH_query_path.json"
+  say "  wrote %s" (out_path "BENCH_query_path.json")
 
 (* ------------------------------------------------------------------ *)
 (* Migration-path microbenchmark: the tracker sweep, the heap load and  *)
@@ -712,7 +730,7 @@ let migpath () =
   let lazy_us = lazy_t *. 1e6 /. float_of_int lstmts in
   say "  lazy cand.    %10.1f us/stmt   (%d rows, %d groups, %d statements)" lazy_us lrows
     groups lstmts;
-  let oc = open_out "BENCH_migration_path.json" in
+  let oc = open_out (out_path "BENCH_migration_path.json") in
   Printf.fprintf oc
     {|{
   "benchmark": "migration_path",
@@ -750,7 +768,7 @@ let migpath () =
     seed granules sweep_batch sweep_gps nrows load_rps esrc copy_rps (!alloc /. 1e6)
     lrows groups lstmts lazy_us;
   close_out oc;
-  say "  wrote BENCH_migration_path.json"
+  say "  wrote %s" (out_path "BENCH_migration_path.json")
 
 (* ------------------------------------------------------------------ *)
 
@@ -859,7 +877,7 @@ let recovery_bench () =
   let rebuild_s = Unix.gettimeofday () -. t1 in
   say "  rebuild: %d marks restored (%d dropped) in %.1fms"
     report.Recovery.rb_restored report.Recovery.rb_dropped (rebuild_s *. 1e3);
-  let oc = open_out "BENCH_recovery.json" in
+  let oc = open_out (out_path "BENCH_recovery.json") in
   Printf.fprintf oc
     {|{
   "benchmark": "recovery",
@@ -903,7 +921,7 @@ let recovery_bench () =
     mig_rows report.Recovery.rb_restored report.Recovery.rb_dropped
     (rebuild_s *. 1e3);
   close_out oc;
-  say "  wrote BENCH_recovery.json";
+  say "  wrote %s" (out_path "BENCH_recovery.json");
   if failed <> [] then failwith "recovery fault sweep found divergent cells"
 
 (* ------------------------------------------------------------------ *)
@@ -1100,7 +1118,7 @@ let obs_bench () =
       if not (List.exists (fun (e : Obs.Trace.event) -> e.Obs.Trace.ev_name = name) events)
       then failwith ("observability: trace is missing the " ^ name ^ " span"))
     [ "flip"; "lazy-migrate"; "bg-batch"; "finalize" ];
-  let trace_file = "migration.trace.json" in
+  let trace_file = out_path "migration.trace.json" in
   let n_events =
     match Obs.Trace.write_chrome trace_file with
     | Ok n -> n
@@ -1203,7 +1221,7 @@ let obs_bench () =
     "  wire    %8.1f us/op all-off   flight-only min %+.2f%% median %+.2f%% (<2%%)   full obs \
      min %+.2f%% median %+.2f%% (<5%%)"
     wire_off_us wire_disabled_pct wire_disabled_med wire_enabled_pct wire_enabled_med;
-  let oc = open_out "BENCH_observability.json" in
+  let oc = open_out (out_path "BENCH_observability.json") in
   Printf.fprintf oc
     {|{
   "benchmark": "observability",
@@ -1253,12 +1271,13 @@ let obs_bench () =
 |}
     (match profile with Fast -> "fast" | Standard -> "standard" | Full -> "full")
     seed bump_ns bump_med_ns serial_min serial_med q_op_ns q_calls q_overhead
-    q_overhead_ub q_on_ns sweep_batch m_op_ns m_calls m_events m_overhead trace_file n_events
+    q_overhead_ub q_on_ns sweep_batch m_op_ns m_calls m_events m_overhead
+    (Filename.basename trace_file) n_events
     spans
     wire_ops wire_rounds wire_off_us wire_disabled_pct wire_disabled_med wire_enabled_pct
     wire_enabled_med;
   close_out oc;
-  say "  wrote BENCH_observability.json";
+  say "  wrote %s" (out_path "BENCH_observability.json");
   (* qpath is gated on the in-context marginal cost — its call sites sit
      between hash probes whose latency the disabled branch overlaps with;
      the serial no-overlap bound is reported alongside.  migpath is gated
@@ -1476,7 +1495,7 @@ let invert_smoke () =
   expect "new table dropped" (not (Catalog.exists db.Database.catalog "t2"));
   say "  row-exact after rollback: %d rows, %d survived edits" rows
     (Hashtbl.length edited);
-  let oc = open_out "BENCH_invert.json" in
+  let oc = open_out (out_path "BENCH_invert.json") in
   Printf.fprintf oc
     {|{
   "benchmark": "invert",
@@ -1500,7 +1519,7 @@ let invert_smoke () =
        (List.map (fun (n, us, _) -> Printf.sprintf "%S: %.1f" n us) analysis))
     rows ops flip_ms (pct 0.50) (pct 0.99) drain_s;
   close_out oc;
-  say "  wrote BENCH_invert.json"
+  say "  wrote %s" (out_path "BENCH_invert.json")
 
 (* ------------------------------------------------------------------ *)
 (* MVCC microbenchmark: latch-free snapshot point reads vs the          *)
@@ -1680,7 +1699,7 @@ let mvcc_bench () =
     | None -> (nan, nan)
   in
   say "  4-thread snapshot/locked speedup: %.1fx (target >= 3x)" (t4_snap /. t4_locked);
-  let oc = open_out "BENCH_mvcc.json" in
+  let oc = open_out (out_path "BENCH_mvcc.json") in
   Printf.fprintf oc
     {|{
   "benchmark": "mvcc",
@@ -1711,7 +1730,7 @@ let mvcc_bench () =
           scaling))
     (t4_snap /. t4_locked) idle_p99 active_p99 (active_p99 /. idle_p99);
   close_out oc;
-  say "  wrote BENCH_mvcc.json"
+  say "  wrote %s" (out_path "BENCH_mvcc.json")
 
 (* ------------------------------------------------------------------ *)
 
@@ -1838,7 +1857,7 @@ let shard_bench () =
     (Fault_sweep.fired_count cells)
     (List.length failed);
   List.iter (fun cl -> say "  FAIL %s" (Fault_sweep.pp_cell cl)) failed;
-  let oc = open_out "BENCH_sharding.json" in
+  let oc = open_out (out_path "BENCH_sharding.json") in
   Printf.fprintf oc
     {|{
   "benchmark": "sharding",
@@ -1883,7 +1902,7 @@ let shard_bench () =
     (Fault_sweep.fired_count cells)
     (List.length failed);
   close_out oc;
-  say "  wrote BENCH_sharding.json";
+  say "  wrote %s" (out_path "BENCH_sharding.json");
   if ratio4 < 3.0 then
     failwith (Printf.sprintf "sharding gate: routed speedup %.2fx < 3x" ratio4);
   if hit_rate < 1.0 then
@@ -2049,7 +2068,7 @@ let server_bench () =
     (if row_exact then "row-exact" else "DIVERGED");
   Server.stop server;
   let last_shed = match List.rev wins with w :: _ -> w.L.w_shed | [] -> -1 in
-  let oc = open_out "BENCH_server.json" in
+  let oc = open_out (out_path "BENCH_server.json") in
   Printf.fprintf oc
     {|{
   "benchmark": "server",
@@ -2082,7 +2101,7 @@ let server_bench () =
     last_shed
     (List.length server_rows) (List.length oracle_rows) row_exact;
   close_out oc;
-  say "  wrote BENCH_server.json";
+  say "  wrote %s" (out_path "BENCH_server.json");
   if not (Cluster.migration_complete c) then
     failwith "server gate: migration did not complete during the run";
   if opens < 1 || closes < 1 then
@@ -2202,7 +2221,7 @@ let obscluster_bench () =
         failwith ("obscluster: request trace is missing the " ^ name ^ " span"))
     [ "stmt"; "route"; "2pc"; "lazy-migrate" ];
   if shard_spans < 1 then failwith "obscluster: no per-shard scatter span in the trace";
-  let trace_file = "cluster.trace.json" in
+  let trace_file = out_path "cluster.trace.json" in
   (match T.write_chrome trace_file with
   | Ok _ -> ()
   | Error msg -> failwith ("obscluster: trace export failed: " ^ msg));
@@ -2264,7 +2283,7 @@ let obscluster_bench () =
   T.disable ();
   T.clear ();
   Obs.Counters.set_enabled was_counting;
-  let oc = open_out "BENCH_obscluster.json" in
+  let oc = open_out (out_path "BENCH_obscluster.json") in
   Printf.fprintf oc
     {|{
   "benchmark": "obscluster",
@@ -2278,9 +2297,9 @@ let obscluster_bench () =
 |}
     (List.length tree) shard_spans
     (List.length live.Obs.snap_stats)
-    trace_file;
+    (Filename.basename trace_file);
   close_out oc;
-  say "  wrote BENCH_obscluster.json"
+  say "  wrote %s" (out_path "BENCH_obscluster.json")
 
 let all_figures =
   [
@@ -2308,9 +2327,17 @@ let all_figures =
 let aliases = [ ("fig4", "fig3"); ("fig6", "fig5"); ("fig8", "fig7") ]
 
 let () =
-  let requested =
+  let args =
     match Array.to_list Sys.argv with
-    | _ :: (_ :: _ as figs) ->
+    | _ :: "--out" :: dir :: rest ->
+        out_dir := dir;
+        rest
+    | _ :: rest -> rest
+    | [] -> []
+  in
+  let requested =
+    match args with
+    | _ :: _ as figs ->
         List.map (fun f -> match List.assoc_opt f aliases with Some a -> a | None -> f) figs
     | _ -> List.map fst all_figures
   in

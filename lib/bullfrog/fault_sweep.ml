@@ -45,7 +45,7 @@ let lazy_cycle db ld rt ~probes ~outputs =
           let preds =
             Lazy_db.extract_predicates_for_stmt ld (Parser.parse_one sql)
           in
-          Migrate_exec.migrate_for_preds rt rep preds;
+          Migrate_exec.migrate_for_preds rt rep (Migrate_exec.compile_preds rt preds);
           (sql, sorted_rows db sql))
         probes
     in

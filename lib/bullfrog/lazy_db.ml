@@ -42,6 +42,22 @@ type rollback_info = {
   rb_purges : purge list;
 }
 
+(* One statement text's interception analysis under one migration
+   (DESIGN.md §4.2b), built from the unbound statement the first time the
+   text arrives and reused for every binding until the catalog epoch
+   moves. *)
+type entry = {
+  en_epoch : int;
+  en_reject : string option;  (* big-flip / input-write verdict *)
+  en_touches : bool;  (* references a migration output *)
+  en_nparams : int;
+  en_filter : Migrate_exec.rt_stmt -> bool;  (* statements migrating on its behalf *)
+  en_preds : (string * Migrate_exec.cand_pred) list option;
+      (* per-input candidate predicates; [None] for INSERT ... VALUES, whose
+         conflict candidates depend on the row values and are analysed per
+         call *)
+}
+
 type active = {
   rt : Migrate_exec.t;
   shadows : Catalog.t list;
@@ -53,6 +69,8 @@ type active = {
   output_names : string list;
   cumulative : Migrate_exec.report;
   rollback : rollback_info option;  (* Some = this runtime migrates backward *)
+  entries : (string, entry) Hashtbl.t;  (* by SQL text, bounded like the statement cache *)
+  entries_latch : Mutex.t;
 }
 
 type t = {
@@ -179,6 +197,8 @@ let activate ?rollback t (rt : Migrate_exec.t) =
         output_names;
         cumulative = Migrate_exec.new_report ();
         rollback;
+        entries = Hashtbl.create 64;
+        entries_latch = Mutex.create ();
       };
   (* While the migration is live, a full scan over a partially-populated
      output forces a whole-table lazy migration — have the planner flag it. *)
@@ -734,56 +754,122 @@ let purge_for_stmt t act (stmt : Ast.stmt) =
 let drive_purges t (stmt : Ast.stmt) =
   match t.act with None -> () | Some act -> purge_for_stmt t act stmt
 
-let maybe_migrate t ?report (stmt : Ast.stmt) =
-  match t.act with
-  | None -> ()
-  | Some act ->
-      purge_for_stmt t act stmt;
-      if Migrate_exec.complete act.rt then ()
-      else begin
-        let referenced = tables_of_stmt stmt in
-        let touches_output =
-          List.exists (fun r -> List.mem r act.output_names) referenced
-        in
-        if touches_output then begin
-          let preds = extract_predicates_for_active t act stmt in
-          (* Only the statements whose outputs this request (or its
-             constraint probes) reference migrate on its behalf. *)
-          let relevant_outputs = relevant_outputs_for t act stmt in
-          let stmt_filter (s : Migrate_exec.rt_stmt) =
-            List.exists
-              (fun (heap, _) -> List.mem heap.Heap.name relevant_outputs)
-              s.Migrate_exec.rs_outputs
-          in
-          let r = Migrate_exec.new_report () in
-          Migrate_exec.migrate_for_preds ~stmt_filter act.rt r preds;
-          Migrate_exec.merge_report ~into:act.cumulative r;
-          match report with
-          | Some dst -> Migrate_exec.merge_report ~into:dst r
-          | None -> ()
-        end
-      end
+let c_intercept_builds = Obs.Counters.make "core.migrate.intercept_builds"
 
-(* Look the statement up in the database's statement cache and run the
-   interception analysis.  Execution itself keeps parameters positional
-   (the cached, compiled plan is shared across bindings); only when the
-   statement actually touches a table under migration do we splice the
-   parameter values into a throwaway AST copy, because predicate
-   extraction and INSERT conflict-candidate analysis need to see concrete
-   literals (§2.1). *)
+let build_entry t act (stmt : Ast.stmt) ~epoch =
+  Obs.Counters.bump c_intercept_builds;
+  let referenced = tables_of_stmt stmt in
+  let reject =
+    match
+      check_big_flip t referenced;
+      check_input_writes t stmt
+    with
+    | () -> None
+    | exception Db_error.Sql_error msg -> Some msg
+  in
+  let touches =
+    reject = None && List.exists (fun r -> List.mem r act.output_names) referenced
+  in
+  let filter, preds =
+    if not touches then ((fun _ -> false), Some [])
+    else begin
+      (* Only the statements whose outputs this request (or its
+         constraint probes) reference migrate on its behalf. *)
+      let relevant = relevant_outputs_for t act stmt in
+      let filter (s : Migrate_exec.rt_stmt) =
+        List.exists
+          (fun (heap, _) -> List.mem heap.Heap.name relevant)
+          s.Migrate_exec.rs_outputs
+      in
+      match stmt with
+      | Ast.Insert { source = Ast.Values _; _ } -> (filter, None)
+      | _ ->
+          ( filter,
+            Some (Migrate_exec.compile_preds act.rt (extract_predicates_for_active t act stmt)) )
+    end
+  in
+  {
+    en_epoch = epoch;
+    en_reject = reject;
+    en_touches = touches;
+    en_nparams = Ast.max_param_stmt stmt;
+    en_filter = filter;
+    en_preds = preds;
+  }
+
+(* The entry for [sql], built outside the latch like the statement
+   cache's parse; a racing build of the same text keeps the first.  The
+   epoch is read before building, so DDL racing the build leaves the
+   entry stale rather than fresh-but-wrong. *)
+let entry t act sql stmt =
+  let epoch = Catalog.epoch t.database.Database.catalog in
+  Mutex.lock act.entries_latch;
+  let cached = Hashtbl.find_opt act.entries sql in
+  Mutex.unlock act.entries_latch;
+  match cached with
+  | Some e when e.en_epoch = epoch -> e
+  | Some _ | None ->
+      let e = build_entry t act stmt ~epoch in
+      Mutex.lock act.entries_latch;
+      let e =
+        match Hashtbl.find_opt act.entries sql with
+        | Some racing when racing.en_epoch = epoch -> racing
+        | Some _ | None ->
+            if Hashtbl.length act.entries >= Database.stmt_cache_cap then
+              Hashtbl.reset act.entries;
+            Hashtbl.replace act.entries sql e;
+            e
+      in
+      Mutex.unlock act.entries_latch;
+      e
+
+let maybe_migrate t act ?report ?params (stmt : Ast.stmt) e =
+  if rollback_purges_pending act then purge_for_stmt t act (Database.bind_stmt params stmt);
+  if not (Migrate_exec.complete act.rt) then begin
+    let preds =
+      match e.en_preds with
+      | Some preds -> preds
+      | None ->
+          Migrate_exec.compile_preds act.rt
+            (extract_predicates_for_active t act (Database.bind_stmt params stmt))
+    in
+    let r = Migrate_exec.new_report () in
+    Migrate_exec.migrate_for_preds ~stmt_filter:e.en_filter ?params act.rt r preds;
+    Migrate_exec.merge_report ~into:act.cumulative r;
+    match report with
+    | Some dst -> Migrate_exec.merge_report ~into:dst r
+    | None -> ()
+  end
+
+(* Look the statement up in the database's statement cache, then in the
+   active migration's interception entries.  Execution and the lazy
+   candidate scans share the statement's positional parameters: the
+   entry's predicates are extracted and compiled once from the unbound
+   statement and scanned under each call's [params].  Only INSERT ...
+   VALUES splices its values into an AST copy per call, because its
+   conflict candidates depend on the row values (§2.1).  A call short of
+   parameters does no lazy work; execution reports the error. *)
 let intercept t ?report ?params sql =
   let p = Database.prepare t.database sql in
   let stmt = Database.prepared_stmt p in
-  check_big_flip t (tables_of_stmt stmt);
-  check_input_writes t stmt;
   (match t.act with
-  | None -> ()
+  | None -> check_big_flip t (tables_of_stmt stmt)
   | Some act ->
+      let e = entry t act sql stmt in
+      Option.iter (fun msg -> raise (Db_error.Sql_error msg)) e.en_reject;
+      let supplied = match params with Some a -> Array.length a | None -> 0 in
       if
-        ((not (Migrate_exec.complete act.rt)) || rollback_purges_pending act)
-        && List.exists (fun r -> List.mem r act.output_names) (tables_of_stmt stmt)
-      then maybe_migrate t ?report (Database.bind_stmt params stmt));
+        e.en_touches
+        && ((not (Migrate_exec.complete act.rt)) || rollback_purges_pending act)
+        && e.en_nparams <= supplied
+      then maybe_migrate t act ?report ?params stmt e);
   p
+
+let interception_preds t sql =
+  match t.act with
+  | None -> None
+  | Some act ->
+      (entry t act sql (Database.prepared_stmt (Database.prepare t.database sql))).en_preds
 
 (* EXPLAIN MIGRATION <create-table-as>: run the static analyzer over the
    migration the statement describes and report, without executing

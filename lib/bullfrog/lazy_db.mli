@@ -178,3 +178,9 @@ val extract_predicates_for_stmt :
   t -> Bullfrog_sql.Ast.stmt -> (string * Bullfrog_sql.Ast.expr option) list
 (** Exposed for tests: the per-old-table predicates a statement would
     migrate by ([None] = full table). *)
+
+val interception_preds : t -> string -> (string * Migrate_exec.cand_pred) list option
+(** Exposed for tests: the candidate predicates the active migration's
+    interception entry for [sql] holds (built here on a miss), unbound
+    ([$n] placeholders intact).  [None] without an active migration and
+    for INSERT ... VALUES, which is analysed per call. *)

@@ -44,12 +44,28 @@ type pair_rt = {
   mutable pr_bg_done : bool;
 }
 
+(* A statement's population queries, planned once per catalog epoch over
+   a shadow catalog: each narrowed input table (the tracked ones, for a
+   migration transaction) is an empty placeholder heap with no indexes,
+   every other input its real heap.  A call rebinds the placeholders to
+   heaps holding its rows ([Plan.rebind]) instead of building a catalog
+   and planning again. *)
+type population = {
+  pp_epoch : int;
+  pp_narrowed : string list;  (* sorted: the tables read from per-call rows *)
+  pp_slots : (string * Heap.t) list;  (* narrowed table -> placeholder *)
+  pp_plans : (Heap.t * Plan.t) list;  (* output heap, its population plan *)
+}
+
 type rt_stmt = {
   rs_name : string;
   rs_outputs : (Heap.t * Ast.select) list;
   rs_inputs : rt_input list;
   rs_pair : pair_rt option;  (* Some = pair-granularity n:n (SS3.6 option 3) *)
+  rs_population : population list Atomic.t;
 }
+
+type cand_pred = { cp_where : Ast.expr option; cp_pred : Access.pred }
 
 type granule_event =
   | Ev_migrated of int * granule  (** tracker uid, granule — committed *)
@@ -401,7 +417,13 @@ let install ?(mode = Tracked) ?(overwrite = false) ?(page_size = 1) ?(nn = Nn_pa
             | _ -> None
           end
         in
-        { rs_name = stmt.Migration.stmt_name; rs_outputs = outputs; rs_inputs = inputs; rs_pair })
+        {
+          rs_name = stmt.Migration.stmt_name;
+          rs_outputs = outputs;
+          rs_inputs = inputs;
+          rs_pair;
+          rs_population = Atomic.make [];
+        })
       spec.Migration.statements
   in
   {
@@ -655,74 +677,128 @@ let delete_unique_conflicts ctx txn (heap : Heap.t) row =
               (Index.find idx key))
     heap.Heap.indexes
 
-(* Physically migrate the WIP granules inside one transaction: build a
-   shadow catalog binding each tracked input to a temporary table holding
-   exactly the granules' rows, run every output's population query over
-   it, and insert the results into the output tables. *)
+let c_population_plans = Obs.Counters.make "core.migrate.population_plans"
+
+(* Builds are rare (once per statement per catalog epoch); one latch keeps
+   racing first transactions from planning twice. *)
+let population_latch = Mutex.create ()
+
+let plan_population ~epoch ~narrowed stmt =
+  let shadow = Catalog.create () in
+  let slots =
+    List.fold_left
+      (fun slots input ->
+        let name = input.ri_heap.Heap.name in
+        if (not (List.mem name narrowed)) || List.mem_assoc name slots then slots
+        else begin
+          let ph = Heap.create ~tbl_id:(-1) ~name input.ri_heap.Heap.schema in
+          Catalog.add_table shadow ph;
+          slots @ [ (name, ph) ]
+        end)
+      [] stmt.rs_inputs
+  in
+  (* The other inputs are read in full (the PKIT side of a migration
+     transaction, §3.6). *)
+  List.iter
+    (fun input ->
+      if Catalog.find_table shadow input.ri_heap.Heap.name = None then
+        Catalog.add_table shadow input.ri_heap)
+    stmt.rs_inputs;
+  let pctx = { Planner.catalog = shadow; run_subquery = (fun _ -> []) } in
+  let plans =
+    List.map
+      (fun (out_heap, population) ->
+        (out_heap, (Planner.plan_select pctx population).Planner.plan))
+      stmt.rs_outputs
+  in
+  Obs.Counters.add c_population_plans (List.length plans);
+  { pp_epoch = epoch; pp_narrowed = narrowed; pp_slots = slots; pp_plans = plans }
+
+let population t stmt ~narrowed =
+  let epoch = Catalog.epoch t.db.Database.catalog in
+  let current pops =
+    List.find_opt (fun p -> p.pp_epoch = epoch && p.pp_narrowed = narrowed) pops
+  in
+  match current (Atomic.get stmt.rs_population) with
+  | Some pop -> pop
+  | None ->
+      Mutex.protect population_latch (fun () ->
+          let pops = Atomic.get stmt.rs_population in
+          match current pops with
+          | Some pop -> pop
+          | None ->
+              let pop = plan_population ~epoch ~narrowed stmt in
+              Atomic.set stmt.rs_population
+                (pop :: List.filter (fun p -> p.pp_narrowed <> narrowed) pops);
+              pop)
+
+let run_population t txn stmt (rows : (string * (int * Heap.row) list) list) f =
+  let pop = population t stmt ~narrowed:(List.sort_uniq String.compare (List.map fst rows)) in
+  let subst =
+    List.map
+      (fun (name, ph) ->
+        let temp = Heap.create ~tbl_id:(-1) ~name ph.Heap.schema in
+        List.iter (fun (_, row) -> ignore (Heap.insert temp row : int)) (List.assoc name rows);
+        (ph, temp))
+      pop.pp_slots
+  in
+  let bind h = match List.assq_opt h subst with Some h' -> h' | None -> h in
+  List.iter
+    (fun (out_heap, plan) -> f out_heap (Executor.run txn (Plan.rebind bind plan)))
+    pop.pp_plans
+
+(* Physically migrate the WIP granules inside one transaction: bind each
+   tracked input to a temporary table holding exactly the granules' rows,
+   run every output's population plan over it, and insert the results
+   into the output tables. *)
 let run_migration_txn t (report : report) stmt (wip : (rt_input * granule) list) =
   if wip = [] then ()
   else begin
     report.r_txns <- report.r_txns + 1;
     let txn_body () =
       Database.with_txn t.db (fun txn ->
-        let shadow = Catalog.create () in
-        List.iter
-          (fun input ->
-            match input.ri_tracker with
-            | RT_none ->
-                (* Untracked inputs are read in full (PKIT side, §3.6). *)
-                if Catalog.find_table shadow input.ri_heap.Heap.name = None then
-                  Catalog.add_table shadow input.ri_heap
-            | RT_bitmap _ | RT_hash _ ->
-                let mine_set = Gset.create () in
-                let mine =
-                  List.filter_map
-                    (fun (i, g) ->
-                      if i.ri_tracker_uid = input.ri_tracker_uid && not (Gset.mem mine_set g)
-                      then begin
-                        Gset.add mine_set g;
-                        Some g
-                      end
-                      else None)
-                    wip
-                in
-                let rows =
-                  List.concat_map (fun g -> rows_for_granule t input g) mine
-                in
-                (* Deduplicate rows by tid (overlapping granules). *)
-                let seen = Hashtbl.create 64 in
-                let rows =
-                  List.filter
-                    (fun (tid, _) ->
-                      if Hashtbl.mem seen tid then false
-                      else begin
-                        Hashtbl.add seen tid ();
-                        true
-                      end)
-                    rows
-                in
-                report.r_input_rows <- report.r_input_rows + List.length rows;
-                let name = input.ri_heap.Heap.name in
-                let temp =
-                  match Catalog.find_table shadow name with
-                  | Some existing ->
-                      (* Same table tracked twice in one statement: merge rows. *)
-                      existing
-                  | None ->
-                      let temp =
-                        Heap.create ~tbl_id:(-1) ~name input.ri_heap.Heap.schema
-                      in
-                      Catalog.add_table shadow temp;
-                      temp
-                in
-                List.iter (fun (_, row) -> ignore (Heap.insert temp row : int)) rows)
-          stmt.rs_inputs;
+        let rows =
+          List.fold_left
+            (fun acc input ->
+              match input.ri_tracker with
+              | RT_none -> acc
+              | RT_bitmap _ | RT_hash _ ->
+                  let mine_set = Gset.create () in
+                  let mine =
+                    List.filter_map
+                      (fun (i, g) ->
+                        if i.ri_tracker_uid = input.ri_tracker_uid && not (Gset.mem mine_set g)
+                        then begin
+                          Gset.add mine_set g;
+                          Some g
+                        end
+                        else None)
+                      wip
+                  in
+                  let rows =
+                    List.concat_map (fun g -> rows_for_granule t input g) mine
+                  in
+                  (* Deduplicate rows by tid (overlapping granules). *)
+                  let seen = Hashtbl.create 64 in
+                  let rows =
+                    List.filter
+                      (fun (tid, _) ->
+                        if Hashtbl.mem seen tid then false
+                        else begin
+                          Hashtbl.add seen tid ();
+                          true
+                        end)
+                      rows
+                  in
+                  report.r_input_rows <- report.r_input_rows + List.length rows;
+                  (* Same table tracked twice in one statement: merge rows. *)
+                  let name = input.ri_heap.Heap.name in
+                  let prev = Option.value ~default:[] (List.assoc_opt name acc) in
+                  (name, prev @ rows) :: List.remove_assoc name acc)
+            [] stmt.rs_inputs
+        in
         let ctx = Database.exec_ctx t.db in
-        let pctx = { Planner.catalog = shadow; run_subquery = (fun _ -> []) } in
-        List.iter
-          (fun (out_heap, population) ->
-            let planned = Planner.plan_select pctx population in
-            let rows = Executor.run txn planned.Planner.plan in
+        run_population t txn stmt rows (fun out_heap rows ->
             List.iter
               (fun row ->
                 if t.overwrite then delete_unique_conflicts ctx txn out_heap row;
@@ -735,8 +811,7 @@ let run_migration_txn t (report : report) stmt (wip : (rt_input * granule) list)
                     txn.Txn.counters.Txn.rows_migrated <-
                       txn.Txn.counters.Txn.rows_migrated + 1
                 | None -> ())
-              rows)
-          stmt.rs_outputs;
+              rows);
         (* Status flips happen strictly at transaction end (§3.2/§3.5).
            Redo marks stay per-granule; the tracker flips go one call per
            tracker, so commit takes each chunk/partition latch once. *)
@@ -993,22 +1068,24 @@ let migrate_pairs t report pr (candidates : Value.t array list) =
 
 let pair_join_key cols row = Array.map (fun i -> row.(i)) cols
 
+let cand_pred heap where = { cp_where = where; cp_pred = Access.compile_pred heap where }
+
 (* Candidate pairs for a request: rows matching each side's extracted
    predicate, joined on the join key; an unconstrained side contributes
    every row of the constrained side's key classes. *)
-let pair_candidates t report pr (preds : (string * Ast.expr option) list) =
+let pair_candidates ?params t report pr (preds : (string * cand_pred) list) =
   let pa = List.assoc_opt pr.pr_a.ri_heap.Heap.name preds in
   let pb = List.assoc_opt pr.pr_b.ri_heap.Heap.name preds in
   if pa = None && pb = None then []
   else begin
-    let scan input pred =
+    let scan input (cp : cand_pred) =
       let txn = Database.begin_txn t.db in
-      let rows = Access.scan_pred ~latest:true txn input.ri_heap pred in
+      let rows = Access.select_tids ?params ~latest:true txn input.ri_heap cp.cp_pred in
       Database.commit t.db txn;
       report.r_input_rows <- report.r_input_rows + List.length rows;
       rows
     in
-    let cons p = match p with Some (Some e) -> Some e | _ -> None in
+    let cons p = match p with Some ({ cp_where = Some _; _ } as cp) -> Some cp | _ -> None in
     let by_key_cache : (Value.t array, (int * Heap.row) list) Hashtbl.t =
       Hashtbl.create 64
     in
@@ -1023,7 +1100,7 @@ let pair_candidates t report pr (preds : (string * Ast.expr option) list) =
     in
     match (cons pa, cons pb) with
     | Some p, Some q ->
-        let rows_a = scan pr.pr_a (Some p) and rows_b = scan pr.pr_b (Some q) in
+        let rows_a = scan pr.pr_a p and rows_b = scan pr.pr_b q in
         let b_by_key : (Value.t array, int list) Hashtbl.t = Hashtbl.create 64 in
         List.iter
           (fun (tb, rb) ->
@@ -1039,14 +1116,14 @@ let pair_candidates t report pr (preds : (string * Ast.expr option) list) =
             | Some tbs -> List.map (fun tb -> pair_key ta tb) tbs)
           rows_a
     | Some p, None ->
-        let rows_a = scan pr.pr_a (Some p) in
+        let rows_a = scan pr.pr_a p in
         List.concat_map
           (fun (ta, ra) ->
             let k = pair_join_key pr.pr_a_key ra in
             List.map (fun (tb, _) -> pair_key ta tb) (other_rows pr.pr_b pr.pr_b_key k))
           rows_a
     | None, Some q ->
-        let rows_b = scan pr.pr_b (Some q) in
+        let rows_b = scan pr.pr_b q in
         List.concat_map
           (fun (tb, rb) ->
             let k = pair_join_key pr.pr_b_key rb in
@@ -1054,7 +1131,7 @@ let pair_candidates t report pr (preds : (string * Ast.expr option) list) =
           rows_b
     | None, None ->
         (* whole join potentially relevant (SS2.4 worst case) *)
-        let rows_a = scan pr.pr_a None in
+        let rows_a = scan pr.pr_a (cand_pred pr.pr_a.ri_heap None) in
         List.concat_map
           (fun (ta, ra) ->
             let k = pair_join_key pr.pr_a_key ra in
@@ -1086,26 +1163,26 @@ let note_sample t =
    [Already_migrated], so skipping it changes no decision, and a complete
    bitmap costs one word walk.  Index paths and hash-tracked inputs
    fetch every match. *)
-let candidate_rows ?probe db heap tracker pred =
+let candidate_rows ?probe ?params db heap tracker (cp : cand_pred) =
   let txn = Database.begin_txn db in
-  let compiled = Access.compile_pred heap pred in
+  let compiled = cp.cp_pred in
   let rows =
     match tracker with
-    | RT_hash _ | RT_none -> Access.select_tids ~latest:true txn heap compiled
+    | RT_hash _ | RT_none -> Access.select_tids ?params ~latest:true txn heap compiled
     | RT_bitmap bt -> (
         let probed =
           match (probe, compiled.Access.path) with
           | Some map, Access.P_full ->
-              Probe_map.candidates map txn heap bt
+              Probe_map.candidates ?params map txn heap bt
                 ~epoch:(Catalog.epoch db.Database.catalog)
-                pred compiled
+                cp.cp_where compiled
           | _ -> None
         in
         match probed with
         | Some rows -> rows
         | None ->
-            Access.select_tids ~latest:true ~ranges:(Bitmap_tracker.pending_tids bt)
-              txn heap compiled)
+            Access.select_tids ?params ~latest:true
+              ~ranges:(Bitmap_tracker.pending_tids bt) txn heap compiled)
   in
   Database.commit db txn;
   rows
@@ -1129,21 +1206,42 @@ let read_only_table t name =
               stmt.Migration.outputs)
           t.spec.Migration.statements)
 
-let input_candidates t input pred =
+let input_candidates ?params t input cp =
   let probe =
     if read_only_table t input.ri_heap.Heap.name then Some input.ri_probe else None
   in
-  candidate_rows ?probe t.db input.ri_heap input.ri_tracker pred
+  candidate_rows ?probe ?params t.db input.ri_heap input.ri_tracker cp
 
-let migrate_for_preds_inner ?(stmt_filter = fun (_ : rt_stmt) -> true) t report
-    (preds : (string * Ast.expr option) list) =
+(* Each predicate compiled against the input heap of its table; tables
+   no statement reads are dropped (no candidate scan would visit them). *)
+let compile_preds t (preds : (string * Ast.expr option) list) =
+  let input_heap name =
+    List.find_map
+      (fun stmt ->
+        let inputs =
+          match stmt.rs_pair with
+          | Some pr -> pr.pr_a :: pr.pr_b :: stmt.rs_inputs
+          | None -> stmt.rs_inputs
+        in
+        List.find_map
+          (fun i -> if i.ri_heap.Heap.name = name then Some i.ri_heap else None)
+          inputs)
+      t.stmts
+  in
+  List.filter_map
+    (fun (name, where) ->
+      Option.map (fun heap -> (name, cand_pred heap where)) (input_heap name))
+    preds
+
+let migrate_for_preds_inner ?(stmt_filter = fun (_ : rt_stmt) -> true) ?params t report
+    (preds : (string * cand_pred) list) =
   (* Candidate granules are gathered per statement and per tracker group:
      inputs sharing a tracker (the two sides of an n:n join) share one
      granule key space, and a key class is relevant only when {e every}
      predicate-constrained side has a matching row in it (inner-join
      semantics); a side the request does not constrain is the universe. *)
-  let scan_keys (input, pred) =
-    let rows = input_candidates t input pred in
+  let scan_keys (input, cp) =
+    let rows = input_candidates ?params t input cp in
     report.r_input_rows <- report.r_input_rows + List.length rows;
     let set = Gset.create () in
     List.iter (fun (tid, row) -> Gset.add set (granule_of_row input tid row)) rows;
@@ -1155,7 +1253,7 @@ let migrate_for_preds_inner ?(stmt_filter = fun (_ : rt_stmt) -> true) t report
       else
       match stmt.rs_pair with
       | Some pr ->
-          let cands = pair_candidates t report pr preds in
+          let cands = pair_candidates ?params t report pr preds in
           migrate_pairs t report pr cands
       | None ->
       let groups : (int, rt_input list) Hashtbl.t = Hashtbl.create 4 in
@@ -1182,7 +1280,7 @@ let migrate_for_preds_inner ?(stmt_filter = fun (_ : rt_stmt) -> true) t report
               members
           in
           if touched <> [] then begin
-            let constrained = List.filter (fun (_, p) -> p <> None) touched in
+            let constrained = List.filter (fun (_, cp) -> cp.cp_where <> None) touched in
             match constrained with
             | [] ->
                 (* Every touched side is unconstrained: the whole key space
@@ -1198,7 +1296,7 @@ let migrate_for_preds_inner ?(stmt_filter = fun (_ : rt_stmt) -> true) t report
                 in
                 Gset.iter
                   (fun g -> candidates := (input, g) :: !candidates)
-                  (scan_keys (input, None))
+                  (scan_keys (input, cand_pred input.ri_heap None))
             | (input0, _) :: _ ->
                 let sets = List.map scan_keys constrained in
                 (match sets with
@@ -1215,12 +1313,12 @@ let migrate_for_preds_inner ?(stmt_filter = fun (_ : rt_stmt) -> true) t report
     t.stmts
 
 (* Wrapper attributing this call's report deltas to the lazy path. *)
-let migrate_for_preds ?stmt_filter t report preds =
+let migrate_for_preds ?stmt_filter ?params t report preds =
   let m0 = report.r_granules_migrated
   and a0 = report.r_granules_already
   and w0 = report.r_skip_waits
   and b0 = report.r_aborts in
-  let run () = migrate_for_preds_inner ?stmt_filter t report preds in
+  let run () = migrate_for_preds_inner ?stmt_filter ?params t report preds in
   (if not (Obs.Trace.enabled ()) then run ()
    else Obs.Trace.with_span ~cat:"migration" "lazy-migrate" run);
   let dm = report.r_granules_migrated - m0 in

@@ -66,12 +66,29 @@ type pair_rt = {
   mutable pr_bg_done : bool;
 }
 
+type population
+(** A statement's population queries planned once per catalog epoch and
+    set of narrowed inputs (DESIGN.md §4.2b); see {!run_population}. *)
+
 type rt_stmt = {
   rs_name : string;
   rs_outputs : (Bullfrog_db.Heap.t * Bullfrog_sql.Ast.select) list;
   rs_inputs : rt_input list;
   rs_pair : pair_rt option;  (** Some = pair-granularity n:n *)
+  rs_population : population list Atomic.t;
+      (** built by the first {!run_population} of each catalog epoch and
+          set of narrowed inputs *)
 }
+
+type cand_pred = {
+  cp_where : Bullfrog_sql.Ast.expr option;
+      (** [None] = every row is potentially relevant; may hold [$n] *)
+  cp_pred : Bullfrog_db.Access.pred;  (** [cp_where] compiled against the input *)
+}
+(** One input's lazy candidate predicate, compiled once and scanned under
+    any parameter binding. *)
+
+val cand_pred : Bullfrog_db.Heap.t -> Bullfrog_sql.Ast.expr option -> cand_pred
 
 type granule_event =
   | Ev_migrated of int * granule
@@ -147,10 +164,11 @@ val install :
 
 val candidate_rows :
   ?probe:Probe_map.t ->
+  ?params:Bullfrog_db.Value.t array ->
   Bullfrog_db.Database.t ->
   Bullfrog_db.Heap.t ->
   rt_tracker ->
-  Bullfrog_sql.Ast.expr option ->
+  cand_pred ->
   (int * Bullfrog_db.Heap.row) list
 (** Algorithm 1's candidate scan of one input, in its own transaction,
     reading every slot's newest version (trigger semantics).  Over a
@@ -160,7 +178,8 @@ val candidate_rows :
     everything, then drop rows of migrated granules".  Index paths and
     hash-tracked inputs return every match.  With [probe], a bitmap
     scan whose path is sequential asks the probe map first
-    ({!Probe_map.candidates}): same rows, without the range scan. *)
+    ({!Probe_map.candidates}): same rows, without the range scan.
+    [params] binds the predicate's [$n] placeholders. *)
 
 val read_only_table : t -> string -> bool
 (** The table is a TID-tracked (bitmap) input of the migration and not
@@ -169,23 +188,54 @@ val read_only_table : t -> string -> bool
     and only such inputs get a probe map. *)
 
 val input_candidates :
-  t -> rt_input -> Bullfrog_sql.Ast.expr option -> (int * Bullfrog_db.Heap.row) list
+  ?params:Bullfrog_db.Value.t array ->
+  t ->
+  rt_input ->
+  cand_pred ->
+  (int * Bullfrog_db.Heap.row) list
 (** The candidate scan a lazy request runs on one input:
     {!candidate_rows} with the input's probe map when
     {!read_only_table} holds for it. *)
 
+val compile_preds :
+  t -> (string * Bullfrog_sql.Ast.expr option) list -> (string * cand_pred) list
+(** {!cand_pred} per table, against the runtime's input heap of that
+    name; tables that are no statement's input are dropped. *)
+
 val migrate_for_preds :
   ?stmt_filter:(rt_stmt -> bool) ->
+  ?params:Bullfrog_db.Value.t array ->
   t ->
   report ->
-  (string * Bullfrog_sql.Ast.expr option) list ->
+  (string * cand_pred) list ->
   unit
 (** [migrate_for_preds t report preds] — [preds] gives, per {e base input
-    table name}, the extracted predicate ([None] = every row is
-    potentially relevant).  Tables absent from the list are not touched,
-    and statements rejected by [stmt_filter] do not migrate (a request
-    only drives the statements whose outputs it references, §3.1).
-    Runs Algorithm 1 to completion (SKIP loop included). *)
+    table name}, the extracted predicate, compiled ({!compile_preds};
+    [cp_where = None]: every row is potentially relevant) and scanned
+    with [params] bound, so {!Lazy_db} compiles a statement text's
+    predicates once.  Tables absent from the list are not touched, and
+    statements rejected by [stmt_filter] do not migrate (a request only
+    drives the statements whose outputs it references, §3.1).  Runs
+    Algorithm 1 to completion (SKIP loop included). *)
+
+val run_population :
+  t ->
+  Bullfrog_db.Txn.t ->
+  rt_stmt ->
+  (string * (int * Bullfrog_db.Heap.row) list) list ->
+  (Bullfrog_db.Heap.t -> Bullfrog_db.Heap.row list -> unit) ->
+  unit
+(** [run_population t txn stmt rows f] calls [f out_heap derived] for
+    each output of [stmt] in order, with the rows its population query
+    derives inside [txn].  An input table listed in [rows] reads exactly
+    those rows; every other input reads its real table.  The plans are
+    built once per catalog epoch and set of listed tables, over empty
+    placeholder heaps for the listed tables (counted by
+    [core.migrate.population_plans], one per output), and rebound to the
+    call's heaps ({!Bullfrog_db.Plan.rebind}); no planning happens per
+    call.  A migration transaction lists every tracked input; multistep's
+    dual-write refresh lists the written input only, so its other inputs
+    keep their index paths. *)
 
 val migrate_granules :
   t -> report -> rt_stmt -> (rt_input * granule) list -> unit

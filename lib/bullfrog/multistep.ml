@@ -167,26 +167,11 @@ let refresh_rows t (stmt : Migrate_exec.rt_stmt) (input : Migrate_exec.rt_input)
             List.iter (fun (tid, _) -> Executor.delete_row ctx txn out_heap tid) targets;
             t.st.dual_write_rows <- t.st.dual_write_rows + List.length targets)
           stmt.Migrate_exec.rs_outputs;
-      let shadow = Catalog.create () in
-      List.iter
-        (fun (other : Migrate_exec.rt_input) ->
-          if other == input then begin
-            let temp =
-              Heap.create ~tbl_id:(-1) ~name:other.Migrate_exec.ri_heap.Heap.name
-                other.Migrate_exec.ri_heap.Heap.schema
-            in
-            List.iter (fun (_, row) -> ignore (Heap.insert temp row : int)) rows;
-            Catalog.add_table shadow temp
-          end
-          else if
-            Catalog.find_table shadow other.Migrate_exec.ri_heap.Heap.name = None
-          then Catalog.add_table shadow other.Migrate_exec.ri_heap)
-        stmt.Migrate_exec.rs_inputs;
-      let pctx = { Planner.catalog = shadow; run_subquery = (fun _ -> []) } in
-      List.iter
-        (fun (out_heap, population) ->
-          let planned = Planner.plan_select pctx population in
-          let derived = Executor.run txn planned.Planner.plan in
+      (* Only the written input is narrowed to [rows]; every other input
+         is read in full from its real table. *)
+      Migrate_exec.run_population t.rt txn stmt
+        [ (input.Migrate_exec.ri_heap.Heap.name, rows) ]
+        (fun out_heap derived ->
           List.iter
             (fun row ->
               match
@@ -194,8 +179,7 @@ let refresh_rows t (stmt : Migrate_exec.rt_stmt) (input : Migrate_exec.rt_input)
               with
               | Some _ -> t.st.dual_write_rows <- t.st.dual_write_rows + 1
               | None -> ())
-            derived)
-        stmt.Migrate_exec.rs_outputs);
+            derived));
   t.st.refreshed_granules <- t.st.refreshed_granules + 1
 
 let refresh_for_written_row t stmt input tid row ~is_insert ~deleted =
@@ -230,33 +214,6 @@ let inputs_for_table t table =
           else None)
         stmt.Migrate_exec.rs_inputs)
     t.rt.Migrate_exec.stmts
-
-let bind params stmt =
-  match params with
-  | None -> stmt
-  | Some params -> (
-      let lits = Array.map Value.to_ast_literal params in
-      match stmt with
-      | Ast.Select_stmt s -> Ast.Select_stmt (Ast.bind_params_select lits s)
-      | Ast.Insert i ->
-          Ast.Insert
-            {
-              i with
-              source =
-                (match i.source with
-                | Ast.Values rows ->
-                    Ast.Values (List.map (List.map (Ast.bind_params lits)) rows)
-                | Ast.Query q -> Ast.Query (Ast.bind_params_select lits q));
-            }
-      | Ast.Update u ->
-          Ast.Update
-            {
-              u with
-              sets = List.map (fun (c, e) -> (c, Ast.bind_params lits e)) u.sets;
-              where = Option.map (Ast.bind_params lits) u.where;
-            }
-      | Ast.Delete d -> Ast.Delete { d with where = Option.map (Ast.bind_params lits) d.where }
-      | other -> other)
 
 let exec_stmt_in t txn (stmt : Ast.stmt) =
   let ctx = Database.exec_ctx t.db in
@@ -316,10 +273,11 @@ let exec_stmt_in t txn (stmt : Ast.stmt) =
   | other -> Executor.exec_stmt ctx txn other
 
 let exec_in t txn ?params sql =
-  exec_stmt_in t txn (bind params (Parser.parse_one sql))
+  exec_stmt_in t txn (Database.bind_stmt params (Parser.parse_one sql))
 
 let exec t ?params sql =
-  Database.with_txn t.db (fun txn -> exec_stmt_in t txn (bind params (Parser.parse_one sql)))
+  Database.with_txn t.db (fun txn ->
+      exec_stmt_in t txn (Database.bind_stmt params (Parser.parse_one sql)))
 
 let runtime t = t.rt
 

@@ -37,17 +37,23 @@ let create () = Atomic.make Empty
 let clear t = Atomic.set t Empty
 
 (* The conjuncts the map can answer: [col = v] (either orientation) and
-   [col IN (v1..vk)] over literals, as (column, values). *)
-let eligible heap where =
+   [col IN (v1..vk)] over literals or bound parameters, as (column,
+   values). *)
+let eligible ?(params = [||]) heap where =
   let col c = Schema.col_index heap.Heap.schema c in
+  let value e =
+    match e with
+    | Ast.Param i when i >= 1 && i <= Array.length params -> Some params.(i - 1)
+    | _ -> Value.of_ast_literal e
+  in
   let literals es =
-    let vs = List.filter_map Value.of_ast_literal es in
+    let vs = List.filter_map value es in
     if List.compare_lengths vs es = 0 then Some vs else None
   in
   List.filter_map
     (function
       | Ast.Binop (Ast.Eq, Ast.Col (_, c), e) | Ast.Binop (Ast.Eq, e, Ast.Col (_, c)) -> (
-          match (col c, Value.of_ast_literal e) with
+          match (col c, value e) with
           | Some i, Some v -> Some (i, [ v ])
           | _ -> None)
       | Ast.In_list (Ast.Col (_, c), es) -> (
@@ -102,13 +108,13 @@ let probe m bt vals =
   | [ a ] -> keep a
   | many -> List.sort_uniq Int.compare (List.concat_map keep many)
 
-let candidates t txn heap bt ~epoch where (compiled : Access.pred) =
+let candidates ?params t txn heap bt ~epoch where (compiled : Access.pred) =
   if Bitmap_tracker.complete bt then begin
     clear t;
     None
   end
   else
-    match Option.map (eligible heap) where with
+    match Option.map (eligible ?params heap) where with
     | None | Some [] -> None
     | Some conjs -> (
         let map =
@@ -137,10 +143,11 @@ let candidates t txn heap bt ~epoch where (compiled : Access.pred) =
             | Some vals ->
                 Obs.Counters.bump c_probes;
                 let filed =
-                  Access.select_listed ~latest:true txn heap compiled (probe m bt vals)
+                  Access.select_listed ?params ~latest:true txn heap compiled
+                    (probe m bt vals)
                 in
                 let tail =
-                  Access.select_tids ~latest:true
+                  Access.select_tids ?params ~latest:true
                     ~ranges:(fun tid -> Bitmap_tracker.pending_tids bt (max tid m.built_n))
                     txn heap compiled
                 in

@@ -29,6 +29,7 @@ val clear : t -> unit
 (** Drop the map (its bitmap completed). *)
 
 val candidates :
+  ?params:Bullfrog_db.Value.t array ->
   t ->
   Bullfrog_db.Txn.t ->
   Bullfrog_db.Heap.t ->
@@ -42,7 +43,9 @@ val candidates :
     must be [P_full]) among the TIDs the bitmap has not migrated, in TID
     order, newest versions read — or [None] when the map cannot answer
     and the caller must scan the pending ranges itself: no [col = v] /
-    [col IN (...)] conjunct over literals, the map pins another column,
+    [col IN (...)] conjunct over literals or [params]-bound [$n]
+    placeholders ([where] may be unbound; [params] binds it and
+    [compiled] alike), the map pins another column,
     another caller is building it, or the bitmap is complete.  A missing
     map, or one built under another catalog epoch, is (re)built here,
     on the first eligible conjunct's column. *)

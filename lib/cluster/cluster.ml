@@ -348,7 +348,9 @@ let drive_migration t stmt =
           List.iter
             (fun s ->
               let rep = Migrate_exec.new_report () in
-              Migrate_exec.migrate_for_preds m.mig_rts.(s) rep [ (tbl, pred) ];
+              let rt = m.mig_rts.(s) in
+              Migrate_exec.migrate_for_preds rt rep
+                (Migrate_exec.compile_preds rt [ (tbl, pred) ]);
               move_misplaced t m s)
             cands)
         preds

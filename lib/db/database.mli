@@ -95,9 +95,10 @@ val exec_prepared_in : t -> Txn.t -> ?params:Value.t array -> prepared -> Execut
 
 val bind_stmt : Value.t array option -> Bullfrog_sql.Ast.stmt -> Bullfrog_sql.Ast.stmt
 (** Splice parameter values into the AST as literals.  Not used on the
-    execution path (parameters stay positional there); BullFrog's
-    interceptor uses it so predicate extraction and conflict-candidate
-    analysis see concrete values. *)
+    execution path (parameters stay positional there).  BullFrog's
+    interceptor uses it only where analysis needs concrete values: the
+    conflict candidates of an INSERT ... VALUES and rollback purge
+    scopes; every other statement's lazy predicates stay positional. *)
 
 val exec : t -> ?params:Value.t array -> string -> Executor.result
 (** [prepare] + execute, auto-committed.  [params] binds [$1..$n]. *)

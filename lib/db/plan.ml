@@ -71,6 +71,24 @@ let rec width = function
   | Values rows -> ( match rows with [] -> 0 | r :: _ -> Array.length r)
   | Empty { empty_width; _ } -> empty_width
 
+let rec rebind f plan =
+  let go = rebind f in
+  match plan with
+  | Seq_scan s -> Seq_scan { s with table = f s.table }
+  | Index_scan s -> Index_scan { s with table = f s.table }
+  | Index_range s -> Index_range { s with table = f s.table }
+  | Index_min s -> Index_min { s with table = f s.table }
+  | Nested_loop j -> Nested_loop { j with outer = go j.outer; inner = go j.inner }
+  | Index_nl_join j -> Index_nl_join { j with outer = go j.outer; inner_table = f j.inner_table }
+  | Hash_join j -> Hash_join { j with outer = go j.outer; inner = go j.inner }
+  | Filter (p, e) -> Filter (go p, e)
+  | Project (p, es) -> Project (go p, es)
+  | Aggregate a -> Aggregate { a with input = go a.input }
+  | Sort (p, keys) -> Sort (go p, keys)
+  | Distinct p -> Distinct (go p)
+  | Limit (p, n) -> Limit (go p, n)
+  | (Values _ | Empty _) as leaf -> leaf
+
 let describe ?(annot = fun (_ : t) -> "") plan =
   let buf = Buffer.create 256 in
   let ce_string c = Expr.to_string c.Expr.ce_expr in

@@ -69,6 +69,13 @@ type t =
       (** plan lint proved the predicate unsatisfiable: produces no rows
           and touches no storage *)
 
+val rebind : (Heap.t -> Heap.t) -> t -> t
+(** The same plan reading [f h] wherever it reads table [h].  A plan
+    built once over placeholder heaps runs over per-execution heaps of
+    the same schema: the planner reads schemas and indexes, never row
+    counts, so the substituted heaps must carry the placeholders' indexes
+    (none, for a placeholder made with [Heap.create]). *)
+
 val describe : ?annot:(t -> string) -> t -> string
 (** Multi-line, indented, EXPLAIN-style.  [annot] is appended to each
     node's header line; EXPLAIN ANALYZE uses it to attach actual row

@@ -224,10 +224,17 @@ let rewrite_into_sub (q : Ast.select) conj =
 (* Equivalence-class propagation                                       *)
 (*                                                                     *)
 (* Join equalities [a.x = b.y] put (a,x) and (b,y) in one class; a      *)
-(* single-column conjunct [a.x op const] is then replicated as          *)
-(* [b.y op const].  This is how the paper's example pushes              *)
+(* single-column conjunct [a.x op const] (or [a.x op $n]) is then       *)
+(* replicated as [b.y op const].  This is how the paper's example pushes *)
 (* FID = 'AA101' onto both FLIGHTS and FLEWON through the view's join.  *)
 (* ------------------------------------------------------------------ *)
+
+(* A literal or a positional parameter: both name one value per
+   execution, so [a.x = $1] copies across [a.x = b.y] just as
+   [a.x = 5] does, and predicates extracted from an unbound statement
+   match those extracted after binding. *)
+let is_const_or_param e =
+  match e with Ast.Param _ -> true | _ -> Value.of_ast_literal e <> None
 
 let propagate_equalities rels conjs =
   let col_key rels (q, c) = (rel_of_col rels (q, c), String.lowercase_ascii c) in
@@ -274,7 +281,7 @@ let propagate_equalities rels conjs =
       (fun conj ->
         let gen op col rhs_or_lhs ~col_left =
           match col with
-          | Ast.Col (q, c) when Value.of_ast_literal rhs_or_lhs <> None ->
+          | Ast.Col (q, c) when is_const_or_param rhs_or_lhs ->
               List.map
                 (fun (alias', c') ->
                   let col' = Ast.Col (Some alias', c') in

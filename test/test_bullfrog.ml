@@ -341,7 +341,8 @@ let recovery_rebuild () =
   (* the restored tracker prevents re-migration *)
   let report = Migrate_exec.new_report () in
   Migrate_exec.migrate_for_preds rt' report
-    [ ("flewon", Some (Parser.parse_expr "flightid = 'FL001'")); ("flights", None) ];
+    (Migrate_exec.compile_preds rt'
+       [ ("flewon", Some (Parser.parse_expr "flightid = 'FL001'")); ("flights", None) ]);
   check Alcotest.int "no duplicate migration after recovery" 0
     report.Migrate_exec.r_granules_migrated;
   check Alcotest.int "rows unchanged" migrated_before (count db "flewoninfo")

@@ -56,12 +56,13 @@ let threaded_bitmap_migration () =
               (* overlapping slices: [t*32, t*32+96) *)
               let lo = (t * 32) + 1 and hi = min rows ((t * 32) + 96) in
               Migrate_exec.migrate_for_preds rt report
-                [
-                  ( "src",
-                    Some
-                      (Parser.parse_expr
-                         (Printf.sprintf "id >= %d AND id <= %d" lo hi)) );
-                ]
+                (Migrate_exec.compile_preds rt
+                   [
+                     ( "src",
+                       Some
+                         (Parser.parse_expr
+                            (Printf.sprintf "id >= %d AND id <= %d" lo hi)) );
+                   ])
             with e ->
               Mutex.lock err_mu;
               errors := Printexc.to_string e :: !errors;
@@ -105,12 +106,14 @@ let threaded_hash_migration () =
             let report = Migrate_exec.new_report () in
             (* every thread asks for a band of groups, overlapping heavily *)
             Migrate_exec.migrate_for_preds rt report
-              [
-                ( "src",
-                  Some
-                    (Parser.parse_expr
-                       (Printf.sprintf "grp >= %d AND grp <= %d" (t mod 4) ((t mod 4) + 12))) );
-              ])
+              (Migrate_exec.compile_preds rt
+                 [
+                   ( "src",
+                     Some
+                       (Parser.parse_expr
+                          (Printf.sprintf "grp >= %d AND grp <= %d" (t mod 4) ((t mod 4) + 12)))
+                   );
+                 ]))
           ())
   in
   List.iter Thread.join threads;

@@ -176,6 +176,26 @@ let views_and_pushdown () =
   if not (contains plan "emp_dept") then
     Alcotest.failf "expected pushed filter to pick emp_dept index:\n%s" plan
 
+(* A [$n] bound on a join column copies across the join equality the way
+   a literal does: the other side gets the conjunct and probes its index. *)
+let explain_param_join_copies_conjunct () =
+  let db = Database.create () in
+  ignore
+    (Database.exec_script db
+       "CREATE TABLE pa (k INT, x INT); CREATE TABLE pb (k INT, y INT); CREATE INDEX pb_k ON pb (k)");
+  List.iter
+    (fun sql -> ignore (Database.exec db sql : Executor.result))
+    [ "INSERT INTO pa VALUES (3, 30)"; "INSERT INTO pa VALUES (4, 40)";
+      "INSERT INTO pb VALUES (3, 300)"; "INSERT INTO pb VALUES (4, 400)" ];
+  let sql = "SELECT x, y FROM pa, pb WHERE pa.k = pb.k AND pa.k = $1" in
+  (match Database.exec db ~params:[| Value.Int 3 |] ("EXPLAIN " ^ sql) with
+  | Executor.Explained plan ->
+      if not (contains plan "Index Scan using pb_k on pb" && contains plan "Index Cond: ($1)")
+      then Alcotest.failf "expected the copied pb.k = $1 to probe pb_k:\n%s" plan
+  | _ -> Alcotest.fail "EXPLAIN returned no plan");
+  check Alcotest.int "parameterized join rows" 1
+    (List.length (Database.query db ~params:[| Value.Int 3 |] sql))
+
 let explain_minmax_and_range () =
   let db = Database.create () in
   ignore
@@ -341,6 +361,8 @@ let suite =
     Alcotest.test_case "constraints" `Quick constraints;
     Alcotest.test_case "views + pushdown" `Quick views_and_pushdown;
     Alcotest.test_case "ordered-index min/max/range plans" `Quick explain_minmax_and_range;
+    Alcotest.test_case "parameterized join copies the conjunct" `Quick
+      explain_param_join_copies_conjunct;
     Alcotest.test_case "alter table" `Quick ddl_alter;
     Alcotest.test_case "create table as / drop" `Quick create_table_as_and_drop;
     Alcotest.test_case "transactions" `Quick transactions;

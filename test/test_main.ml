@@ -21,6 +21,7 @@ let () =
       ("pair", Test_pair.suite);
       ("recovery", Test_recovery.suite);
       ("lazy-extra", Test_lazy_extra.suite);
+      ("intercept", Test_intercept.suite);
       ("extensions", Test_extensions.suite);
       ("equivalence", Test_equivalence.suite);
       ("multistep-extra", Test_multistep_extra.suite);

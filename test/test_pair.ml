@@ -143,7 +143,8 @@ let pair_recovery () =
   check Alcotest.int "pair restored" 1 restored;
   let report = Migrate_exec.new_report () in
   Migrate_exec.migrate_for_preds rt' report
-    [ ("a", Some (Parser.parse_expr "k = 2")); ("b", Some (Parser.parse_expr "k = 2")) ];
+    (Migrate_exec.compile_preds rt'
+       [ ("a", Some (Parser.parse_expr "k = 2")); ("b", Some (Parser.parse_expr "k = 2")) ]);
   check Alcotest.int "no re-migration" 0 report.Migrate_exec.r_granules_migrated;
   check Alcotest.int "rows unchanged" 1 (count db "ab")
 

@@ -161,7 +161,7 @@ let hash_tracker_recovery () =
   check Alcotest.int "nothing dropped" 0 report.Recovery.rb_dropped;
   let rep = Migrate_exec.new_report () in
   Migrate_exec.migrate_for_preds rt' rep
-    [ ("src", Some (Parser.parse_expr "grp = 2")) ];
+    (Migrate_exec.compile_preds rt' [ ("src", Some (Parser.parse_expr "grp = 2")) ]);
   check Alcotest.int "no re-migration of the recovered group" 0
     rep.Migrate_exec.r_granules_migrated;
   check Alcotest.int "no duplicate group rows" 1 (count db "agg")
@@ -244,7 +244,8 @@ let shared_tracker_recovery () =
   check Alcotest.bool "shared class mark restored" true (report.Recovery.rb_restored >= 1);
   let rep = Migrate_exec.new_report () in
   Migrate_exec.migrate_for_preds rt' rep
-    [ ("a", Some (Parser.parse_expr "k = 1")); ("b", Some (Parser.parse_expr "k = 1")) ];
+    (Migrate_exec.compile_preds rt'
+       [ ("a", Some (Parser.parse_expr "k = 1")); ("b", Some (Parser.parse_expr "k = 1")) ]);
   check Alcotest.int "class not re-migrated" 0 rep.Migrate_exec.r_granules_migrated;
   check Alcotest.int "no duplicate pairs" 4 (count db "ab")
 

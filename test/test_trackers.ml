@@ -191,7 +191,10 @@ let candidate_scan_model_prop =
           Database.with_txn db (fun txn -> Access.scan_pred ~latest:true txn heap pred)
         in
         let want = if skips then List.filter (fun (tid, _) -> not (migrated tid)) full else full in
-        let got = Migrate_exec.candidate_rows db heap (Migrate_exec.RT_bitmap bt) pred in
+        let got =
+          Migrate_exec.candidate_rows db heap (Migrate_exec.RT_bitmap bt)
+            (Migrate_exec.cand_pred heap pred)
+        in
         if tids got <> tids want then begin
           let only a b =
             List.filteri (fun i _ -> i < 10) (List.filter (fun t -> not (List.mem t b)) a)
@@ -299,9 +302,9 @@ let probe_map_model_prop =
       let compare_all phase =
         List.iter
           (fun where ->
-            let pred = Some (Parser.parse_expr where) in
-            let want = Migrate_exec.candidate_rows db heap input.Migrate_exec.ri_tracker pred in
-            let got = Migrate_exec.input_candidates rt input pred in
+            let cp = Migrate_exec.cand_pred heap (Some (Parser.parse_expr where)) in
+            let want = Migrate_exec.candidate_rows db heap input.Migrate_exec.ri_tracker cp in
+            let got = Migrate_exec.input_candidates rt input cp in
             if got <> want then
               QCheck.Test.fail_reportf "%s, %s: %d rows [%s] vs %d in the pending scan [%s]"
                 phase where (List.length got)
