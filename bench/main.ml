@@ -1800,21 +1800,27 @@ let shard_bench () =
   done;
   let was_enabled = Obs.Counters.enabled () in
   Obs.Counters.set_enabled true;
-  let before = Obs.Counters.snapshot () in
-  let t0 = Unix.gettimeofday () in
-  for q = 0 to npoints - 1 do
-    ignore
-      (Cluster.query c
-         (Printf.sprintf "SELECT v FROM t WHERE id = %d" (q * 7 mod nrows))
-        : Bullfrog_db.Value.t array list)
-  done;
-  let cluster_s = Unix.gettimeofday () -. t0 in
-  let after = Obs.Counters.snapshot () in
-  Obs.Counters.set_enabled was_enabled;
-  let delta name =
-    match List.assoc_opt name (Obs.Counters.diff after before) with
-    | Some n -> n
-    | None -> 0
+  (* Work per point query beside the wall clock: minor words allocated
+     and plan-cache hits/misses, deterministic at a fixed seed. *)
+  let work f =
+    let before = Obs.Counters.snapshot () in
+    let w0 = (Gc.quick_stat ()).Gc.minor_words in
+    let t0 = Unix.gettimeofday () in
+    f ();
+    let s = Unix.gettimeofday () -. t0 in
+    let words = (Gc.quick_stat ()).Gc.minor_words -. w0 in
+    let diff = Obs.Counters.diff (Obs.Counters.snapshot ()) before in
+    let delta name = Option.value ~default:0 (List.assoc_opt name diff) in
+    (s, words /. float_of_int npoints, delta)
+  in
+  let cluster_s, cluster_words, delta =
+    work (fun () ->
+        for q = 0 to npoints - 1 do
+          ignore
+            (Cluster.query c
+               (Printf.sprintf "SELECT v FROM t WHERE id = %d" (q * 7 mod nrows))
+              : Bullfrog_db.Value.t array list)
+        done)
   in
   let selects = delta "shard.selects" and single = delta "shard.selects_single" in
   let hit_rate =
@@ -1839,16 +1845,26 @@ let shard_bench () =
              : Bullfrog_db.Executor.result);
     i := hi
   done;
-  let t1 = Unix.gettimeofday () in
-  for q = 0 to npoints - 1 do
-    ignore
-      (Db.query db (Printf.sprintf "SELECT v FROM t WHERE id = %d" (q * 7 mod nrows))
-        : Bullfrog_db.Value.t array list)
-  done;
-  let single_s = Unix.gettimeofday () -. t1 in
+  let single_s, single_words, single_delta =
+    work (fun () ->
+        for q = 0 to npoints - 1 do
+          ignore
+            (Db.query db (Printf.sprintf "SELECT v FROM t WHERE id = %d" (q * 7 mod nrows))
+              : Bullfrog_db.Value.t array list)
+        done)
+  in
+  Obs.Counters.set_enabled was_enabled;
   say "  wall-clock (1 core): cluster %.0f q/s vs single %.0f q/s"
     (float_of_int npoints /. cluster_s)
     (float_of_int npoints /. single_s);
+  let work_json words delta =
+    Printf.sprintf {|{"minor_words": %.1f, "plan_cache_hits": %d, "plan_cache_misses": %d}|}
+      words (delta "db.plan_cache.hits") (delta "db.plan_cache.misses")
+  in
+  say "  work per point query: cluster %.1f minor words, plan cache %d hit(s) / %d miss(es); \
+       single %.1f words, %d / %d"
+    cluster_words (delta "db.plan_cache.hits") (delta "db.plan_cache.misses") single_words
+    (single_delta "db.plan_cache.hits") (single_delta "db.plan_cache.misses");
   (* -- 2PC crash sweep -- *)
   let cells = Cluster_sweep.run_bounded () in
   let failed = List.filter (fun cl -> not cl.Fault_sweep.c_ok) cells in
@@ -1877,7 +1893,8 @@ let shard_bench () =
     "routed_single_shard": %d,
     "routing_hit_rate": %.4f,
     "gate_hit_rate_100": %B,
-    "wall_clock_1core_qps": {"cluster": %.0f, "single": %.0f}
+    "wall_clock_1core_qps": {"cluster": %.0f, "single": %.0f},
+    "work_per_point_query": {"cluster": %s, "single": %s}
   },
   "two_pc_sweep": {
     "cells": %d,
@@ -1898,6 +1915,8 @@ let shard_bench () =
     (ratio4 >= 3.0) shards nrows npoints single hit_rate (hit_rate = 1.0)
     (float_of_int npoints /. cluster_s)
     (float_of_int npoints /. single_s)
+    (work_json cluster_words delta)
+    (work_json single_words single_delta)
     (List.length cells)
     (Fault_sweep.fired_count cells)
     (List.length failed);

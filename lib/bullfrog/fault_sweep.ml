@@ -1,5 +1,4 @@
 open Bullfrog_db
-open Bullfrog_sql
 
 type cell = {
   c_scenario : string;
@@ -42,10 +41,8 @@ let lazy_cycle db ld rt ~probes ~outputs =
     let probe_results =
       List.map
         (fun sql ->
-          let preds =
-            Lazy_db.extract_predicates_for_stmt ld (Parser.parse_one sql)
-          in
-          Migrate_exec.migrate_for_preds rt rep (Migrate_exec.compile_preds rt preds);
+          let preds = Option.value (Lazy_db.interception_preds ld sql) ~default:[] in
+          Migrate_exec.migrate_for_preds rt rep preds;
           (sql, sorted_rows db sql))
         probes
     in

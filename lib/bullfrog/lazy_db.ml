@@ -588,11 +588,6 @@ let relevant_outputs_for t act (stmt : Ast.stmt) =
   in
   List.sort_uniq String.compare (direct @ fk_parents)
 
-let extract_predicates_for_stmt t stmt =
-  match t.act with
-  | None -> []
-  | Some act -> extract_predicates_for_active t act stmt
-
 (* ------------------------------------------------------------------ *)
 (* Request interception                                                *)
 (* ------------------------------------------------------------------ *)
@@ -748,12 +743,6 @@ let purge_for_stmt t act (stmt : Ast.stmt) =
           end)
         rb.rb_purges
 
-(* The cluster router drives shard runtimes through [Migrate_exec]
-   directly (it routes predicates itself), bypassing [maybe_migrate]; it
-   calls this to keep rollback purges request-scoped too. *)
-let drive_purges t (stmt : Ast.stmt) =
-  match t.act with None -> () | Some act -> purge_for_stmt t act stmt
-
 let c_intercept_builds = Obs.Counters.make "core.migrate.intercept_builds"
 
 let build_entry t act (stmt : Ast.stmt) ~epoch =
@@ -823,7 +812,10 @@ let entry t act sql stmt =
       Mutex.unlock act.entries_latch;
       e
 
-let maybe_migrate t act ?report ?params (stmt : Ast.stmt) e =
+(* [route] keeps the candidate scans of the inputs it admits, judged on
+   each input's candidate WHERE with the call's parameters bound; with
+   none admitted nothing runs.  Purges are never routed. *)
+let maybe_migrate t act ?report ?params ?route (stmt : Ast.stmt) e =
   if rollback_purges_pending act then purge_for_stmt t act (Database.bind_stmt params stmt);
   if not (Migrate_exec.complete act.rt) then begin
     let preds =
@@ -833,12 +825,27 @@ let maybe_migrate t act ?report ?params (stmt : Ast.stmt) e =
           Migrate_exec.compile_preds act.rt
             (extract_predicates_for_active t act (Database.bind_stmt params stmt))
     in
-    let r = Migrate_exec.new_report () in
-    Migrate_exec.migrate_for_preds ~stmt_filter:e.en_filter ?params act.rt r preds;
-    Migrate_exec.merge_report ~into:act.cumulative r;
-    match report with
-    | Some dst -> Migrate_exec.merge_report ~into:dst r
-    | None -> ()
+    let preds =
+      match route with
+      | None -> preds
+      | Some admits ->
+          let bind =
+            match params with
+            | Some ps -> Ast.bind_params (Array.map Value.to_ast_literal ps)
+            | None -> Fun.id
+          in
+          List.filter
+            (fun (table, cp) -> admits table (Option.map bind cp.Migrate_exec.cp_where))
+            preds
+    in
+    if route = None || preds <> [] then begin
+      let r = Migrate_exec.new_report () in
+      Migrate_exec.migrate_for_preds ~stmt_filter:e.en_filter ?params act.rt r preds;
+      Migrate_exec.merge_report ~into:act.cumulative r;
+      match report with
+      | Some dst -> Migrate_exec.merge_report ~into:dst r
+      | None -> ()
+    end
   end
 
 (* Look the statement up in the database's statement cache, then in the
@@ -849,7 +856,7 @@ let maybe_migrate t act ?report ?params (stmt : Ast.stmt) e =
    VALUES splices its values into an AST copy per call, because its
    conflict candidates depend on the row values (§2.1).  A call short of
    parameters does no lazy work; execution reports the error. *)
-let intercept t ?report ?params sql =
+let intercept t ?report ?params ?route sql =
   let p = Database.prepare t.database sql in
   let stmt = Database.prepared_stmt p in
   (match t.act with
@@ -862,7 +869,7 @@ let intercept t ?report ?params sql =
         e.en_touches
         && ((not (Migrate_exec.complete act.rt)) || rollback_purges_pending act)
         && e.en_nparams <= supplied
-      then maybe_migrate t act ?report ?params stmt e);
+      then maybe_migrate t act ?report ?params ?route stmt e);
   p
 
 let interception_preds t sql =

@@ -73,19 +73,30 @@ val migration_debt : t -> int
     delivered); 0 when idle.  The wire server's circuit breaker samples
     this gauge. *)
 
-val check_input_writes : t -> Bullfrog_sql.Ast.stmt -> unit
-(** Post-switch the old schema is gone from the application's view
-    (§2.1): an INSERT/UPDATE/DELETE targeting a {e TID-tracked} input
-    table of the active migration would race the snapshot the migration
-    reads and grow the heap past the install-time bitmap-tracker
-    bounds.  Key-tracked (hash) inputs stay writable — a new row joins
-    its key group, and rows landing in already-migrated groups are the
-    application's to maintain in the outputs (the TPC-C aggregate
-    scenarios rely on that contract).  [exec] and [exec_in] call this;
-    layers that bypass them (the cluster router) must call it
-    themselves.  No-op when the target is also an output or no
-    migration is active.
-    @raise Db_error.Sql_error on a write to a TID-tracked input. *)
+val intercept :
+  t ->
+  ?report:Migrate_exec.report ->
+  ?params:Bullfrog_db.Value.t array ->
+  ?route:(string -> Bullfrog_sql.Ast.expr option -> bool) ->
+  string ->
+  Bullfrog_db.Database.prepared
+(** The request path's front half, shared by {!exec}, {!exec_in} and the
+    cluster's shards: [sql] from the database's statement cache, then the
+    active migration's interception entry for the text (built once per
+    text and catalog epoch).  The entry rejects a statement naming a
+    relation the migration dropped, or writing a TID-tracked input
+    (§2.1: such a write would race the snapshot the migration reads;
+    key-tracked inputs and inputs that are also outputs stay writable).
+    A statement touching an output then first migrates its potentially
+    relevant granules, in their own transactions, for the migration
+    statements behind the outputs it names (§3.1), accounted to
+    [report]; mid-rollback it first purges the stale rows it could
+    observe.  [route] narrows the candidate scans: an input's scan runs
+    only when [route input where] holds for its candidate WHERE with
+    [params] bound ([None] = every row), and with none admitted no lazy
+    migration runs; purges are not routed.  Returns the prepared
+    statement, to execute with {!Bullfrog_db.Database.exec_prepared_in}.
+    @raise Db_error.Sql_error when the entry rejects the statement. *)
 
 val exec :
   t ->
@@ -110,12 +121,6 @@ val exec_in :
 val background_step : t -> batch:int -> int
 (** §2.2; returns granules migrated — plus, mid-rollback, stale-row
     purge granules drained — (0 once complete). *)
-
-val drive_purges : t -> Bullfrog_sql.Ast.stmt -> unit
-(** Run the request-scoped stale-row purges a statement requires
-    mid-rollback (no-op otherwise).  [exec]/[exec_in] do this
-    internally; layers that drive {!Migrate_exec} directly (the cluster
-    router) must call it before executing the statement. *)
 
 val migration_complete : t -> bool
 
@@ -174,13 +179,9 @@ val resume_rollback :
     spec is disjoint by construction.
     @raise Db_error.Sql_error when a migration is already active. *)
 
-val extract_predicates_for_stmt :
-  t -> Bullfrog_sql.Ast.stmt -> (string * Bullfrog_sql.Ast.expr option) list
-(** Exposed for tests: the per-old-table predicates a statement would
-    migrate by ([None] = full table). *)
-
 val interception_preds : t -> string -> (string * Migrate_exec.cand_pred) list option
-(** Exposed for tests: the candidate predicates the active migration's
-    interception entry for [sql] holds (built here on a miss), unbound
+(** The candidate predicates the active migration's interception entry
+    for [sql] holds (built here on a miss), for tests and the crash
+    sweep's probes; unbound
     ([$n] placeholders intact).  [None] without an active migration and
     for INSERT ... VALUES, which is analysed per call. *)

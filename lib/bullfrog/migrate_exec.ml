@@ -1189,7 +1189,7 @@ let candidate_rows ?probe ?params db heap tracker (cp : cand_pred) =
 
 (* An input no statement may write while the migration runs: tracked by
    TID (a bitmap granule is a TID range fixed at the switch) and not also
-   an output.  [Lazy_db.check_input_writes] rejects writes to these, and
+   an output.  [Lazy_db]'s interception entry rejects writes to these, and
    the probe map relies on exactly that. *)
 let read_only_table t name =
   let name = String.lowercase_ascii name in

@@ -215,17 +215,23 @@ let inputs_for_table t table =
         stmt.Migrate_exec.rs_inputs)
     t.rt.Migrate_exec.stmts
 
-let exec_stmt_in t txn (stmt : Ast.stmt) =
-  let ctx = Database.exec_ctx t.db in
-  match stmt with
+(* A client statement through the statement cache and plan cache, with
+   the dual-write refresh a trigger would run for writes to a tracked
+   input.  Only the affected-row snapshot of an UPDATE/DELETE reads the
+   statement's WHERE, under the same parameters. *)
+let exec_in t txn ?params sql =
+  let p = Database.prepare t.db sql in
+  let run () = Database.exec_prepared_in t.db txn ?params p in
+  match Database.prepared_stmt p with
   | Ast.Update { table; where; _ } | Ast.Delete { table; where } -> (
       match inputs_for_table t table with
-      | [] -> Executor.exec_stmt ctx txn stmt
+      | [] -> run ()
       | targets ->
           (* Snapshot the affected rows before the write. *)
+          Database.check_params p params;
           let heap = Catalog.find_table_exn t.db.Database.catalog table in
-          let affected = Access.scan_pred ~latest:true txn heap where in
-          let result = Executor.exec_stmt ctx txn stmt in
+          let affected = Access.scan_pred ?params ~latest:true txn heap where in
+          let result = run () in
           List.iter
             (fun (stmt_rt, input) ->
               List.iter
@@ -245,11 +251,11 @@ let exec_stmt_in t txn (stmt : Ast.stmt) =
           result)
   | Ast.Insert { table; _ } -> (
       match inputs_for_table t table with
-      | [] -> Executor.exec_stmt ctx txn stmt
+      | [] -> run ()
       | targets ->
           let heap = Catalog.find_table_exn t.db.Database.catalog table in
           let before = Heap.tid_count heap in
-          let result = Executor.exec_stmt ctx txn stmt in
+          let result = run () in
           let after = Heap.tid_count heap in
           List.iter
             (fun (stmt_rt, input) ->
@@ -270,14 +276,9 @@ let exec_stmt_in t txn (stmt : Ast.stmt) =
               done)
             targets;
           result)
-  | other -> Executor.exec_stmt ctx txn other
+  | _ -> run ()
 
-let exec_in t txn ?params sql =
-  exec_stmt_in t txn (Database.bind_stmt params (Parser.parse_one sql))
-
-let exec t ?params sql =
-  Database.with_txn t.db (fun txn ->
-      exec_stmt_in t txn (Database.bind_stmt params (Parser.parse_one sql)))
+let exec t ?params sql = Database.with_txn t.db (fun txn -> exec_in t txn ?params sql)
 
 let runtime t = t.rt
 

@@ -22,7 +22,6 @@ let c_2pc_commits = Counters.make "shard.2pc_commits"
 let c_2pc_aborts = Counters.make "shard.2pc_aborts"
 let c_rows_moved = Counters.make "shard.rows_moved"
 let c_flips = Counters.make "shard.flips"
-let c_mig_drives = Counters.make "shard.migration_drives"
 
 (* ------------------------------------------------------------------ *)
 (* state                                                               *)
@@ -52,11 +51,11 @@ type t = {
          every shard has acked a flip — readers see either the whole
          cluster pre-flip or the whole cluster post-flip *)
   mutable dropped : string list;
+      (* old tables the migrations dropped; recovery drops the finalized
+         ones again *)
   latch : Mutex.t;  (* serialises statements and migration driving *)
   mutable migration : migration_state option;
   prov : string;  (* this cluster's Obs stats-provider name *)
-  parsed : (string, Ast.stmt) Hashtbl.t;  (* [exec]'s parse cache, by SQL text *)
-  parsed_latch : Mutex.t;
 }
 
 let lc = String.lowercase_ascii
@@ -86,8 +85,6 @@ let create ?(shards = 4) () =
       migration = None;
       prov =
         Printf.sprintf "cluster:%d" (Atomic.fetch_and_add next_cluster_id 1);
-      parsed = Hashtbl.create 64;
-      parsed_latch = Mutex.create ();
     }
   in
   Obs.register_stats t.prov (fun () -> !stats_of t);
@@ -129,40 +126,14 @@ let default_partition t name =
 (* ------------------------------------------------------------------ *)
 (* AST helpers                                                         *)
 
-let rec tables_of_select (s : Ast.select) =
-  List.concat_map
-    (function
-      | Ast.From_table (n, _) -> [ lc n ]
-      | Ast.From_subquery (q, _) -> tables_of_select q)
-    s.Ast.from
+let where_has_subquery = function None -> false | Some e -> Ast.expr_has_subquery e
 
-let tables_of_stmt = function
-  | Ast.Select_stmt s -> tables_of_select s
-  | Ast.Insert { table; source; _ } ->
-      lc table
-      :: (match source with Ast.Query q -> tables_of_select q | Ast.Values _ -> [])
-  | Ast.Update { table; _ } | Ast.Delete { table; _ } -> [ lc table ]
-  | Ast.Explain { stmt; _ } -> (
-      match stmt with Ast.Select_stmt s -> tables_of_select s | _ -> [])
-  | _ -> []
-
-let rec expr_has_subquery = function
-  | Ast.Exists _ | Ast.Scalar_subquery _ -> true
-  | Ast.Binop (_, a, b) -> expr_has_subquery a || expr_has_subquery b
-  | Ast.Unop (_, a) | Ast.Is_null (a, _) -> expr_has_subquery a
-  | Ast.Fn (_, es) -> List.exists expr_has_subquery es
-  | Ast.Agg (_, _, e) -> (
-      match e with Some e -> expr_has_subquery e | None -> false)
-  | Ast.Case (branches, els) ->
-      List.exists (fun (c, v) -> expr_has_subquery c || expr_has_subquery v) branches
-      || (match els with Some e -> expr_has_subquery e | None -> false)
-  | Ast.In_list (a, es) -> List.exists expr_has_subquery (a :: es)
-  | Ast.Between (a, b, c) -> List.exists expr_has_subquery [ a; b; c ]
-  | Ast.Null_lit | Ast.Int_lit _ | Ast.Float_lit _ | Ast.Str_lit _ | Ast.Bool_lit _
-  | Ast.Param _ | Ast.Col _ ->
-      false
-
-let where_has_subquery = function None -> false | Some e -> expr_has_subquery e
+(* [where] with the call's parameters spliced in as literals: the router
+   reads literal values only. *)
+let bind_where params where =
+  match (params, where) with
+  | Some ps, Some w -> Some (Ast.bind_params (Array.map Value.to_ast_literal ps) w)
+  | _ -> where
 
 let rec take n = function
   | [] -> []
@@ -172,10 +143,29 @@ let rec take n = function
 (* ------------------------------------------------------------------ *)
 (* per-shard execution and scatter/gather                              *)
 
-let exec_on t s stmt =
-  let sh = t.shards.(s) in
-  Database.with_txn sh.sh_db (fun txn ->
-      Executor.exec_stmt (Database.exec_ctx sh.sh_db) txn stmt)
+(* One client statement on its way through the shards.  Every shard runs
+   the client's own text on the path [Lazy_db.exec] takes: the shard's
+   statement cache and interception entry ({!Lazy_db.intercept}), then
+   [Database.exec_prepared_in] with the call's parameters, which reuses
+   the shard's cached plan. *)
+type request = {
+  rq_sql : string;
+  rq_params : Value.t array option;
+  rq_preps : Database.prepared option array;  (* per shard, once intercepted *)
+}
+
+let prepared t rq s =
+  match rq.rq_preps.(s) with
+  | Some p -> p
+  | None ->
+      let p = Lazy_db.intercept t.shards.(s).sh_lazy ?params:rq.rq_params rq.rq_sql in
+      rq.rq_preps.(s) <- Some p;
+      p
+
+let run_in t rq s txn =
+  Database.exec_prepared_in t.shards.(s).sh_db txn ?params:rq.rq_params (prepared t rq s)
+
+let exec_on t rq s = Database.with_txn t.shards.(s).sh_db (run_in t rq s)
 
 (* Scatter [f] over the given shards in order on the calling thread and
    gather the results in shard order.  Every shard runs; the first error
@@ -328,32 +318,27 @@ let move_misplaced t m s =
   end;
   List.iter (fun (wms, n) -> wms.(s) <- n) !scanned
 
-let drive_migration t stmt =
-  match t.migration with
-  | None -> ()
-  | Some m ->
-      (* Mid-rollback, stale old-schema rows the statement could observe
-         must be purged on every shard (old- and new-table partitioning
-         can route differently); cheap no-op otherwise. *)
-      Array.iter (fun sh -> Lazy_db.drive_purges sh.sh_lazy stmt) t.shards;
-      let preds = Lazy_db.extract_predicates_for_stmt t.shards.(0).sh_lazy stmt in
-      if preds <> [] then Counters.bump c_mig_drives;
-      List.iter
-        (fun (tbl, pred) ->
-          let cands =
-            match partition_of t tbl with
-            | Some p -> Partition.route p pred
-            | None -> all_ids t
-          in
-          List.iter
-            (fun s ->
-              let rep = Migrate_exec.new_report () in
-              let rt = m.mig_rts.(s) in
-              Migrate_exec.migrate_for_preds rt rep
-                (Migrate_exec.compile_preds rt [ (tbl, pred) ]);
-              move_misplaced t m s)
-            cands)
-        preds
+(* Mid-migration every shard intercepts the statement, in shard order:
+   rollback purges run on all of them, while an input's lazy candidate
+   scan runs only on the shards [Partition.route] picks for the input's
+   candidate WHERE.  A shard that scanned then moves the rows it
+   migrated off their new home shard. *)
+let intercept_shards t m rq =
+  Array.iteri
+    (fun s sh ->
+      let scanned = ref false in
+      let route table where =
+        let here =
+          match partition_of t table with
+          | Some p -> List.mem s (Partition.route p where)
+          | None -> true
+        in
+        if here then scanned := true;
+        here
+      in
+      rq.rq_preps.(s) <- Some (Lazy_db.intercept sh.sh_lazy ?params:rq.rq_params ~route rq.rq_sql);
+      if !scanned then move_misplaced t m s)
+    t.shards
 
 (* ------------------------------------------------------------------ *)
 (* SELECT merge                                                        *)
@@ -444,71 +429,63 @@ let merge_select sel (results : (int * Executor.result) list) =
 (* ------------------------------------------------------------------ *)
 (* statement routing                                                   *)
 
-let broadcast t stmt =
+let broadcast t rq =
   Counters.bump c_ddl_bcast;
-  match List.map (fun s -> exec_on t s stmt) (all_ids t) with
+  match List.map (exec_on t rq) (all_ids t) with
   | r :: _ -> r
   | [] -> assert false
 
-let route_write t stmt part where =
+let route_write t rq part where =
   if where_has_subquery where then
     sql_error "cluster: subqueries in WHERE are unsupported";
-  match Partition.route part where with
+  match Partition.route part (bind_where rq.rq_params where) with
   | [] -> Executor.Affected 0
   | [ s ] ->
       Counters.bump c_single;
-      exec_on t s stmt
+      exec_on t rq s
   | cs ->
       Counters.bump c_multi;
-      sum_affected
-        (two_pc t
-           (List.map
-              (fun s ->
-                ( s,
-                  fun txn ->
-                    Executor.exec_stmt (Database.exec_ctx t.shards.(s).sh_db) txn stmt
-                ))
-              cs))
+      sum_affected (two_pc t (List.map (fun s -> (s, run_in t rq s)) cs))
 
-let exec_select t sel stmt =
+let exec_select t rq sel =
   Counters.bump c_selects;
   if
     where_has_subquery sel.Ast.where
     || where_has_subquery sel.Ast.having
     || List.exists
          (function
-           | Ast.Proj_expr (e, _) -> expr_has_subquery e
+           | Ast.Proj_expr (e, _) -> Ast.expr_has_subquery e
            | Ast.Proj_star | Ast.Proj_table_star _ -> false)
          sel.Ast.projections
   then sql_error "cluster: subqueries are unsupported";
   match sel.Ast.from with
   | [] ->
       Counters.bump c_selects_single;
-      exec_on t 0 stmt
+      exec_on t rq 0
   | [ Ast.From_table (tbl, _) ] -> (
       let cands =
         match partition_of t tbl with
-        | Some p -> Partition.route p sel.Ast.where
+        | Some p -> Partition.route p (bind_where rq.rq_params sel.Ast.where)
         | None -> all_ids t
       in
       match cands with
       | [] ->
           (* provably no matching rows anywhere; shard 0 supplies the header *)
           Counters.bump c_selects_single;
-          exec_on t 0 stmt
+          exec_on t rq 0
       | [ s ] ->
           Counters.bump c_selects_single;
-          exec_on t s stmt
-      | cs -> merge_select sel (scatter cs (fun s -> exec_on t s stmt)))
+          exec_on t rq s
+      | cs -> merge_select sel (scatter cs (exec_on t rq)))
   | _ ->
       sql_error
         "cluster: cross-shard joins and FROM subqueries are unsupported (single-table statements only)"
 
-let route_note t stmt =
+let route_note t ?params stmt =
   let note tbl where =
     match partition_of t tbl with
     | Some p ->
-        let cands = Partition.route p where in
+        let cands = Partition.route p (bind_where params where) in
         Printf.sprintf "route: %s via %s -> shards [%s]" tbl (Partition.to_string p)
           (String.concat ";" (List.map string_of_int cands))
     | None -> Printf.sprintf "route: %s unpartitioned -> broadcast" tbl
@@ -522,35 +499,35 @@ let route_note t stmt =
       Printf.sprintf "route: %s by partition key per row" (lc table)
   | _ -> "route: broadcast"
 
-let exec_stmt_routed t stmt =
+let exec_routed t rq stmt =
   match stmt with
   | Ast.Begin_txn | Ast.Commit_txn | Ast.Rollback_txn ->
       sql_error "cluster: explicit transactions are unsupported (auto-commit only)"
   | Ast.Create_table_as _ ->
       sql_error "cluster: CREATE TABLE AS is unsupported (use a migration)"
   | Ast.Create_table { name; _ } ->
-      let r = broadcast t stmt in
+      let r = broadcast t rq in
       (match default_partition t name with
       | Some p when partition_of t name = None -> set_partition t name p
       | _ -> ());
       r
   | Ast.Drop { kind = Ast.Drop_table; name; _ } ->
-      let r = broadcast t stmt in
+      let r = broadcast t rq in
       t.parts <- List.remove_assoc (lc name) t.parts;
       r
   | Ast.Alter_table { table; action = Ast.Rename_to nn } ->
-      let r = broadcast t stmt in
+      let r = broadcast t rq in
       (match partition_of t table with
       | Some p ->
           t.parts <- (lc nn, p) :: List.remove_assoc (lc table) t.parts
       | None -> ());
       r
   | Ast.Create_view _ | Ast.Create_index _ | Ast.Drop _ | Ast.Alter_table _ ->
-      broadcast t stmt
-  | Ast.Explain_migration _ -> exec_on t 0 stmt
+      broadcast t rq
+  | Ast.Explain_migration _ -> exec_on t rq 0
   | Ast.Explain { stmt = inner; _ } -> (
-      let line = route_note t inner in
-      match exec_on t 0 stmt with
+      let line = route_note t ?params:rq.rq_params inner in
+      match exec_on t rq 0 with
       | Executor.Explained s -> Executor.Explained (line ^ "\n" ^ s)
       | other -> other)
   | Ast.Insert ({ table; columns; source = Ast.Values rows; _ } as r) -> (
@@ -587,7 +564,12 @@ let exec_stmt_routed t stmt =
         match List.nth_opt row_exprs slot with
         | None -> sql_error "cluster: INSERT row arity below partition column"
         | Some e -> (
-            match Value.of_ast_literal e with
+            let key =
+              match (e, rq.rq_params) with
+              | Ast.Param i, Some ps -> Some ps.(i - 1)
+              | e, _ -> Value.of_ast_literal e
+            in
+            match key with
             | Some v -> Partition.shard_of_value part v
             | None -> sql_error "cluster: partition key of %s must be a literal" tbl)
       in
@@ -604,10 +586,12 @@ let exec_stmt_routed t stmt =
       in
       match groups with
       | [] -> Executor.Affected 0
-      | [ (s, rs) ] ->
+      | [ (s, _) ] ->
           Counters.bump c_single;
-          exec_on t s (Ast.Insert { r with source = Ast.Values rs })
+          exec_on t rq s
       | _ ->
+          (* each home shard gets its own rows: the one statement the
+             cluster rewrites, so it runs as an AST *)
           Counters.bump c_multi;
           sum_affected
             (two_pc t
@@ -615,7 +599,7 @@ let exec_stmt_routed t stmt =
                   (fun (s, rs) ->
                     ( s,
                       fun txn ->
-                        Executor.exec_stmt
+                        Executor.exec_stmt ?params:rq.rq_params
                           (Database.exec_ctx t.shards.(s).sh_db)
                           txn
                           (Ast.Insert { r with source = Ast.Values rs }) ))
@@ -630,7 +614,7 @@ let exec_stmt_routed t stmt =
       in
       if List.exists (fun (c, _) -> lc c = Partition.column part) sets then
         sql_error "cluster: updating the partition column is unsupported";
-      route_write t stmt part where
+      route_write t rq part where
   | Ast.Delete { table; where } ->
       let tbl = lc table in
       let part =
@@ -638,57 +622,38 @@ let exec_stmt_routed t stmt =
         | Some p -> p
         | None -> sql_error "cluster: no partition spec for table %s" tbl
       in
-      route_write t stmt part where
-  | Ast.Select_stmt sel -> exec_select t sel stmt
+      route_write t rq part where
+  | Ast.Select_stmt sel -> exec_select t rq sel
 
-let check_dropped t stmt =
-  List.iter
-    (fun tb ->
-      if List.mem tb t.dropped then
-        sql_error "cluster: table %s was dropped by the migration" tb)
-    (tables_of_stmt stmt)
-
-let exec_ast t stmt =
+(* Shard 0's interception speaks for the statement's rejection and its
+   parameter count on every shard: the shards hold the same schema and
+   migration runtime.  Mid-migration all shards intercept first; the
+   statement then runs on the shards it routes to. *)
+let exec t ?params sql =
   with_latch t (fun () ->
       Counters.bump c_stmts;
+      let rq = { rq_sql = sql; rq_params = params; rq_preps = Array.make (shard_count t) None } in
       let body () =
-        check_dropped t stmt;
-        (* shard 0's guard speaks for all shards: the migration runtime is
-           installed identically on every one *)
-        Lazy_db.check_input_writes t.shards.(0).sh_lazy stmt;
-        drive_migration t stmt;
-        exec_stmt_routed t stmt
+        (match t.migration with Some m -> intercept_shards t m rq | None -> ());
+        let p0 = prepared t rq 0 in
+        Database.check_params p0 params;
+        exec_routed t rq (Database.prepared_stmt p0)
       in
       if Obs.Trace.enabled () then
         (* the routing decision is the span's payload: a slow statement's
            trace says on its face which shards it fanned out to *)
-        Obs.Trace.with_span ~cat:"cluster" "route"
-          ~args:[ ("decision", route_note t stmt) ]
-          body
+        let p0 = Database.prepare t.shards.(0).sh_db sql in
+        let decision =
+          match Database.check_params p0 params with
+          | () -> route_note t ?params (Database.prepared_stmt p0)
+          | exception Db_error.Sql_error msg -> msg
+        in
+        Obs.Trace.with_span ~cat:"cluster" "route" ~args:[ ("decision", decision) ] body
       else body ())
 
-(* The wire server's prepared statements reach [exec] with the same text
-   on every call, so each text is parsed once; parameters are bound per
-   call.  Bounded like the shard databases' statement caches, and a parse
-   error raises before anything is cached. *)
-let parse t sql =
-  Mutex.lock t.parsed_latch;
-  let hit = Hashtbl.find_opt t.parsed sql in
-  Mutex.unlock t.parsed_latch;
-  match hit with
-  | Some stmt -> stmt
-  | None ->
-      let stmt = Parser.parse_one sql in
-      Mutex.lock t.parsed_latch;
-      if Hashtbl.length t.parsed >= Database.stmt_cache_cap then Hashtbl.reset t.parsed;
-      Hashtbl.replace t.parsed sql stmt;
-      Mutex.unlock t.parsed_latch;
-      stmt
-
-let exec t ?params sql = exec_ast t (Database.bind_stmt params (parse t sql))
-
+(* Each statement of the script goes through [exec] as its own text. *)
 let exec_script t sql =
-  Parser.parse sql |> List.map (fun stmt -> exec_ast t stmt)
+  List.map (fun stmt -> exec t (Pretty.stmt_to_string stmt)) (Parser.parse sql)
 
 let query t ?params sql =
   match exec t ?params sql with
@@ -701,8 +666,8 @@ let query_one t ?params sql =
   | [] -> sql_error "cluster: query_one on empty result"
 
 let explain t sql =
-  let stmt = Database.bind_stmt None (Parser.parse_one sql) in
-  route_note t stmt ^ "\n" ^ Database.explain t.shards.(0).sh_db sql
+  route_note t (Database.prepared_stmt (Database.prepare t.shards.(0).sh_db sql))
+  ^ "\n" ^ Database.explain t.shards.(0).sh_db sql
 
 let vacuum ?budget t =
   Array.fold_left (fun acc sh -> acc + Database.vacuum ?budget sh.sh_db) 0 t.shards
@@ -986,8 +951,6 @@ let recover old =
       migration = None;
       prov =
         Printf.sprintf "cluster:%d" (Atomic.fetch_and_add next_cluster_id 1);
-      parsed = Hashtbl.create 64;
-      parsed_latch = Mutex.create ();
     }
   in
   (* the recovered cluster replaces the crashed one: its stats provider
@@ -996,26 +959,40 @@ let recover old =
   Obs.register_stats t.prov (fun () -> !stats_of t);
   Obs.Flight.notef ~cat:"cluster" "recovered %d shard(s), epoch %d"
     (Array.length shards) (Atomic.get t.epoch);
-  (match pending_migration_marker coord_log with
-  | None -> ()
-  | Some pending ->
-      let spec, rts =
-        match pending with
-        | P_forward (mig_id, wire) ->
-            let mig = Migration.deserialize wire in
-            ( mig,
-              Array.map (fun sh -> Lazy_db.resume_migration sh.sh_lazy ~mig_id mig) t.shards
-            )
-        | P_rollback (fwd_mig_id, fwd_wire, mig_id, rb_wire) ->
-            let fwd_spec = Migration.deserialize fwd_wire in
-            let bspec = Migration.deserialize rb_wire in
-            ( bspec,
-              Array.map
-                (fun sh ->
-                  Lazy_db.resume_rollback sh.sh_lazy ~fwd_mig_id ~mig_id fwd_spec bspec)
-                t.shards )
-      in
-      t.migration <- Some (migration_record t ~from_tops:false spec rts));
+  let resume =
+    match pending_migration_marker coord_log with
+    | None -> None
+    | Some (P_forward (mig_id, wire)) ->
+        let mig = Migration.deserialize wire in
+        Some (mig, fun sh -> Lazy_db.resume_migration sh.sh_lazy ~mig_id mig)
+    | Some (P_rollback (fwd_mig_id, fwd_wire, mig_id, rb_wire)) ->
+        let fwd_spec = Migration.deserialize fwd_wire in
+        let bspec = Migration.deserialize rb_wire in
+        Some
+          ( bspec,
+            fun sh -> Lazy_db.resume_rollback sh.sh_lazy ~fwd_mig_id ~mig_id fwd_spec bspec )
+  in
+  (* [Lazy_db.finalize] drops a migration's inputs from the catalog only,
+     so replay brings back the tables a finalized migration dropped: drop
+     them again.  The pending migration's own dropped tables are inputs
+     it still reads. *)
+  let still_read =
+    match resume with Some (spec, _) -> List.map lc spec.Migration.drop_old | None -> []
+  in
+  List.iter
+    (fun name ->
+      if not (List.mem name still_read) then
+        Array.iter
+          (fun sh ->
+            let catalog = sh.sh_db.Database.catalog in
+            if Catalog.exists catalog name then Catalog.drop catalog name)
+          shards)
+    old.dropped;
+  Option.iter
+    (fun (spec, resume_shard) ->
+      t.migration <-
+        Some (migration_record t ~from_tops:false spec (Array.map resume_shard t.shards)))
+    resume;
   t
 
 (* ------------------------------------------------------------------ *)

@@ -56,11 +56,17 @@ val set_partition : t -> string -> Partition.t -> unit
 (** {2 Statements} *)
 
 val exec : t -> ?params:Bullfrog_db.Value.t array -> string -> Bullfrog_db.Executor.result
-(** Route and execute one auto-committed statement.  If a migration is
-    active, the statement's extracted predicates first drive lazy
-    migration on the candidate shards (including row movement). *)
+(** Route and execute one auto-committed statement.  Each shard it runs
+    on takes the single-node request path: its statement cache, its
+    {!Bullfrog_core.Lazy_db.intercept} entry for the text, and its plan
+    cache, with [params] bound per call.  If a migration is active, every
+    shard intercepts the statement first: rollback purges run on all of
+    them, an input's lazy candidate scan only on the shards its
+    partition routes the candidate predicate to, and a shard that
+    migrated moves the rows whose new home is another shard. *)
 
 val exec_script : t -> string -> Bullfrog_db.Executor.result list
+(** Each [;]-separated statement through {!exec}, auto-committed. *)
 
 val query : t -> ?params:Bullfrog_db.Value.t array -> string -> Bullfrog_db.Value.t array list
 

@@ -374,10 +374,14 @@ let run_prepared t txn params p =
     | C_write w -> w params txn
   end
 
-let exec_prepared_in t txn ?(params = [||]) p =
-  if Array.length params < p.p_nparams then
-    Db_error.sql_error "statement expects %d parameter(s), got %d" p.p_nparams
-      (Array.length params);
+let check_params p params =
+  let supplied = match params with Some a -> Array.length a | None -> 0 in
+  if supplied < p.p_nparams then
+    Db_error.sql_error "statement expects %d parameter(s), got %d" p.p_nparams supplied
+
+let exec_prepared_in t txn ?params p =
+  check_params p params;
+  let params = Option.value params ~default:[||] in
   (* The disabled-tracing path must not allocate a closure: test the flag
      here instead of calling [with_span] unconditionally. *)
   if not (Obs.Trace.enabled ()) then run_prepared t txn params p

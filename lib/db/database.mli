@@ -88,6 +88,11 @@ val prepare : t -> string -> prepared
 
 val prepared_stmt : prepared -> Bullfrog_sql.Ast.stmt
 
+val check_params : prepared -> Value.t array option -> unit
+(** @raise Db_error.Sql_error when fewer parameters are supplied than the
+    statement references — {!exec_prepared_in}'s own check, for callers
+    that read the parameters before executing. *)
+
 val exec_prepared_in : t -> Txn.t -> ?params:Value.t array -> prepared -> Executor.result
 (** Execute a prepared statement inside [txn].  [params.(i)] binds
     [$(i+1)]; @raise Db_error.Sql_error when fewer parameters are

@@ -546,7 +546,7 @@ let check_checks (txn : Txn.t) (table : Heap.t) row =
       | Schema.Check (name, _, compiled) -> (
           txn.Txn.counters.Txn.constraint_checks <-
             txn.Txn.counters.Txn.constraint_checks + 1;
-          match Expr.eval row compiled with
+          match compiled row with
           | Value.Bool false ->
               Db_error.constraint_violation
                 "new row for relation %S violates check constraint %S" table.Heap.name
@@ -833,7 +833,7 @@ let alter_table ctx txn table_name (action : Ast.alter_action) =
                 | Schema.Unique (n, cols) -> Schema.Unique (n, shift_cols cols)
                 | Schema.Foreign_key fk ->
                     Schema.Foreign_key { fk with Schema.fk_cols = shift_cols fk.Schema.fk_cols }
-                | Schema.Check (n, ast, _) -> Schema.Check (n, ast, Expr.Const Value.Null))
+                | Schema.Check _ -> c)
               schema.Schema.constraints;
           primary_key = Option.map shift_cols schema.Schema.primary_key;
         }
@@ -847,7 +847,7 @@ let alter_table ctx txn table_name (action : Ast.alter_action) =
               (fun c ->
                 match c with
                 | Schema.Check (n, ast, _) ->
-                    Schema.Check (n, ast, Schema.compile_expr new_schema ast)
+                    Schema.Check (n, ast, Schema.compile_check new_schema ast)
                 | Schema.Unique _ | Schema.Foreign_key _ -> c)
               new_schema.Schema.constraints;
         }
@@ -883,9 +883,9 @@ let alter_table ctx txn table_name (action : Ast.alter_action) =
       match tc with
       | Ast.C_check e ->
           let name = Option.value cname ~default:(fresh "check") in
-          let compiled = Schema.compile_expr schema e in
+          let compiled = Schema.compile_check schema e in
           Heap.iter_live table (fun _tid row ->
-              match Expr.eval row compiled with
+              match compiled row with
               | Value.Bool false ->
                   Db_error.constraint_violation
                     "check constraint %S of relation %S is violated by some row" name

@@ -6,12 +6,14 @@
     Aggregate references are resolved to slots of the enclosing
     [Aggregate] operator's output.
 
-    Expressions can be evaluated two ways: the tree interpreter
-    ({!eval_env}) and the closure compiler ({!compile_env}), which walks
-    the tree once and returns a closure performing no constructor
-    dispatch per row.  The two must agree exactly — on values and on
-    raised {!Eval_error}s; physical plans hold the compiled form
-    ({!cexpr}). *)
+    Expressions are evaluated by the closure compiler ({!compile_env}),
+    which walks the tree once and returns a closure performing no
+    constructor dispatch per row; physical plans hold the compiled form
+    ({!cexpr}).  Semantics are three-valued: comparisons and logical
+    connectives involving [Null] yield [Null], and a predicate treats a
+    [Null] result as false.  The test suite keeps a tree interpreter as
+    the reference the compiled and staged forms must agree with exactly,
+    on values and on raised {!Eval_error}s. *)
 
 type t =
   | Const of Value.t
@@ -27,24 +29,11 @@ type t =
 
 exception Eval_error of string
 
-val eval_env : Value.t array -> Value.t array -> t -> Value.t
-(** [eval_env params row e] — three-valued logic: comparisons and logical
-    connectives involving [Null] yield [Null]; [WHERE] treats a [Null]
-    result as false.  [params] supplies [Param] slots.
-    @raise Eval_error on type errors (adding a string to an int, unknown
-    function, unbound parameter, ...). *)
-
-val eval : Value.t array -> t -> Value.t
-(** [eval row e] = [eval_env [||] row e]. *)
-
-val eval_pred : Value.t array -> t -> bool
-(** [eval] then [Null]/[Bool false] → [false]. *)
-
-val eval_pred_env : Value.t array -> Value.t array -> t -> bool
-
 val compile_env : t -> Value.t array -> Value.t array -> Value.t
 (** Closure-compile: one tree walk, then [fun params row -> ...] with no
-    per-row dispatch.  Agrees exactly with {!eval_env}. *)
+    per-row dispatch.  [params] supplies [Param] slots.  Never raises
+    itself; the closure raises {!Eval_error} on type errors (adding a
+    string to an int, unknown function, unbound parameter, ...). *)
 
 type bound = { holds : Value.t array -> bool } [@@unboxed]
 (** A predicate with its parameters bound: [holds row] is the row test
@@ -62,7 +51,7 @@ type cexpr = {
           ...] leaves, with an inline path for [Int] against [Int].
           Binding never raises: an error from a row-independent part is
           raised by [holds], for each row that evaluates it — exactly the
-          rows, and the message, of {!eval_pred_env}. *)
+          rows, and the message, of evaluating the whole predicate. *)
 }
 (** A compiled expression as held by physical plan nodes. *)
 

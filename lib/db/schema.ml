@@ -15,7 +15,7 @@ type foreign_key = {
 }
 
 type constr =
-  | Check of string * Ast.expr * Expr.t
+  | Check of string * Ast.expr * (Value.t array -> Value.t)
   | Unique of string * int array
   | Foreign_key of foreign_key
 
@@ -67,6 +67,10 @@ let rec compile_expr t (e : Ast.expr) : Expr.t =
   | Ast.Is_null (a, n) -> Expr.Is_null (sub a, n)
   | Ast.Exists _ | Ast.Scalar_subquery _ ->
       Db_error.sql_error "subqueries are not allowed in this context"
+
+let compile_check t e =
+  let f = Expr.compile_env (compile_expr t e) in
+  fun row -> f [||] row
 
 (* DDL text for the redo log: column names and types only.  Replay applies
    committed rows directly to the heap (no constraint re-checking), so
@@ -136,7 +140,7 @@ let of_ast table_name (col_defs : Ast.column_def list)
             }
           :: t.constraints
     | Ast.C_check e ->
-        t.constraints <- Check (fresh "check", e, compile_expr t e) :: t.constraints
+        t.constraints <- Check (fresh "check", e, compile_check t e) :: t.constraints
   in
   (* Inline column attributes first, in declaration order. *)
   List.iteri

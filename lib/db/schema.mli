@@ -15,8 +15,9 @@ type foreign_key = {
 }
 
 type constr =
-  | Check of string * Bullfrog_sql.Ast.expr * Expr.t
-      (** name, source expression, expression compiled over this table's row *)
+  | Check of string * Bullfrog_sql.Ast.expr * (Value.t array -> Value.t)
+      (** name, source expression, and the expression compiled once over
+          this table's row ({!compile_check}) *)
   | Unique of string * int array  (** backed by a unique index of the same name *)
   | Foreign_key of foreign_key
 
@@ -52,6 +53,11 @@ val compile_expr : t -> Bullfrog_sql.Ast.expr -> Expr.t
     table (qualified references are accepted and the qualifier ignored).
     @raise Db_error.Sql_error on unknown columns, aggregates or
     subqueries. *)
+
+val compile_check : t -> Bullfrog_sql.Ast.expr -> Value.t array -> Value.t
+(** A CHECK expression compiled against this table's columns
+    ({!compile_expr}, then {!Expr.compile_env}).
+    @raise Db_error.Sql_error as {!compile_expr} does. *)
 
 val to_create_sql : string -> t -> string
 (** [CREATE TABLE name (col type, ...)] — names and types only, for the

@@ -9,7 +9,7 @@ type exec_outcome = {
 }
 
 type system = {
-  sys_name : string;
+  mutable sys_name : string;
   begin_migration : now:float -> float;
   exec : now:float -> Tpcc_txns.input -> exec_outcome;
   background_batch : now:float -> float;

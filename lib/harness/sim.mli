@@ -30,7 +30,8 @@ type exec_outcome = {
 }
 
 type system = {
-  sys_name : string;
+  mutable sys_name : string;
+      (** a system may rename itself once its migration is installed *)
   begin_migration : now:float -> float;
       (** perform the switch; returns downtime (eager) or 0 *)
   exec : now:float -> Bullfrog_tpcc.Tpcc_txns.input -> exec_outcome;

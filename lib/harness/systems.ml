@@ -78,6 +78,22 @@ let baseline ctx : Sim.system =
 
 (* ------------------------------------------------------------------ *)
 
+(* The tracker kinds a runtime installed, e.g. "bitmap" or
+   "bitmap+hashmap"; an n:n join's pair tracker is keyed like a hashmap. *)
+let tracker_kinds (rt : Migrate_exec.t) =
+  List.concat_map
+    (fun (st : Migrate_exec.rt_stmt) ->
+      (if st.Migrate_exec.rs_pair <> None then [ "hashmap" ] else [])
+      @ List.filter_map
+          (fun (i : Migrate_exec.rt_input) ->
+            match i.Migrate_exec.ri_tracker with
+            | Migrate_exec.RT_bitmap _ -> Some "bitmap"
+            | Migrate_exec.RT_hash _ -> Some "hashmap"
+            | Migrate_exec.RT_none -> None)
+          st.Migrate_exec.rs_inputs)
+    rt.Migrate_exec.stmts
+  |> List.sort_uniq String.compare |> String.concat "+"
+
 let bullfrog ?(mode = Migrate_exec.Tracked) ?(page_size = 1) ?nn ?(background = true)
     ?(bg_delay = 20.0) ?(bg_workers = 1) ?(bg_batch = 256) ?(tracking = true) ctx :
     Sim.system =
@@ -85,9 +101,10 @@ let bullfrog ?(mode = Migrate_exec.Tracked) ?(page_size = 1) ?nn ?(background = 
   let base = Tpcc_migrations.base_ops in
   let post = Tpcc_migrations.post_ops ctx.scenario in
   let started = ref false in
-  let name =
+  (* Named after the trackers the runtime installs, once it has. *)
+  let name trackers =
     Printf.sprintf "bullfrog(%s%s%s%s)"
-      (match mode with Migrate_exec.Tracked -> "bitmap" | On_conflict -> "on-conflict")
+      (match mode with Migrate_exec.Tracked -> trackers | On_conflict -> "on-conflict")
       (if background then "" else ",no-bg")
       (if page_size > 1 then Printf.sprintf ",page=%d" page_size else "")
       (if tracking then "" else ",no-tracking")
@@ -104,8 +121,8 @@ let bullfrog ?(mode = Migrate_exec.Tracked) ?(page_size = 1) ?nn ?(background = 
               | Migrate_exec.Ev_already (uid, g) -> events := `A (uid, g) :: !events)
     | None -> ()
   in
-  {
-    Sim.sys_name = name;
+  let rec sys = {
+    Sim.sys_name = name "tracked";
     begin_migration =
       (fun ~now:_ ->
         (* Pre-flight: surface the analyzer verdict (partition proof,
@@ -116,7 +133,8 @@ let bullfrog ?(mode = Migrate_exec.Tracked) ?(page_size = 1) ?nn ?(background = 
               (Tpcc_migrations.scenario_name ctx.scenario)
               (Mig_lint.format v));
         let spec = Tpcc_migrations.spec_of ~fk:ctx.fk ctx.scenario in
-        ignore (Lazy_db.start_migration ~mode ~page_size ?nn bf spec : Migrate_exec.t);
+        let rt = Lazy_db.start_migration ~mode ~page_size ?nn bf spec in
+        sys.Sim.sys_name <- name (tracker_kinds rt);
         if tracking then attach_listener ();
         started := true;
         0.0);
@@ -177,6 +195,8 @@ let bullfrog ?(mode = Migrate_exec.Tracked) ?(page_size = 1) ?nn ?(background = 
     bg_delay = (if background then Some bg_delay else None);
     bg_workers;
   }
+  in
+  sys
 
 (* ------------------------------------------------------------------ *)
 

@@ -1,6 +1,6 @@
 (* Validation of the predicate decision procedure (lib/analysis) against
    brute-force row evaluation through the engine (Schema.compile_expr +
-   Expr.eval_pred), plus unit pins for the facts the consumers rely on. *)
+   Expr_interp.eval_pred), plus unit pins for the facts the consumers rely on. *)
 
 open Bullfrog_sql
 open Bullfrog_db
@@ -38,7 +38,7 @@ let grid_rows =
         grid_values)
     grid_values
 
-let sat row p = Expr.eval_pred row (Schema.compile_expr oracle_schema p)
+let sat row p = Expr_interp.eval_pred row (Schema.compile_expr oracle_schema p)
 
 (* ------------------------------------------------------------------ *)
 (* Predicate generator (well-sorted: no arithmetic, so the oracle      *)

@@ -141,7 +141,9 @@ let extraction () =
   let bf = Lazy_db.create db in
   ignore (Lazy_db.start_migration bf (flights_spec ()) : Migrate_exec.t);
   let preds stmt_sql =
-    Lazy_db.extract_predicates_for_stmt bf (Parser.parse_one stmt_sql)
+    match Lazy_db.interception_preds bf stmt_sql with
+    | Some preds -> List.map (fun (table, cp) -> (table, cp.Migrate_exec.cp_where)) preds
+    | None -> Alcotest.fail "expected an interception entry"
   in
   (* the paper's example: FID maps to both tables through the join equality *)
   let p = preds "SELECT * FROM flewoninfo WHERE fid = 'FL007' AND EXTRACT(DAY FROM flightdate) = 2" in

@@ -529,10 +529,10 @@ let multi_row_move_crash () =
   check (Alcotest.list Alcotest.int) "every row on exactly one shard"
     (List.init 24 Fun.id) (List.sort compare placed)
 
-(* Cluster.exec parses each SQL text once and binds parameters per call;
-   a text that does not parse raises on every call (nothing is cached
-   for it). *)
-let parse_cache_binds_per_call () =
+(* Each shard's statement cache parses a SQL text once and the call's
+   parameters bind per call; a text that does not parse raises on every
+   call and is never cached. *)
+let stmt_cache_binds_per_call () =
   let c = mk_cluster 12 in
   let sql = "SELECT v FROM t WHERE id = $1" in
   List.iter
@@ -542,11 +542,150 @@ let parse_cache_binds_per_call () =
         [ Printf.sprintf "g%d" (id mod 3) ]
         (List.map row_str (Cluster.query c ~params:[| Value.Int id |] sql)))
     [ 1; 5; 5; 10; 1 ];
+  let bad = "SELEC v FROM t" in
   for _ = 1 to 2 do
-    match Cluster.exec c "SELEC v FROM t" with
+    match Cluster.exec c bad with
     | _ -> Alcotest.fail "expected a parse error"
     | exception Bullfrog_sql.Parser.Parse_error _ -> ()
+  done;
+  for i = 0 to Cluster.shard_count c - 1 do
+    check Alcotest.bool
+      (Printf.sprintf "shard %d cached no entry for the bad text" i)
+      false
+      (Hashtbl.mem (Cluster.shard_db c i).Database.stmt_cache bad)
   done
+
+(* ------------------------------------------------------------------ *)
+(* One request path: shards intercept through their own caches         *)
+(* ------------------------------------------------------------------ *)
+
+(* t split column-wise by two independent statements: a request naming
+   one output drives only the statement behind it (§3.1). *)
+let vsplit_spec () =
+  Migration.make ~name:"vsplit" ~drop_old:[ "t" ]
+    [
+      Migration.statement_of_sql ~name:"ta" "CREATE TABLE ta AS (SELECT id, v FROM t)";
+      Migration.statement_of_sql ~name:"tb" "CREATE TABLE tb AS (SELECT id FROM t)";
+    ]
+
+(* Rows of [table] per shard, read straight from the shard databases so
+   the read drives no lazy migration. *)
+let rows_per_shard c table =
+  List.init (Cluster.shard_count c) (fun i ->
+      List.length (Database.query (Cluster.shard_db c i) ("SELECT id FROM " ^ table)))
+
+(* A prepared text repeated against a migrating cluster builds one
+   interception entry per shard, and the shard it routes to reuses its
+   cached plan. *)
+let repeated_text_caches () =
+  with_counters @@ fun () ->
+  let c = mk_cluster 40 in
+  Cluster.start_migration c (vsplit_spec ());
+  let sql = "SELECT v FROM ta WHERE id = $1" in
+  let before = Obs.Counters.snapshot () in
+  for i = 0 to 19 do
+    check (Alcotest.list Alcotest.string)
+      (Printf.sprintf "id %d" i)
+      [ Printf.sprintf "g%d" (i mod 3) ]
+      (List.map row_str (Cluster.query c ~params:[| Value.Int i |] sql))
+  done;
+  let after = Obs.Counters.snapshot () in
+  let d = counter_delta before after in
+  check Alcotest.int "one interception entry per shard" (Cluster.shard_count c)
+    (d "core.migrate.intercept_builds");
+  check Alcotest.bool
+    (Printf.sprintf "plans built at most once per shard (%d)" (d "db.plan_cache.misses"))
+    true
+    (d "db.plan_cache.misses" <= Cluster.shard_count c);
+  check Alcotest.bool
+    (Printf.sprintf "repeats hit the shard plan caches (%d)" (d "db.plan_cache.hits"))
+    true
+    (d "db.plan_cache.hits" >= 20 - Cluster.shard_count c)
+
+(* A point statement migrates on its routed shard alone: one candidate
+   scan (one lazy-migrate span), and its row lands on that shard. *)
+let routed_point_migrates_one_shard () =
+  let module T = Obs.Trace in
+  let c = mk_cluster 40 in
+  Cluster.start_migration c (vsplit_spec ());
+  let home =
+    match Cluster.partition_of c "t" with
+    | Some p -> Partition.shard_of_value p (Value.Int 7)
+    | None -> Alcotest.fail "t has a partition"
+  in
+  Fun.protect ~finally:(fun () ->
+      T.disable ();
+      T.clear ())
+  @@ fun () ->
+  T.enable ~capacity:4_096 ();
+  T.clear ();
+  check (Alcotest.list Alcotest.string) "row 7" [ "g1" ]
+    (List.map row_str (Cluster.query c ~params:[| Value.Int 7 |] "SELECT v FROM ta WHERE id = $1"));
+  let scans =
+    List.filter
+      (fun e -> e.T.ev_phase = T.Span_begin && e.T.ev_name = "lazy-migrate")
+      (T.export ())
+  in
+  check Alcotest.int "one candidate scan" 1 (List.length scans);
+  check (Alcotest.list Alcotest.int) "ta's row on the routed shard only"
+    (List.init (Cluster.shard_count c) (fun i -> if i = home then 1 else 0))
+    (rows_per_shard c "ta")
+
+(* A request naming one output of a two-statement split migrates only
+   that statement's granules; the drained cluster still matches a
+   single-node oracle row for row. *)
+let split_output_filter () =
+  let c = mk_cluster 40 in
+  let odb = Database.create () in
+  ignore (Database.exec odb "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)" : Executor.result);
+  ignore
+    (Database.exec odb
+       ("INSERT INTO t VALUES "
+       ^ String.concat ", " (List.init 40 (fun i -> Printf.sprintf "(%d, 'g%d')" i (i mod 3))))
+      : Executor.result);
+  let obf = Lazy_db.create odb in
+  ignore (Lazy_db.start_migration obf (vsplit_spec ()) : Migrate_exec.t);
+  Cluster.start_migration c (vsplit_spec ());
+  let debt0 = Cluster.migration_debt c in
+  let drive = "SELECT v FROM ta WHERE id IN (3, 11, 26)" in
+  check (Alcotest.list Alcotest.string) "driven rows vs oracle"
+    (match Lazy_db.exec obf drive with
+    | Executor.Rows (_, rows) -> List.sort compare (List.map row_str rows)
+    | _ -> Alcotest.fail "oracle drive should return rows")
+    (sorted_rows_c c drive);
+  check Alcotest.int "ta got the driven rows" 3 (List.fold_left ( + ) 0 (rows_per_shard c "ta"));
+  check Alcotest.int "tb's statement did not run" 0 (List.fold_left ( + ) 0 (rows_per_shard c "tb"));
+  check Alcotest.int "only ta's granules left the debt" 3 (debt0 - Cluster.migration_debt c);
+  ignore (Cluster.exec c "UPDATE ta SET v = 'x' WHERE id = 11" : Executor.result);
+  ignore (Lazy_db.exec obf "UPDATE ta SET v = 'x' WHERE id = 11" : Executor.result);
+  let fuel = ref 200 in
+  while (not (Cluster.migration_complete c)) && !fuel > 0 do
+    decr fuel;
+    ignore (Cluster.background_step c ~batch:4 : int)
+  done;
+  while Lazy_db.background_step obf ~batch:8 > 0 do () done;
+  Cluster.finalize c;
+  Lazy_db.finalize obf;
+  List.iter
+    (fun sql ->
+      check (Alcotest.list Alcotest.string) sql (sorted_rows_db odb sql) (sorted_rows_c c sql))
+    [ "SELECT id, v FROM ta"; "SELECT id FROM tb" ]
+
+(* Finalize drops the migration's inputs from the shard catalogs only;
+   a recovered cluster must not serve them again from the replayed
+   logs. *)
+let finalized_drop_survives_recovery () =
+  let c = mk_cluster 12 in
+  Cluster.start_migration c (vsplit_spec ());
+  while not (Cluster.migration_complete c) do
+    ignore (Cluster.background_step c ~batch:8 : int)
+  done;
+  Cluster.finalize c;
+  let c = Cluster.recover c in
+  (match Cluster.query c "SELECT id FROM t" with
+  | _ -> Alcotest.fail "t was dropped by the finalized migration"
+  | exception Db_error.Sql_error _ -> ());
+  check Alcotest.int "ta intact" 12 (List.length (Cluster.query c "SELECT id FROM ta"))
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate (n:1) migrations: group key must cover the partition key  *)
@@ -915,7 +1054,14 @@ let suite =
       sweep_leaves_flight_dumps;
     Alcotest.test_case "row-moving migration vs oracle" `Quick migration_row_movement;
     Alcotest.test_case "crash inside a multi-row move" `Quick multi_row_move_crash;
-    Alcotest.test_case "parse cache binds per call" `Quick parse_cache_binds_per_call;
+    Alcotest.test_case "statement cache binds per call" `Quick stmt_cache_binds_per_call;
+    Alcotest.test_case "repeated text: one entry per shard, cached plans" `Quick
+      repeated_text_caches;
+    Alcotest.test_case "routed point migrates one shard" `Quick
+      routed_point_migrates_one_shard;
+    Alcotest.test_case "split output filter vs oracle" `Quick split_output_filter;
+    Alcotest.test_case "finalized drop survives recovery" `Quick
+      finalized_drop_survives_recovery;
     Alcotest.test_case "aggregate partition guard" `Quick aggregate_partition_guard;
     Alcotest.test_case "cluster recovery" `Quick recover_preserves_rows;
     Alcotest.test_case "mid-migration recovery resumes" `Quick recover_mid_migration;

@@ -7,7 +7,9 @@ let check = Alcotest.check
 
 let v_test = Alcotest.testable (Fmt.of_to_string Value.to_string) Value.equal
 
-let ev ?(row = [||]) e = Expr.eval row e
+(* Unit cases run the library's compiled form; the properties below
+   check it against the reference interpreter (Expr_interp). *)
+let ev ?(row = [||]) e = Expr.compile_env e [||] row
 
 let c v = Expr.Const v
 
@@ -35,7 +37,7 @@ let three_valued_logic () =
   check v_test "null = null is null" Value.Null (ev (Expr.Binop (Eq, n, n)));
   check v_test "null comparison" Value.Null (ev (Expr.Binop (Lt, n, c (Value.Int 1))));
   check Alcotest.bool "eval_pred null -> false" false
-    (Expr.eval_pred [||] (Expr.Binop (Eq, n, n)))
+    (((Expr.prepare (Expr.Binop (Eq, n, n))).Expr.ce_pred [||]).Expr.holds [||])
 
 let null_handling_composites () =
   let n = c Value.Null in
@@ -52,10 +54,10 @@ let null_handling_composites () =
 
 let field_access () =
   let row = [| Value.Int 10; Value.Str "hi" |] in
-  check v_test "field 0" (Value.Int 10) (Expr.eval row (Expr.Field 0));
-  check v_test "field 1" (Value.Str "hi") (Expr.eval row (Expr.Field 1));
+  check v_test "field 0" (Value.Int 10) (ev ~row (Expr.Field 0));
+  check v_test "field 1" (Value.Str "hi") (ev ~row (Expr.Field 1));
   Alcotest.check_raises "field out of bounds" (Expr.Eval_error "field 2 out of row bounds")
-    (fun () -> ignore (Expr.eval row (Expr.Field 2)))
+    (fun () -> ignore (ev ~row (Expr.Field 2)))
 
 let functions () =
   check v_test "lower" (Value.Str "abc") (ev (Expr.Fn ("lower", [ c (Value.Str "AbC") ])));
@@ -89,8 +91,8 @@ let case_expr () =
         ],
         Some (c (Value.Str "many")) )
   in
-  check v_test "case 1" (Value.Str "one") (Expr.eval [| Value.Int 1 |] e);
-  check v_test "case else" (Value.Str "many") (Expr.eval [| Value.Int 9 |] e);
+  check v_test "case 1" (Value.Str "one") (ev ~row:[| Value.Int 1 |] e);
+  check v_test "case else" (Value.Str "many") (ev ~row:[| Value.Int 9 |] e);
   let no_else = Expr.Case ([ (c (Value.Bool false), c (Value.Int 1)) ], None) in
   check v_test "case no match no else" Value.Null (ev no_else)
 
@@ -204,7 +206,7 @@ let interp_compile_agree =
     (QCheck.make gen_case ~print:print_case)
     (fun (e, params, row) ->
       let ce = Expr.prepare e in
-      let iv = outcome (fun () -> Expr.eval_env params row e) in
+      let iv = outcome (fun () -> Expr_interp.eval_env params row e) in
       let cv = outcome (fun () -> ce.Expr.ce_eval params row) in
       let values_agree =
         match (iv, cv) with
@@ -216,7 +218,7 @@ let interp_compile_agree =
         QCheck.Test.fail_reportf "eval mismatch:\ninterp:  %s\ncompiled: %s"
           (match iv with Ok v -> Value.to_string v | Error m -> "error: " ^ m)
           (match cv with Ok v -> Value.to_string v | Error m -> "error: " ^ m);
-      let ip = outcome (fun () -> Expr.eval_pred_env params row e) in
+      let ip = outcome (fun () -> Expr_interp.eval_pred_env params row e) in
       let cp = outcome (fun () -> (ce.Expr.ce_pred params).Expr.holds row) in
       let preds_agree =
         match (ip, cp) with
@@ -327,7 +329,7 @@ let staged_interp_agree =
       in
       List.iteri
         (fun i row ->
-          let ip = outcome (fun () -> Expr.eval_pred_env params row e) in
+          let ip = outcome (fun () -> Expr_interp.eval_pred_env params row e) in
           let sp = outcome (fun () -> bound.Expr.holds row) in
           let agree =
             match (ip, sp) with

@@ -192,8 +192,23 @@ let fig3_golden_series () =
   in
   check (Alcotest.list Alcotest.string) "fig3 series match goldens" golden got
 
+(* A BullFrog system is named after the trackers its runtime installed:
+   the aggregate's group-key hashmap, the join's pair tracker. *)
+let bullfrog_labels () =
+  List.iter
+    (fun (scenario, want) ->
+      let sys = Systems.bullfrog (tiny_ctx scenario) in
+      ignore (sys.Sim.begin_migration ~now:0.0 : float);
+      check Alcotest.string (Tpcc_migrations.scenario_name scenario) want sys.Sim.sys_name)
+    [
+      (Tpcc_migrations.Split, "bullfrog(bitmap)");
+      (Tpcc_migrations.Aggregate, "bullfrog(hashmap)");
+      (Tpcc_migrations.Join, "bullfrog(hashmap)");
+    ]
+
 let suite =
   [
+    Alcotest.test_case "bullfrog named by its trackers" `Quick bullfrog_labels;
     Alcotest.test_case "cost model linearity" `Quick cost_model_linear;
     Alcotest.test_case "cost model calibration" `Quick cost_model_calibration;
     Alcotest.test_case "metrics collection" `Quick metrics_collection;

@@ -1,8 +1,9 @@
 (* Plan-once interception (DESIGN.md §4.2b): each statement text's
    interception entry is built once per migration and catalog epoch from
    the unbound statement, and each migration statement's population is
-   planned once.  The oracle is the bind-then-extract path
-   ([Lazy_db.extract_predicates_for_stmt] over [Database.bind_stmt]). *)
+   planned once.  The oracle is the bind-then-extract path: the entry of
+   the statement's text with its parameters spliced in as literals
+   ([Database.bind_stmt], printed back to SQL). *)
 
 open Bullfrog_db
 open Bullfrog_core
@@ -126,9 +127,10 @@ let equivalence fx =
         let sql, gen = List.nth fx.fx_stmts (Random.State.int st (List.length fx.fx_stmts)) in
         let params = gen st in
         let oracle =
-          Migrate_exec.compile_preds rt2
-            (Lazy_db.extract_predicates_for_stmt ld2
-               (Database.bind_stmt (Some params) (Parser.parse_one sql)))
+          let bound = Database.bind_stmt (Some params) (Parser.parse_one sql) in
+          match Lazy_db.interception_preds ld2 (Pretty.stmt_to_string bound) with
+          | Some preds -> preds
+          | None -> QCheck.Test.fail_reportf "%s: no oracle entry" sql
         in
         let cached =
           match Lazy_db.interception_preds ld2 sql with
