@@ -449,14 +449,15 @@ let qpath () =
   let open Bullfrog_db in
   let rows = match profile with Fast -> 2_000 | _ -> 10_000 in
   let db = Database.create () in
-  ignore (Database.exec db "CREATE TABLE kv (k INT PRIMARY KEY, v TEXT, w INT)"
+  ignore (Database.exec db "CREATE TABLE kv (k INT PRIMARY KEY, v TEXT, w INT, x INT)"
       : Executor.result);
   Database.with_txn db (fun txn ->
       for k = 0 to rows - 1 do
         ignore
           (Executor.exec_stmt (Database.exec_ctx db) txn
              (Bullfrog_sql.Parser.parse_one
-                (Printf.sprintf "INSERT INTO kv VALUES (%d, 'val%d', %d)" k k (k * 3)))
+                (Printf.sprintf "INSERT INTO kv VALUES (%d, 'val%d', %d, %d)" k k (k * 3)
+                   (k mod 2)))
             : Executor.result)
       done);
   let sql = "SELECT v, w FROM kv WHERE k = $1 AND w >= 0" in
@@ -498,6 +499,29 @@ let qpath () =
     let w = 3 * next_key () in
     ignore (Database.exec db ~params:[| Value.Int w |] scan_sql : Executor.result)
   in
+  (* the same scan behind a two-conjunct AND (its first conjunct keeps
+     half the rows, so both leaves run) and behind a one-item IN *)
+  let and_sql = "SELECT v FROM kv WHERE x = $1 AND w = $2" in
+  let and_scan () =
+    let k = next_key () in
+    ignore
+      (Database.exec db ~params:[| Value.Int (k mod 2); Value.Int (3 * k) |] and_sql
+        : Executor.result)
+  in
+  let in_sql = "SELECT v FROM kv WHERE w IN ($1)" in
+  let in_scan () =
+    let w = 3 * next_key () in
+    ignore (Database.exec db ~params:[| Value.Int w |] in_sql : Executor.result)
+  in
+  (* minor words one call allocates, over a fixed number of calls *)
+  let words_per f =
+    let n = 200 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 100) () in
   let instance = Toolkit.Instance.monotonic_clock in
   let measure name f =
@@ -528,8 +552,16 @@ let qpath () =
   let warm_ns = measure "prepared+cached+compiled" warm in
   let speedup = cold_ns /. warm_ns in
   say "  speedup (cold / warm): %.1fx" speedup;
-  let scan_ns = measure "prepared filtered full scan" scan in
-  let scan_row_ns = scan_ns /. float_of_int rows in
+  let per_row name sql f =
+    let ns = measure name f in
+    let words = words_per f in
+    say "  %-34s %10.1f ns/row  %8.1f minor words/scan  (%s)" "" (ns /. float_of_int rows) words
+      sql;
+    (ns, ns /. float_of_int rows, words)
+  in
+  let scan_ns, scan_row_ns, scan_words = per_row "prepared filtered full scan" scan_sql scan in
+  let _, and_row_ns, and_words = per_row "full scan, two-conjunct AND" and_sql and_scan in
+  let _, in_row_ns, in_words = per_row "full scan, one-item IN" in_sql in_scan in
   say "  full scan: %.1f ns/row over %d rows" scan_row_ns rows;
   let oc = open_out (out_path "BENCH_query_path.json") in
   Printf.fprintf oc
@@ -547,13 +579,21 @@ let qpath () =
   },
   "speedup_cold_over_warm": %.2f,
   "scan_query": "%s",
-  "scan_ns_per_row": %.2f
+  "scan_ns_per_row": %.2f,
+  "scan_minor_words": %.1f,
+  "and_scan_query": "%s",
+  "and_scan_ns_per_row": %.2f,
+  "and_scan_minor_words": %.1f,
+  "in_scan_query": "%s",
+  "in_scan_ns_per_row": %.2f,
+  "in_scan_minor_words": %.1f
 }
 |}
     (String.concat "" (String.split_on_char '"' sql))
     rows
     (match profile with Fast -> "fast" | Standard -> "standard" | Full -> "full")
-    seed cold_ns splice_ns warm_ns scan_ns speedup scan_sql scan_row_ns;
+    seed cold_ns splice_ns warm_ns scan_ns speedup scan_sql scan_row_ns scan_words and_sql
+    and_row_ns and_words in_sql in_row_ns in_words;
   close_out oc;
   say "  wrote %s" (out_path "BENCH_query_path.json")
 
@@ -1801,14 +1841,16 @@ let shard_bench () =
   let was_enabled = Obs.Counters.enabled () in
   Obs.Counters.set_enabled true;
   (* Work per point query beside the wall clock: minor words allocated
-     and plan-cache hits/misses, deterministic at a fixed seed. *)
+     and plan-cache hits/misses, deterministic at a fixed seed.  Words
+     come from [Gc.minor_words]: on OCaml 5 [Gc.quick_stat] counts only
+     up to the last minor collection, a whole minor heap at a time. *)
   let work f =
     let before = Obs.Counters.snapshot () in
-    let w0 = (Gc.quick_stat ()).Gc.minor_words in
+    let w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     f ();
     let s = Unix.gettimeofday () -. t0 in
-    let words = (Gc.quick_stat ()).Gc.minor_words -. w0 in
+    let words = Gc.minor_words () -. w0 in
     let diff = Obs.Counters.diff (Obs.Counters.snapshot ()) before in
     let delta name = Option.value ~default:0 (List.assoc_opt name diff) in
     (s, words /. float_of_int npoints, delta)

@@ -256,13 +256,14 @@ let select_listed ?(params = [||]) ?(latest = false) txn table pred tids =
 
 let select_tids ?(params = [||]) ?(latest = false) ?ranges (txn : Txn.t) table pred =
   let c = txn.Txn.counters in
-  let keep = staged_residual params txn pred in
   match pred.path with
   | P_eq (idx, key) ->
       c.Txn.index_probes <- c.Txn.index_probes + 1;
+      let keep = staged_residual params txn pred in
       fetch_tids ~keep ~latest txn table (Index.find idx (Array.map (key_value params) key))
   | P_range (idx, prefix, lo, hi) ->
       c.Txn.index_probes <- c.Txn.index_probes + 1;
+      let keep = staged_residual params txn pred in
       let prefix = Array.map (key_value params) prefix in
       let lo = Option.map (key_value params) lo in
       let hi = Option.map (key_value params) hi in
@@ -273,18 +274,22 @@ let select_tids ?(params = [||]) ?(latest = false) ?ranges (txn : Txn.t) table p
       in
       fetch_tids ~keep ~latest txn table tids
   | P_full ->
-      let out = ref [] in
-      let visit tid row =
-        if keep row then begin
-          c.Txn.rows_read <- c.Txn.rows_read + 1;
-          out := (tid, row) :: !out
-        end
+      (* the residual is tested inside the scan loop, with the counts of
+         [staged_residual] and [fetch_tids]: a tested row is scanned, a
+         kept one read *)
+      let filter = Expr.bind_filter pred.residual params in
+      let tested = pred.residual <> None in
+      let count scanned kept =
+        if tested then c.Txn.rows_scanned <- c.Txn.rows_scanned + scanned;
+        c.Txn.rows_read <- c.Txn.rows_read + kept
       in
+      let out = ref [] in
+      let visit tid row = out := (tid, row) :: !out in
       let ts, reader =
         if latest then (max_int, Heap.latest) else (txn.Txn.snapshot, txn.Txn.id)
       in
       (match ranges with
-      | None -> Heap.scan table ~ts ~reader visit
+      | None -> Heap.scan table ~ts ~reader ~filter ~count visit
       | Some next ->
           let n = Heap.tid_count table in
           let rec walk tid =
@@ -292,7 +297,7 @@ let select_tids ?(params = [||]) ?(latest = false) ?ranges (txn : Txn.t) table p
               match next tid with
               | None -> ()
               | Some (lo, hi) ->
-                  Heap.scan ~lo ~hi table ~ts ~reader visit;
+                  Heap.scan ~lo ~hi table ~ts ~reader ~filter ~count visit;
                   walk (max hi (lo + 1))
           in
           walk 0);

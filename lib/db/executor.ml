@@ -155,17 +155,16 @@ let snap_get (txn : Txn.t) table tid =
   Heap.snapshot_get table ~ts:txn.Txn.snapshot ~reader:txn.Txn.id tid
 
 (* Every [Seq_scan] arm runs here: the filter is staged once for this
-   execution, each visible row counts as scanned and each kept one as
-   read. *)
+   execution and tested inside the scan loop, which counts each visible
+   row as scanned and each kept one as read. *)
 let scan_table ~params (txn : Txn.t) table filter f =
   let c = txn.Txn.counters in
-  let keep = (Expr.bind_filter filter params).Expr.holds in
-  Heap.scan table ~ts:txn.Txn.snapshot ~reader:txn.Txn.id (fun _tid row ->
-      c.Txn.rows_scanned <- c.Txn.rows_scanned + 1;
-      if keep row then begin
-        c.Txn.rows_read <- c.Txn.rows_read + 1;
-        f row
-      end)
+  Heap.scan table ~ts:txn.Txn.snapshot ~reader:txn.Txn.id
+    ~filter:(Expr.bind_filter filter params)
+    ~count:(fun scanned kept ->
+      c.Txn.rows_scanned <- c.Txn.rows_scanned + scanned;
+      c.Txn.rows_read <- c.Txn.rows_read + kept)
+    (fun _tid row -> f row)
 
 (* Fetch [tids] in TID order at the snapshot, counting each visible row
    as read; [f] sees the rows [keep] (a bound filter) accepts. *)
@@ -307,6 +306,20 @@ let rec run_raw ?(params = [||]) (txn : Txn.t) (plan : Plan.t) : Value.t array l
       List.map
         (fun row -> Array.map (fun e -> e.Expr.ce_eval params row) exprs)
         (run ~params txn p)
+  | Plan.Aggregate { input; group = [||]; aggs } ->
+      (* A global aggregate streams its input into one set of
+         accumulators: no row list, no group key.  Under EXPLAIN ANALYZE
+         the input goes through [run], which records its node. *)
+      let accs = Array.map (fun s -> new_acc s.Plan.agg_distinct) aggs in
+      let feed row =
+        for i = 0 to Array.length aggs - 1 do
+          acc_feed params accs.(i) aggs.(i) row
+        done
+      in
+      (match !prof_current with
+      | None -> iter_plan ~params txn input feed
+      | Some _ -> List.iter feed (run ~params txn input));
+      [ Array.mapi (fun i spec -> acc_result accs.(i) spec) aggs ]
   | Plan.Aggregate { input; group; aggs } ->
       let rows = run ~params txn input in
       let groups = Key_tbl.create 64 in
@@ -328,11 +341,7 @@ let rec run_raw ?(params = [||]) (txn : Txn.t) (plan : Plan.t) : Value.t array l
       let emit k accs =
         Array.append k (Array.mapi (fun i spec -> acc_result accs.(i) spec) aggs)
       in
-      if Key_tbl.length groups = 0 && Array.length group = 0 then
-        (* Global aggregate over the empty input: one row of identities. *)
-        [ emit [||] (Array.map (fun s -> new_acc s.Plan.agg_distinct) aggs) ]
-      else
-        List.rev_map (fun k -> emit k (Key_tbl.find groups k)) !order
+      List.rev_map (fun k -> emit k (Key_tbl.find groups k)) !order
   | Plan.Sort (p, keys) ->
       let rows = run ~params txn p in
       let cmp a b =
@@ -436,7 +445,7 @@ and run_limited ?(params = [||]) (txn : Txn.t) (plan : Plan.t) n : Value.t array
    of joins are pipelined; blocking operators (sort, aggregate, distinct,
    limit) and index reads fall back to {!run}.  Counter bumps and row
    order match {!run} exactly — only the peak allocation differs. *)
-let rec iter_plan ?(params = [||]) (txn : Txn.t) (plan : Plan.t) (f : Value.t array -> unit)
+and iter_plan ?(params = [||]) (txn : Txn.t) (plan : Plan.t) (f : Value.t array -> unit)
     : unit =
   let c = txn.Txn.counters in
   match plan with

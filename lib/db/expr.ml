@@ -340,9 +340,11 @@ and compile_fn name args : Value.t array -> Value.t array -> Value.t =
 (* parameters evaluates every row-independent subtree once, folds the  *)
 (* AND/OR/NOT around it, and specialises the common leaves —           *)
 (* [Field op value], [Field IN (values)], [Field BETWEEN value AND      *)
-(* value] — into closures that read the field and, for an [Int] against *)
-(* an [Int], compare inline.  Every other pair goes through             *)
-(* [Value.compare], so mixed-type results are unchanged.                *)
+(* value], [Field IS [NOT] NULL] — into direct [row -> bool] tests that *)
+(* read the field and, for an [Int] against an [Int], compare inline   *)
+(* with the operator resolved at binding.  Every other pair goes        *)
+(* through [Value.compare], so mixed-type results are unchanged.  A     *)
+(* WHERE made of such tests binds to the test itself.                   *)
 (*                                                                     *)
 (* Error precedence is the interpreter's: a row-independent subtree    *)
 (* that raises (an unbound [$n], say) is recorded at binding time and  *)
@@ -381,11 +383,17 @@ type staged =
   | Known of int  (* the same verdict for every row *)
   | Raises of exn  (* a row-independent error, raised for every row *)
   | Per_row of (Value.t array -> int)
+  | Test of { width : int; test : Value.t array -> bool; p3 : Value.t array -> int }
+      (* A row test with a direct boolean form.  For every row [test r]
+         is [p3 r = 1], raising exactly when [p3] does; on rows of at
+         least [width] fields neither raises, so tests combine with [&&]
+         / [||] there without changing which rows raise. *)
 
 let per_row = function
   | Known k -> fun _ -> k
   | Raises e -> fun _ -> raise e
   | Per_row f -> f
+  | Test t -> t.p3
 
 let verdict ok = if ok then 1 else 0
 
@@ -411,8 +419,34 @@ let[@inline] field_at i r =
   if i < 0 || i >= Array.length r then err "field %d out of row bounds" i
   else Array.unsafe_get r i
 
-(* [v op k] for a field value [v]. *)
-let cmp_value op v k = match v with Value.Null -> -1 | v -> verdict (cmp_ok op (Value.compare v k))
+(* [v op k] for a field value [v] and a non-NULL [k]. *)
+let cmp_value op v k = match v with Value.Null -> false | v -> cmp_ok op (Value.compare v k)
+
+(* [Field i op k], [k] non-NULL.  The operator is resolved here, so for
+   an [Int] field against an [Int] the row test is a field load, a tag
+   test and one integer comparison. *)
+let field_cmp op i k : Value.t array -> bool =
+  match k with
+  | Value.Int n -> (
+      match op with
+      | Ast.Eq -> fun r -> ( match field_at i r with Value.Int x -> x = n | v -> cmp_value op v k)
+      | Ast.Neq -> fun r -> ( match field_at i r with Value.Int x -> x <> n | v -> cmp_value op v k)
+      | Ast.Lt -> fun r -> ( match field_at i r with Value.Int x -> x < n | v -> cmp_value op v k)
+      | Ast.Le -> fun r -> ( match field_at i r with Value.Int x -> x <= n | v -> cmp_value op v k)
+      | Ast.Gt -> fun r -> ( match field_at i r with Value.Int x -> x > n | v -> cmp_value op v k)
+      | Ast.Ge -> fun r -> ( match field_at i r with Value.Int x -> x >= n | v -> cmp_value op v k)
+      | _ -> assert false)
+  | _ -> fun r -> cmp_value op (field_at i r) k
+
+(* A test on field [i] whose verdict is unknown exactly when the field
+   is NULL and [test] fails, [miss] otherwise. *)
+let field_test ?(miss = 0) i test =
+  Test
+    {
+      width = i + 1;
+      test;
+      p3 = (fun r -> if test r then 1 else match field_at i r with Value.Null -> -1 | _ -> miss);
+    }
 
 (* [row_side op k] with [k] already evaluated: the row side is the only
    thing left that can raise, so evaluation order no longer matters. *)
@@ -425,52 +459,63 @@ let stage_cmp op (row_side : t) : Value.t array -> Value.t -> staged =
           (fun r ->
             ignore (f p r : Value.t);
             -1)
-    | Field i, Value.Int n ->
-        (* the row test is a field load, a tag test and an int compare *)
+    | Field i, _ -> field_test i (field_cmp op i k)
+    | _ ->
         Per_row
-          (fun r ->
-            match field_at i r with
-            | Value.Int x -> verdict (cmp_ok op (Int.compare x n))
-            | v -> cmp_value op v k)
-    | Field i, _ -> Per_row (fun r -> cmp_value op (field_at i r) k)
-    | _ -> Per_row (fun r -> cmp_value op (f p r) k)
+          (fun r -> match f p r with Value.Null -> -1 | v -> verdict (cmp_ok op (Value.compare v k)))
 
 (* [a IN (items)] with every item evaluated: [hits] are the non-NULL
    values before the first failing item, [miss] what a value matching
    none of them yields — the failure, else unknown after a NULL item,
-   else false. *)
-let stage_in (a : t) : Value.t array -> Value.t list -> (unit -> int) -> staged =
+   else false.  A single item is an equality. *)
+let stage_in (a : t) : Value.t array -> Value.t list -> (int, exn) result -> staged =
   let fa = compile_env a in
   fun p hits miss ->
-    let generic v = if List.exists (Value.equal v) hits then 1 else miss () in
-    let ints = List.filter_map (function Value.Int n -> Some n | _ -> None) hits in
-    match (a, ints) with
-    | Field i, [ n ] when List.length hits = 1 ->
+    match (a, hits, miss) with
+    | Field i, [ h ], Ok miss -> field_test ~miss i (field_cmp Ast.Eq i h)
+    | Field i, _, Ok miss ->
+        let test =
+          if List.for_all (function Value.Int _ -> true | _ -> false) hits then
+            let ints = Array.of_list (List.map (function Value.Int n -> n | _ -> 0) hits) in
+            let rec mem x j = j < Array.length ints && (Array.unsafe_get ints j = x || mem x (j + 1)) in
+            fun r ->
+              match field_at i r with
+              | Value.Int x -> mem x 0
+              | Value.Null -> false
+              | v -> List.exists (Value.equal v) hits
+          else fun r ->
+            match field_at i r with
+            | Value.Null -> false
+            | v -> List.exists (Value.equal v) hits
+        in
+        field_test ~miss i test
+    | _ ->
+        let miss () = match miss with Ok k -> k | Error ex -> raise ex in
         Per_row
           (fun r ->
-            match field_at i r with
-            | Value.Int x -> if x = n then 1 else miss ()
+            match fa p r with
             | Value.Null -> -1
-            | v -> generic v)
-    | Field i, _ :: _ when List.length ints = List.length hits ->
-        let ints = Array.of_list ints in
-        let rec mem x j = j < Array.length ints && (Array.unsafe_get ints j = x || mem x (j + 1)) in
-        Per_row
-          (fun r ->
-            match field_at i r with
-            | Value.Int x -> if mem x 0 then 1 else miss ()
-            | Value.Null -> -1
-            | v -> generic v)
-    | _ -> Per_row (fun r -> match fa p r with Value.Null -> -1 | v -> generic v)
+            | v -> if List.exists (Value.equal v) hits then 1 else miss ())
 
 let stage_not = function
   | Known k -> Known (if k = 1 then 0 else if k = 0 then 1 else -1)
   | Raises _ as s -> s
   | Per_row f -> Per_row (fun r -> match f r with 1 -> 0 | 0 -> 1 | _ -> -1)
+  | Test { width; p3; _ } ->
+      Test
+        { width; test = (fun r -> p3 r = 0); p3 = (fun r -> match p3 r with 1 -> 0 | 0 -> 1 | _ -> -1) }
+
+(* AND ([d] = 0) and OR ([d] = 1) over three-valued row tests. *)
+let junction_p3 d fa fb r =
+  let x = fa r in
+  if x = d then d else if x = 1 - d then fb r else if fb r = d then d else -1
 
 (* AND ([d] = 0) and OR ([d] = 1): a left side equal to [d] decides
    without evaluating the right; the other known value defers to the
-   right; unknown yields [d] only if the right side does. *)
+   right; unknown yields [d] only if the right side does.  Two tests
+   that cannot raise on a wide enough row combine with [&&] / [||]
+   there: with no error to surface, an unknown left side decides the
+   verdict exactly as a false one does. *)
 let stage_junction d a b =
   match (a, b) with
   | Raises _, _ -> a
@@ -478,13 +523,19 @@ let stage_junction d a b =
   | Known k, _ when k = 1 - d -> b
   | Known _, Known k -> if k = d then b else a
   | Known _, Raises _ -> b
-  | Known _, Per_row fb -> Per_row (fun r -> if fb r = d then d else -1)
-  | Per_row fa, _ ->
+  | Known _, (Per_row _ | Test _) ->
       let fb = per_row b in
-      Per_row
-        (fun r ->
-          let x = fa r in
-          if x = d then d else if x = 1 - d then fb r else if fb r = d then d else -1)
+      Per_row (fun r -> if fb r = d then d else -1)
+  | (Per_row _ | Test _), Known k when k = 1 - d -> a
+  | Test { width = wa; test = a; p3 = pa }, Test { width = wb; test = b; p3 = pb } ->
+      let width = max wa wb in
+      let p3 = junction_p3 d pa pb in
+      let test =
+        if d = 0 then fun r -> if Array.length r >= width then a r && b r else p3 r = 1
+        else fun r -> if Array.length r >= width then a r || b r else p3 r = 1
+      in
+      Test { width; test; p3 }
+  | (Per_row _ | Test _), _ -> Per_row (junction_p3 d (per_row a) (per_row b))
 
 let fixed f p = match f p [||] with v -> Ok v | exception e -> Error e
 
@@ -517,7 +568,8 @@ let rec stage_p3 (e : t) : Value.t array -> staged =
   else fun p ->
     (* evaluate once; a failure is kept for the rows that reach it *)
     match s p with
-    | Per_row f -> ( match f [||] with k -> Known k | exception ex -> Raises ex)
+    | (Per_row _ | Test _) as s -> (
+        match per_row s [||] with k -> Known k | exception ex -> Raises ex)
     | known -> known
 
 and stage_node (e : t) : Value.t array -> staged =
@@ -551,14 +603,12 @@ and stage_node (e : t) : Value.t array -> staged =
       let fitems = List.map compile_env items and staged = stage_in a in
       fun p ->
         let rec bind hits nulls = function
-          | [] ->
-              let k = if nulls then -1 else 0 in
-              (List.rev hits, fun () -> k)
+          | [] -> (List.rev hits, Ok (if nulls then -1 else 0))
           | f :: rest -> (
               match fixed f p with
               | Ok Value.Null -> bind hits true rest
               | Ok v -> bind (v :: hits) nulls rest
-              | Error ex -> (List.rev hits, fun () -> raise ex))
+              | Error ex -> (List.rev hits, Error ex))
         in
         let hits, miss = bind [] false fitems in
         staged p hits miss
@@ -577,22 +627,24 @@ and stage_node (e : t) : Value.t array -> staged =
                 ignore (fa p r : Value.t);
                 -1)
         | Ok l, Ok h -> (
+            let within v = Value.compare l v <= 0 && Value.compare v h <= 0 in
             match (a, l, h) with
             | Field i, Value.Int l_int, Value.Int h_int ->
-                Per_row
-                  (fun r ->
+                field_test i (fun r ->
                     match field_at i r with
-                    | Value.Int x -> verdict (l_int <= x && x <= h_int)
-                    | Value.Null -> -1
-                    | v -> verdict (Value.compare l v <= 0 && Value.compare v h <= 0))
-            | _ ->
-                Per_row
-                  (fun r ->
-                    match fa p r with
-                    | Value.Null -> -1
-                    | v -> verdict (Value.compare l v <= 0 && Value.compare v h <= 0)))
+                    | Value.Int x -> l_int <= x && x <= h_int
+                    | Value.Null -> false
+                    | v -> within v)
+            | Field i, _, _ ->
+                field_test i (fun r ->
+                    match field_at i r with Value.Null -> false | v -> within v)
+            | _ -> Per_row (fun r -> match fa p r with Value.Null -> -1 | v -> verdict (within v)))
         | _ -> generic p)
   | Between (a, lo, hi) -> generic_between a lo hi
+  | Is_null (Field i, want_null) ->
+      let test r = Value.is_null (field_at i r) = want_null in
+      let t = Test { width = i + 1; test; p3 = (fun r -> verdict (test r)) } in
+      fun _ -> t
   | Is_null (a, want_null) ->
       let fa = compile_env a in
       fun p -> Per_row (fun r -> verdict (Value.is_null (fa p r) = want_null))
@@ -614,6 +666,8 @@ let never = { holds = (fun _ -> false) }
 
 let raising ex = { holds = (fun _ -> raise ex) }
 
+(* A WHERE of direct tests binds to the test itself: the scan loop calls
+   it with no three-valued wrapper in between. *)
 let stage_pred e : Value.t array -> bound =
   let bind =
     if boolish e then
@@ -623,6 +677,7 @@ let stage_pred e : Value.t array -> bound =
         | Known 1 -> always
         | Known _ -> never
         | Raises ex -> raising ex
+        | Test t -> { holds = t.test }
         | Per_row f -> { holds = (fun r -> f r = 1) }
     else
       let f = compile_env e in

@@ -39,6 +39,10 @@ type bound = { holds : Value.t array -> bool } [@@unboxed]
 (** A predicate with its parameters bound: [holds row] is the row test
     ([Null] and [Bool false] → [false]). *)
 
+val always : bound
+(** Keeps every row; {!bind_filter} of [None].  {!Heap.scan} skips the
+    call for it. *)
+
 type cexpr = {
   ce_expr : t;  (** source tree, for EXPLAIN / plan description *)
   ce_eval : Value.t array -> Value.t array -> Value.t;
@@ -48,7 +52,10 @@ type cexpr = {
           row-independent parts (constants, parameters, and comparisons,
           [IN], [BETWEEN], [AND]/[OR]/[NOT] over them) once, and
           specialises [Field op value] / [Field IN (...)] / [Field BETWEEN
-          ...] leaves, with an inline path for [Int] against [Int].
+          ...] / [Field IS [NOT] NULL] leaves into direct row tests, with
+          an inline path for [Int] against [Int] and the operator
+          resolved at binding; a WHERE made of such tests (under
+          [AND]/[OR]/[NOT]) binds [holds] to the test itself.
           Binding never raises: an error from a row-independent part is
           raised by [holds], for each row that evaluates it — exactly the
           rows, and the message, of evaluating the whole predicate. *)

@@ -403,16 +403,44 @@ let snapshot_get t ~ts ~reader tid =
   let row = visible_row ~ts ~reader (Vec.get t.vers tid) in
   if row == tombstone then None else Some row
 
-(* The one full-scan loop of the engine: snapshot reads, [latest] reads
-   and every executor / access-path / migration scan run through it. *)
-let scan ?(lo = 0) ?hi t ~ts ~reader f =
+(* The one full-scan loop of the engine (DESIGN.md §4.2f): snapshot
+   reads, [latest] reads and every executor / access-path / migration
+   scan run through it.  One pass does the visibility test, the bound
+   filter and the row counts: [count scanned kept] is called once, when
+   the loop ends or when [filter] or [f] raises, with the visible rows
+   reached and the rows [filter] kept (the raising row counts as
+   reached, and as kept if [f] raised on it).
+
+   The descriptor read skips [Vec.get]'s call and bounds check.  That is
+   safe because [vers] only grows (nothing truncates it) and the loop's
+   bound is its length at entry: every reallocation installs an array at
+   least as long as the length, so [tid < n] stays in bounds.  The
+   backing array is re-read per row, so a descriptor [f] itself installs
+   (an UPDATE, or an insert that grew the array) is seen, as through
+   [Vec.get]. *)
+let scan ?(lo = 0) ?hi ?(filter = Expr.always) ?(count = fun _ _ -> ()) t ~ts ~reader f =
   let vers = t.vers in
-  let n = Vec.length vers in
+  let n = vers.Vec.len in
   let hi = match hi with Some h when h < n -> h | _ -> n in
-  for tid = max lo 0 to hi - 1 do
-    let row = visible_row ~ts ~reader (Vec.get vers tid) in
-    if row != tombstone then f tid row
-  done
+  let keep = filter.Expr.holds in
+  let every = filter == Expr.always in
+  let scanned = ref 0 and kept = ref 0 in
+  match
+    for tid = max lo 0 to hi - 1 do
+      let row = visible_row ~ts ~reader (Array.unsafe_get vers.Vec.data tid) in
+      if row != tombstone then begin
+        incr scanned;
+        if every || keep row then begin
+          incr kept;
+          f tid row
+        end
+      end
+    done
+  with
+  | () -> count !scanned !kept
+  | exception e ->
+      count !scanned !kept;
+      raise e
 
 (* Every row slot [tid]'s versions carry, newest first, tombstones
    skipped: one descriptor load, then the immutable chain. *)

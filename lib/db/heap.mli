@@ -125,13 +125,27 @@ val latest : int
     not ([ts] is then ignored).  SQL reads never use it; BullFrog's
     interception scans do (trigger semantics). *)
 
-val scan : ?lo:int -> ?hi:int -> t -> ts:int -> reader:int -> (int -> row -> unit) -> unit
-(** Latch-free scan, in TID order, of every row visible to [ts]/[reader]
-    (as {!snapshot_get}) among TIDs [lo] to [hi - 1] (default: the
-    whole table).  The head version is tested inline and nothing is allocated
-    per row; only a head the reader cannot see walks its chain (counted
-    as [mvcc.version_walks]).  Every full scan in the engine runs through
-    this one loop. *)
+val scan :
+  ?lo:int ->
+  ?hi:int ->
+  ?filter:Expr.bound ->
+  ?count:(int -> int -> unit) ->
+  t ->
+  ts:int ->
+  reader:int ->
+  (int -> row -> unit) ->
+  unit
+(** Latch-free scan, in TID order, of the rows visible to [ts]/[reader]
+    (as {!snapshot_get}) among TIDs [lo] to [hi - 1] (default: the whole
+    table) that [filter] keeps (default: every row); [f] sees each kept
+    row.  One loop does the visibility test, the row test and the
+    counting: [count scanned kept] is called once, when the scan ends or
+    when [filter] or [f] raises, with the number of visible rows reached
+    (a row whose test raised included) and of rows kept (a row [f]
+    raised on included).  The head version is tested inline and nothing
+    is allocated per row; only a head the reader cannot see walks its
+    chain (counted as [mvcc.version_walks]).  Every full scan in the
+    engine runs through this one loop. *)
 
 val iter_versions : t -> int -> (row -> unit) -> unit
 (** Every row any version of slot [tid] carries — the newest (committed

@@ -5,7 +5,14 @@
     thread-safe; callers synchronise externally (the heap protects appends
     with the table latch). *)
 
-type 'a t
+type 'a t = private {
+  mutable data : 'a array;  (** backing store; [Array.length data >= len] always *)
+  mutable len : int;
+}
+(** Read-only outside this module.  A hot loop may index [data] directly
+    for [i < len]: every reallocation installs an array at least as long
+    as the current length, so reading the field afresh per access stays
+    in bounds as long as the vector has not been truncated meanwhile. *)
 
 val create : unit -> 'a t
 

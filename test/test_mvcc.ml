@@ -364,10 +364,202 @@ let scan_readers_and_ranges () =
   Heap.iter_live h (fun tid _ -> live := tid :: !live);
   check Alcotest.(list int) "iter_live is the latest scan" [ t0; t1; t3 ] (List.rev !live)
 
+(* -- fused scan kernel ≡ per-row reference (randomised) ------------- *)
+
+(* A heap history as data: writers 0 (auto-commit), 7 and 8; a write
+   names its target slot by index modulo the slots so far, and is
+   skipped unless the slot is live and no other writer holds an
+   uncommitted head on it (what 2PL guarantees).  [Mark] records a
+   snapshot timestamp for the scan to read at. *)
+type op =
+  | Ins of int * Value.t array
+  | Upd of int * int * Value.t array
+  | Del of int * int
+  | Commit of int
+  | Mark
+
+let gen_row =
+  QCheck.Gen.(
+    array_size (frequency [ (4, return 3); (1, return 2) ]) Test_expr.gen_mixed_value)
+
+let gen_op =
+  let open QCheck.Gen in
+  let writer = oneofl [ 0; 0; 7; 8 ] in
+  frequency
+    [
+      (4, map2 (fun w r -> Ins (w, r)) writer gen_row);
+      (3, map3 (fun w k r -> Upd (w, k, r)) writer nat gen_row);
+      (2, map2 (fun w k -> Del (w, k)) writer nat);
+      (1, map (fun w -> Commit w) (oneofl [ 7; 8 ]));
+      (1, return Mark);
+    ]
+
+type scan_case = {
+  ops : op list;
+  pick_ts : int;  (* index into the marks; past them = the current clock *)
+  reader : int;
+  lo : int option;
+  hi : int option;
+  limit : int option;  (* [f] raises [Exit] on the n-th kept row *)
+  pred : Expr.t;
+  params : Value.t array;
+}
+
+let gen_scan_case =
+  let open QCheck.Gen in
+  let opt g = frequency [ (2, return None); (1, map Option.some g) ] in
+  list_size (int_range 0 30) gen_op >>= fun ops ->
+  int_range 0 4 >>= fun pick_ts ->
+  oneofl [ 0; 7; 8; Heap.latest ] >>= fun reader ->
+  opt (int_range (-1) 12) >>= fun lo ->
+  opt (int_range 0 40) >>= fun hi ->
+  opt (int_range 1 4) >>= fun limit ->
+  Test_expr.gen_staged_expr >>= fun pred ->
+  array_size (return Test_expr.n_params) Test_expr.gen_mixed_value >>= fun params ->
+  return { ops; pick_ts; reader; lo; hi; limit; pred; params }
+
+let print_scan_case c =
+  let vals a = String.concat "; " (Array.to_list (Array.map Value.to_string a)) in
+  let op = function
+    | Ins (w, r) -> Printf.sprintf "ins w%d [%s]" w (vals r)
+    | Upd (w, k, r) -> Printf.sprintf "upd w%d #%d [%s]" w k (vals r)
+    | Del (w, k) -> Printf.sprintf "del w%d #%d" w k
+    | Commit w -> Printf.sprintf "commit w%d" w
+    | Mark -> "mark"
+  in
+  let int_opt = function None -> "-" | Some i -> string_of_int i in
+  Printf.sprintf "ops: %s\nts#%d reader %d lo %s hi %s limit %s\npred: %s\nparams: [%s]"
+    (String.concat ", " (List.map op c.ops))
+    c.pick_ts c.reader (int_opt c.lo) (int_opt c.hi) (int_opt c.limit)
+    (Expr.to_string c.pred) (vals c.params)
+
+(* Build the heap; returns it with the marked timestamps, oldest first. *)
+let build_heap ops =
+  let h =
+    Heap.create ~tbl_id:0 ~name:"t"
+      (mk_schema [ ("a", Ast.T_int); ("b", Ast.T_int); ("c", Ast.T_int) ])
+  in
+  let owner = Hashtbl.create 16 and pending = Hashtbl.create 4 and marks = ref [] in
+  let own w tid =
+    if w > 0 then begin
+      Hashtbl.replace owner tid w;
+      Hashtbl.replace pending w (tid :: Option.value ~default:[] (Hashtbl.find_opt pending w))
+    end
+  in
+  let target w k =
+    let n = Heap.tid_count h in
+    if n = 0 then None
+    else
+      let tid = k mod n in
+      let free =
+        match Hashtbl.find_opt owner tid with None -> true | Some o -> o = w && w > 0
+      in
+      if free && Heap.get h tid <> None then Some tid else None
+  in
+  List.iter
+    (function
+      | Ins (w, r) -> own w (Heap.insert ~writer:w h r)
+      | Upd (w, k, r) ->
+          Option.iter
+            (fun tid ->
+              ignore (Heap.update ~writer:w h tid r : Heap.row);
+              own w tid)
+            (target w k)
+      | Del (w, k) ->
+          Option.iter
+            (fun tid ->
+              ignore (Heap.delete ~writer:w h tid : Heap.row);
+              own w tid)
+            (target w k)
+      | Commit w ->
+          let tids = Option.value ~default:[] (Hashtbl.find_opt pending w) in
+          ignore
+            (Mvcc.commit ~stamp:(fun ts ->
+                 List.iter (fun tid -> Heap.stamp h tid ~writer:w ~ts) tids)
+              : int);
+          List.iter (Hashtbl.remove owner) tids;
+          Hashtbl.remove pending w
+      | Mark -> marks := Mvcc.now () :: !marks)
+    ops;
+  (h, List.rev !marks)
+
+(* The per-row loop the fused kernel replaced: a point read per TID and
+   the tree interpreter as the filter, counting as the kernel must. *)
+let reference_scan ?(lo = 0) ?hi h ~ts ~reader ~pred ~params f =
+  let n = Heap.tid_count h in
+  let hi = match hi with Some x when x < n -> x | _ -> n in
+  let scanned = ref 0 and kept = ref 0 in
+  let result =
+    match
+      for tid = max lo 0 to hi - 1 do
+        match Heap.snapshot_get h ~ts ~reader tid with
+        | None -> ()
+        | Some row ->
+            incr scanned;
+            if Expr_interp.eval_pred_env params row pred then begin
+              incr kept;
+              f tid row
+            end
+      done
+    with
+    | () -> Ok ()
+    | exception Expr.Eval_error m -> Error m
+    | exception Exit -> Error "exit"
+  in
+  (result, !scanned, !kept)
+
+let fused_scan_matches_reference =
+  QCheck.Test.make ~name:"fused scan kernel ≡ per-row reference (randomised)" ~count:3000
+    (QCheck.make gen_scan_case ~print:print_scan_case)
+    (fun c ->
+      let h, marks = build_heap c.ops in
+      let ts = match List.nth_opt marks c.pick_ts with Some ts -> ts | None -> Mvcc.now () in
+      let run scan =
+        let out = ref [] and taken = ref 0 in
+        let f tid row =
+          out := (tid, row) :: !out;
+          incr taken;
+          if Some !taken = c.limit then raise Exit
+        in
+        let result, scanned, kept = scan f in
+        (result, scanned, kept, List.rev !out)
+      in
+      let expected =
+        run (reference_scan ?lo:c.lo ?hi:c.hi h ~ts ~reader:c.reader ~pred:c.pred ~params:c.params)
+      in
+      let got =
+        run (fun f ->
+            let scanned = ref 0 and kept = ref 0 and calls = ref 0 in
+            let count s k =
+              incr calls;
+              scanned := !scanned + s;
+              kept := !kept + k
+            in
+            let filter = (Expr.prepare c.pred).Expr.ce_pred c.params in
+            let result =
+              match Heap.scan ?lo:c.lo ?hi:c.hi h ~ts ~reader:c.reader ~filter ~count f with
+              | () -> Ok ()
+              | exception Expr.Eval_error m -> Error m
+              | exception Exit -> Error "exit"
+            in
+            if !calls <> 1 then QCheck.Test.fail_reportf "count called %d times" !calls;
+            (result, !scanned, !kept))
+      in
+      let show (result, scanned, kept, rows) =
+        Printf.sprintf "%s, scanned %d, kept %d, tids [%s]"
+          (match result with Ok () -> "ok" | Error m -> "raised " ^ m)
+          scanned kept
+          (String.concat "; " (List.map (fun (tid, _) -> string_of_int tid) rows))
+      in
+      if expected <> got then
+        QCheck.Test.fail_reportf "reference: %s\nfused:     %s" (show expected) (show got);
+      true)
+
 let suite =
   [
     Alcotest.test_case "snapshot visibility across update/delete" `Quick visibility;
     Alcotest.test_case "one scan loop: readers and TID ranges" `Quick scan_readers_and_ranges;
+    QCheck_alcotest.to_alcotest fused_scan_matches_reference;
     Alcotest.test_case "uncommitted writes and atomic publish" `Quick uncommitted_and_publish;
     Alcotest.test_case "aborts pop uncommitted versions" `Quick abort_pops;
     Alcotest.test_case "gc respects the pin horizon" `Quick gc_horizon_pins;

@@ -292,6 +292,31 @@ let explain_analyze_actuals () =
       check Alcotest.bool "loops are reported" true (contains text "loops=")
   | _ -> Alcotest.fail "expected Explained"
 
+(* A global aggregate streams its input: same result and counters as
+   the rows it reads, one row of identities over an empty input, and
+   under EXPLAIN ANALYZE its input node is still recorded. *)
+let global_aggregate_streams () =
+  let db = seeded_db () in
+  let run sql =
+    Database.with_txn db (fun txn ->
+        let r = Database.exec_in db txn sql in
+        let c = txn.Txn.counters in
+        (r, c.Txn.rows_scanned, c.Txn.rows_read))
+  in
+  (match run "SELECT COUNT(*), SUM(b), MIN(a) FROM t WHERE b <= 100" with
+  | Executor.Rows (_, [ [| Value.Int 10; Value.Int 550; Value.Int 1 |] ]), scanned, read ->
+      check Alcotest.int "every row scanned" 20 scanned;
+      check Alcotest.int "kept rows read" 10 read
+  | _ -> Alcotest.fail "expected one aggregate row");
+  (match run "SELECT COUNT(*), SUM(b) FROM t WHERE b > 1000" with
+  | Executor.Rows (_, [ [| Value.Int 0; Value.Null |] ]), 20, 0 -> ()
+  | _ -> Alcotest.fail "expected one row of identities");
+  match Database.exec db "EXPLAIN ANALYZE SELECT COUNT(*) FROM t WHERE b <= 100" with
+  | Executor.Explained text ->
+      check Alcotest.bool "input node recorded" false (contains text "never executed");
+      check Alcotest.bool "scan reports its rows" true (contains text "actual rows=10")
+  | _ -> Alcotest.fail "expected Explained"
+
 let explain_plain_has_no_actuals () =
   let db = seeded_db () in
   match Database.exec db "EXPLAIN SELECT a FROM t WHERE a <= 10" with
@@ -433,6 +458,7 @@ let suite =
     Alcotest.test_case "explain analyze: actual rowcounts" `Quick explain_analyze_actuals;
     Alcotest.test_case "explain: no actuals without analyze" `Quick
       explain_plain_has_no_actuals;
+    Alcotest.test_case "global aggregate streams its input" `Quick global_aggregate_streams;
     Alcotest.test_case "progress: report formats and parses" `Quick progress_report_parses;
     Alcotest.test_case "stats: providers in snapshot" `Quick stats_providers_in_snapshot;
     Alcotest.test_case "histogram: interpolated percentile" `Quick

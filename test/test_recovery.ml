@@ -166,6 +166,30 @@ let hash_tracker_recovery () =
     rep.Migrate_exec.r_granules_migrated;
   check Alcotest.int "no duplicate group rows" 1 (count db "agg")
 
+(* Finalize drops the migration's inputs as logged DDL: a node rebuilt
+   from the redo log no longer serves the old table. *)
+let finalized_drop_survives_replay () =
+  let db = Database.create () in
+  ignore
+    (Database.exec_script db
+       "CREATE TABLE t (id INT PRIMARY KEY, v INT); INSERT INTO t VALUES (1, 10), (2, 20)");
+  let bf = Lazy_db.create db in
+  ignore
+    (Lazy_db.start_migration bf
+       (Migration.make ~name:"copy" ~drop_old:[ "t" ]
+          [ Migration.statement_of_sql "CREATE TABLE t2 AS (SELECT id, v FROM t)" ])
+      : Migrate_exec.t);
+  while Lazy_db.background_step bf ~batch:8 > 0 do () done;
+  Lazy_db.finalize bf;
+  let db' = Database.replay (Redo_log.deserialize (Redo_log.serialize db.Database.redo)) in
+  let bf' = Lazy_db.create db' in
+  (match Lazy_db.exec bf' "SELECT id FROM t" with
+  | _ -> Alcotest.fail "t was dropped by the finalized migration"
+  | exception Db_error.Sql_error msg ->
+      check Alcotest.string "dropped-relation error" {|relation "t" does not exist|} msg);
+  check Alcotest.int "t2 replayed" 2
+    (List.length (Database.query db' "SELECT id FROM t2"))
+
 (* A restart resumes an overlapping split in the ON CONFLICT mode its
    switch chose, and the resumed copy drains to the original's rows. *)
 let resume_keeps_on_conflict () =
@@ -417,6 +441,7 @@ let suite =
     Alcotest.test_case "corrupt logs rejected" `Quick corrupt_rejected;
     Alcotest.test_case "hash tracker recovery" `Quick hash_tracker_recovery;
     Alcotest.test_case "shared (join-key) tracker recovery" `Quick shared_tracker_recovery;
+    Alcotest.test_case "finalized drop survives replay" `Quick finalized_drop_survives_replay;
     Alcotest.test_case "resume keeps ON CONFLICT mode" `Quick resume_keeps_on_conflict;
     Alcotest.test_case "checkpoint preserves marks" `Quick checkpoint_preserves_marks;
     Alcotest.test_case "out-of-range marks reported" `Quick dropped_marks_reported;
