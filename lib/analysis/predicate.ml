@@ -19,8 +19,9 @@
 
    All entry points are conservative: [satisfiable] may answer [true],
    [implies]/[disjoint]/[covers] may answer [false] when the formula
-   leaves the decidable fragment (parameters, subqueries, arithmetic
-   over columns, DNF blowup past [max_disjuncts]). *)
+   leaves the decidable fragment (parameters the env does not supply,
+   subqueries, arithmetic over columns, DNF blowup past
+   [max_disjuncts]). *)
 
 open Bullfrog_sql
 
@@ -52,7 +53,12 @@ let compare_const a b =
   | C_str x, C_str y -> String.compare x y
   | _ -> compare (rank a) (rank b)
 
-let rec const_of_expr e =
+(* [param i] is the literal a call supplies for [$i], if any. *)
+type env = { not_null : string -> bool; param : int -> Ast.expr option }
+
+let top_env = { not_null = (fun _ -> false); param = (fun _ -> None) }
+
+let rec const_of_expr env e =
   match e with
   | Ast.Null_lit -> Some C_null
   | Ast.Int_lit i -> Some (C_int i)
@@ -60,10 +66,11 @@ let rec const_of_expr e =
   | Ast.Str_lit s -> Some (C_str s)
   | Ast.Bool_lit b -> Some (C_bool b)
   | Ast.Unop (Ast.Neg, inner) -> (
-      match const_of_expr inner with
+      match const_of_expr env inner with
       | Some (C_int i) -> Some (C_int (-i))
       | Some (C_float f) -> Some (C_float (-.f))
       | _ -> None)
+  | Ast.Param i -> Option.bind (env.param i) (const_of_expr top_env)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -82,10 +89,6 @@ type atom =
   | A_other of Ast.expr  (* uninterpreted; syntactic identity only *)
 
 type nf = N_atom of atom | N_and of nf list | N_or of nf list
-
-type env = { not_null : string -> bool }
-
-let top_env = { not_null = (fun _ -> false) }
 
 let col_key q n =
   let n = String.lowercase_ascii n in
@@ -145,7 +148,7 @@ let rec tr_T env e =
   | Ast.Binop (Ast.Or, a, b) -> N_or [ tr_T env a; tr_T env b ]
   | Ast.Unop (Ast.Not, a) -> tr_F env a
   | Ast.Binop (op, l, r) when is_cmp op -> (
-      match (l, r, const_of_expr l, const_of_expr r) with
+      match (l, r, const_of_expr env l, const_of_expr env r) with
       | _, _, Some a, Some b -> (
           match cmp_consts op a b with
           | C_bool true -> N_atom A_true
@@ -161,18 +164,18 @@ let rec tr_T env e =
       match inner with
       | Ast.Col (q, n) -> N_atom (mk_null env (col_key q n) want_null)
       | _ -> (
-          match const_of_expr inner with
+          match const_of_expr env inner with
           | Some c -> N_atom (if (c = C_null) = want_null then A_true else A_false)
           | None -> N_atom (A_other e)))
   | Ast.In_list (Ast.Col (q, n), items) -> (
-      match consts_of items with
+      match consts_of env items with
       | None -> N_atom (A_other e)
       | Some cs -> (
           match List.filter (fun c -> c <> C_null) cs with
           | [] -> N_atom A_false
           | vs -> N_atom (A_in (col_key q n, vs))))
   | Ast.Between (Ast.Col (q, n), lo, hi) -> (
-      match (const_of_expr lo, const_of_expr hi) with
+      match (const_of_expr env lo, const_of_expr env hi) with
       | Some l, Some h when l <> C_null && h <> C_null ->
           let k = col_key q n in
           N_and [ N_atom (A_cmp (k, Ast.Ge, l)); N_atom (A_cmp (k, Ast.Le, h)) ]
@@ -188,7 +191,7 @@ and tr_F env e =
   | Ast.Binop (Ast.Or, a, b) -> N_and [ tr_F env a; tr_F env b ]
   | Ast.Unop (Ast.Not, a) -> tr_T env a
   | Ast.Binop (op, l, r) when is_cmp op -> (
-      match (l, r, const_of_expr l, const_of_expr r) with
+      match (l, r, const_of_expr env l, const_of_expr env r) with
       | _, _, Some a, Some b -> (
           match cmp_consts op a b with
           | C_bool false -> N_atom A_true
@@ -204,11 +207,11 @@ and tr_F env e =
       match inner with
       | Ast.Col (q, n) -> N_atom (mk_null env (col_key q n) (not want_null))
       | _ -> (
-          match const_of_expr inner with
+          match const_of_expr env inner with
           | Some c -> N_atom (if (c = C_null) = want_null then A_false else A_true)
           | None -> N_atom (A_other (Ast.Unop (Ast.Not, e)))))
   | Ast.In_list (Ast.Col (q, n), items) -> (
-      match consts_of items with
+      match consts_of env items with
       | None -> N_atom (A_other (Ast.Unop (Ast.Not, e)))
       | Some cs ->
           (* FALSE requires: value non-null, no hit, and no NULL item. *)
@@ -218,7 +221,7 @@ and tr_F env e =
             if cs = [] then N_atom (mk_null env k false)
             else N_atom (A_notin (k, cs)))
   | Ast.Between (Ast.Col (q, n), lo, hi) -> (
-      match (const_of_expr lo, const_of_expr hi) with
+      match (const_of_expr env lo, const_of_expr env hi) with
       | Some l, Some h when l <> C_null && h <> C_null ->
           let k = col_key q n in
           N_or [ N_atom (A_cmp (k, Ast.Lt, l)); N_atom (A_cmp (k, Ast.Gt, h)) ]
@@ -226,11 +229,11 @@ and tr_F env e =
       | _ -> N_atom (A_other (Ast.Unop (Ast.Not, e))))
   | _ -> N_atom (A_other (Ast.Unop (Ast.Not, e)))
 
-and consts_of items =
+and consts_of env items =
   let rec go acc = function
     | [] -> Some (List.rev acc)
     | it :: rest -> (
-        match const_of_expr it with
+        match const_of_expr env it with
         | Some c -> go (c :: acc) rest
         | None -> None)
   in
@@ -247,7 +250,7 @@ let rec tr_nT env e =
   | Ast.Binop (Ast.Or, a, b) -> N_and [ tr_nT env a; tr_nT env b ]
   | Ast.Unop (Ast.Not, a) -> tr_nF env a
   | Ast.Binop (op, l, r) when is_cmp op -> (
-      match (l, r, const_of_expr l, const_of_expr r) with
+      match (l, r, const_of_expr env l, const_of_expr env r) with
       | _, _, Some a, Some b -> (
           match cmp_consts op a b with
           | C_bool true -> N_atom A_false
@@ -268,11 +271,11 @@ let rec tr_nT env e =
       match inner with
       | Ast.Col (q, n) -> N_atom (mk_null env (col_key q n) (not want_null))
       | _ -> (
-          match const_of_expr inner with
+          match const_of_expr env inner with
           | Some c -> N_atom (if (c = C_null) = want_null then A_false else A_true)
           | None -> raise Give_up))
   | Ast.In_list (Ast.Col (q, n), items) -> (
-      match consts_of items with
+      match consts_of env items with
       | None -> raise Give_up
       | Some cs -> (
           let k = col_key q n in
@@ -280,7 +283,7 @@ let rec tr_nT env e =
           | [] -> N_atom A_true
           | vs -> N_or [ N_atom (mk_null env k true); N_atom (A_notin (k, vs)) ]))
   | Ast.Between (Ast.Col (q, n), lo, hi) -> (
-      match (const_of_expr lo, const_of_expr hi) with
+      match (const_of_expr env lo, const_of_expr env hi) with
       | Some l, Some h when l <> C_null && h <> C_null ->
           let k = col_key q n in
           N_or
@@ -300,7 +303,7 @@ and tr_nF env e =
   | Ast.Binop (Ast.Or, a, b) -> N_or [ tr_nF env a; tr_nF env b ]
   | Ast.Unop (Ast.Not, a) -> tr_nT env a
   | Ast.Binop (op, l, r) when is_cmp op -> (
-      match (l, r, const_of_expr l, const_of_expr r) with
+      match (l, r, const_of_expr env l, const_of_expr env r) with
       | _, _, Some a, Some b -> (
           match cmp_consts op a b with
           | C_bool false -> N_atom A_false
@@ -317,11 +320,11 @@ and tr_nF env e =
       match inner with
       | Ast.Col (q, n) -> N_atom (mk_null env (col_key q n) want_null)
       | _ -> (
-          match const_of_expr inner with
+          match const_of_expr env inner with
           | Some c -> N_atom (if (c = C_null) = want_null then A_true else A_false)
           | None -> raise Give_up))
   | Ast.In_list (Ast.Col (q, n), items) -> (
-      match consts_of items with
+      match consts_of env items with
       | None -> raise Give_up
       | Some cs ->
           if List.exists (fun c -> c = C_null) cs then N_atom A_true
@@ -330,7 +333,7 @@ and tr_nF env e =
             let k = col_key q n in
             N_or [ N_atom (mk_null env k true); N_atom (A_in (k, cs)) ])
   | Ast.Between (Ast.Col (q, n), lo, hi) -> (
-      match (const_of_expr lo, const_of_expr hi) with
+      match (const_of_expr env lo, const_of_expr env hi) with
       | Some l, Some h when l <> C_null && h <> C_null ->
           let k = col_key q n in
           N_or
@@ -690,7 +693,7 @@ let rec normalize e =
   )
   | Ast.Binop (op, l, r) when is_cmp op -> (
       let l = normalize l and r = normalize r in
-      match (const_of_expr l, const_of_expr r) with
+      match (const_of_expr top_env l, const_of_expr top_env r) with
       | Some a, Some b -> (
           match cmp_consts op a b with
           | C_bool b' -> Ast.Bool_lit b'
@@ -699,7 +702,7 @@ let rec normalize e =
   | Ast.In_list (a, items) -> Ast.In_list (normalize a, List.map normalize items)
   | Ast.Between (a, lo, hi) -> Ast.Between (normalize a, normalize lo, normalize hi)
   | Ast.Is_null (a, want) -> (
-      match const_of_expr a with
+      match const_of_expr top_env a with
       | Some c -> Ast.Bool_lit ((c = C_null) = want)
       | None -> Ast.Is_null (normalize a, want))
   | _ -> e

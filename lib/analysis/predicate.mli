@@ -8,17 +8,23 @@
     (lib/db/expr.ml); NULL is not TRUE.
 
     Every entry point is {e conservative}: outside the interpreted
-    fragment (parameters, subqueries, arithmetic over columns, DNF
-    blowup) [satisfiable] errs towards [true] and the provers towards
+    fragment (parameters the env does not supply, subqueries,
+    arithmetic over columns, DNF blowup) [satisfiable] errs towards [true] and the provers towards
     [false].  The QCheck suite in test/test_analysis.ml validates each
     verdict against brute-force row evaluation through the engine. *)
 
-type env = { not_null : string -> bool }
-(** Schema facts the analysis may assume: [not_null c] means column [c]
-    (lower-cased, unqualified) can never hold NULL. *)
+type env = {
+  not_null : string -> bool;
+  param : int -> Bullfrog_sql.Ast.expr option;
+}
+(** Facts the analysis may assume: [not_null c] means column [c]
+    (lower-cased, unqualified) can never hold NULL; [param i] is the
+    literal a call supplies for [$i] ([None]: the parameter stays
+    opaque). *)
 
 val top_env : env
-(** No assumptions: every column may be NULL. *)
+(** No assumptions: every column may be NULL, every parameter is
+    opaque. *)
 
 val satisfiable : ?env:env -> Bullfrog_sql.Ast.expr -> bool
 (** [false] only when provably no row satisfies the predicate. *)

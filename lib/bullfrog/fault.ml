@@ -29,6 +29,8 @@ let p_2pc_decision = 10
 
 let p_2pc_ack = 11
 
+let p_cluster_finalize = 12
+
 let names =
   [|
     "mark_commit";  (* granule marks recorded, before commit *)
@@ -46,6 +48,8 @@ let names =
     "2pc_decision";  (* coordinator decision logged, no shard resolved *)
     "2pc_ack";  (* between participant resolutions: some shards carry the
                    local decision marker, the rest are still in doubt *)
+    "cluster_finalize";  (* between shard finalizes: some shards dropped
+                            the inputs, the rest still hold them *)
   |]
 
 let count = Array.length names

@@ -61,6 +61,11 @@ val p_2pc_ack : int
 (** between participant resolutions: some shards carry the shard-local
     decision marker, the rest still resolve via the coordinator *)
 
+val p_cluster_finalize : int
+(** after a shard finalizes a cluster migration: that shard's inputs are
+    dropped, later shards still hold theirs and the coordinator log has
+    no end marker — recovery must finish the drops, not resume *)
+
 val count : int
 
 val name_of : int -> string

@@ -105,7 +105,8 @@ let not_null_env (schema : Schema.t) =
     | Some pk -> Array.to_list (Array.map (fun i -> lower schema.Schema.columns.(i).Schema.name) pk)
   in
   {
-    Pred.not_null =
+    Pred.top_env with
+    not_null =
       (fun c ->
         List.mem c pk
         ||

@@ -133,8 +133,22 @@ let run_mig () =
         ignore (Cluster.background_step !c ~batch:64 : int)
       done;
       Cluster.finalize !c);
-  (* [finalize] dropped the input table, so t2 is the whole database. *)
-  [ ("resumed", resumed); ("t2", sorted_rows !c "SELECT grp, id, v FROM t2") ]
+  (* [finalize] dropped the input table on every shard, so t2 is the
+     whole database, also after a crash between shard drops. *)
+  let finalized =
+    (if Cluster.active_migration !c <> None then [ "migration active" ] else [])
+    @ List.filter_map
+        (fun s ->
+          if Catalog.exists (Cluster.shard_db !c s).Database.catalog "t" then
+            Some (Printf.sprintf "t kept on shard %d" s)
+          else None)
+        (List.init shards Fun.id)
+  in
+  [
+    ("resumed", resumed);
+    ("finalized", finalized);
+    ("t2", sorted_rows !c "SELECT grp, id, v FROM t2");
+  ]
 
 let mig_scenario = { Fault_sweep.sc_name = "cluster_mig"; sc_run = run_mig }
 
@@ -147,6 +161,8 @@ let register () =
     registered := true
   end
 
+let mig_points = points @ [ Fault.p_cluster_finalize ]
+
 let run_bounded () =
   Fault_sweep.run_scenario ~points scenario
-  @ Fault_sweep.run_scenario ~points mig_scenario
+  @ Fault_sweep.run_scenario ~points:mig_points mig_scenario

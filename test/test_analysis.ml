@@ -161,7 +161,7 @@ let null_semantics () =
   check Alcotest.bool "halves do not cover nullable column" false
     (P.covers [ e "x < 5"; e "x >= 5" ]);
   (* ...unless the column is declared NOT NULL *)
-  let env = { P.not_null = (fun c -> c = "x") } in
+  let env = { P.top_env with P.not_null = (fun c -> c = "x") } in
   check Alcotest.bool "halves cover NOT NULL column" true
     (P.covers ~env [ e "x < 5"; e "x >= 5" ]);
   check Alcotest.bool "explicit IS NULL arm covers" true
