@@ -49,8 +49,5 @@ let migrate db (spec : Migration.t) =
             stmt.Migrate_exec.rs_outputs;
           input_rows_read := !input_rows_read + input_rows))
     rt.Migrate_exec.stmts;
-  List.iter
-    (fun name ->
-      if Catalog.exists db.Database.catalog name then Catalog.drop db.Database.catalog name)
-    spec.Migration.drop_old;
+  Database.drop_tables db spec.Migration.drop_old;
   { rows_copied = !rows_copied; input_rows_read = !input_rows_read }

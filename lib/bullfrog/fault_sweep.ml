@@ -304,11 +304,7 @@ let eager_scenario =
         let outputs = [ "dst"; "agg" ] in
         (try ignore (Eager.migrate db spec : Eager.outcome)
          with Fault.Crash _ ->
-           List.iter
-             (fun o ->
-               if Catalog.exists db.Database.catalog o then
-                 Catalog.drop db.Database.catalog o)
-             outputs;
+           Database.drop_tables db outputs;
            ignore (Eager.migrate db spec : Eager.outcome));
         List.map (fun o -> (o, sorted_rows db ("SELECT * FROM " ^ o))) outputs);
   }

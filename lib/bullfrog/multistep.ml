@@ -290,9 +290,5 @@ let stats t = t.st
 
 let switch_over t =
   if not (complete t) then err "multistep: copy has not finished";
-  List.iter
-    (fun name ->
-      if Catalog.exists t.db.Database.catalog name then
-        Catalog.drop t.db.Database.catalog name)
-    t.rt.Migrate_exec.spec.Migration.drop_old;
+  Database.drop_tables t.db t.rt.Migrate_exec.spec.Migration.drop_old;
   Obs.unregister_stats "multistep"

@@ -107,7 +107,9 @@ val migration_debt : t -> int
 
 val finalize : t -> unit
 (** Per-shard {!Bullfrog_core.Lazy_db.finalize} plus a final row-movement
-    sweep.  @raise Db_error.Sql_error if any shard is incomplete. *)
+    sweep.  The spec's [drop_old] is logged as [BFMIG-FINALIZE] before
+    the first shard drops it, and its partition specs are forgotten.
+    @raise Db_error.Sql_error if any shard is incomplete. *)
 
 val rollback_migration : t -> unit
 (** Cluster-wide mid-flight rollback: flip every shard to the statically

@@ -95,7 +95,7 @@ let points = [ Fault.p_2pc_prepare; Fault.p_2pc_decision; Fault.p_2pc_ack ]
 let mig_rows = List.init 24 (fun i -> (i, i * 7 mod 5))
 
 let mig_spec () =
-  Bullfrog_core.Migration.make ~name:"regroup"
+  Bullfrog_core.Migration.make ~name:"regroup" ~drop_old:[ "t" ]
     [
       Bullfrog_core.Migration.statement_of_sql
         "CREATE TABLE t2 AS (SELECT grp, id, v FROM t)";
@@ -133,8 +133,8 @@ let run_mig () =
         ignore (Cluster.background_step !c ~batch:64 : int)
       done;
       Cluster.finalize !c);
-  (* [finalize] dropped the input table on every shard, so t2 is the
-     whole database, also after a crash between shard drops. *)
+  (* [finalize] dropped [drop_old] on every shard, so t2 is the whole
+     database, also after a crash between shard drops. *)
   let finalized =
     (if Cluster.active_migration !c <> None then [ "migration active" ] else [])
     @ List.filter_map

@@ -403,6 +403,18 @@ let exec_script t sql =
   let stmts = Parser.parse sql in
   List.map (fun stmt -> with_txn t (fun txn -> Executor.exec_stmt (exec_ctx t) txn stmt)) stmts
 
+(* One transaction of logged [DROP TABLE IF EXISTS]: replaying the redo
+   log drops the tables too. *)
+let drop_tables t names =
+  with_txn t (fun txn ->
+      List.iter
+        (fun name ->
+          ignore
+            (Executor.exec_stmt (exec_ctx t) txn
+               (Ast.Drop { kind = Ast.Drop_table; name; if_exists = true })
+              : Executor.result))
+        names)
+
 let query t ?params sql =
   match exec t ?params sql with
   | Executor.Rows (_, rows) -> rows

@@ -113,6 +113,11 @@ val exec_script : t -> string -> Executor.result list
 
 val exec_in : t -> Txn.t -> ?params:Value.t array -> string -> Executor.result
 
+val drop_tables : t -> string list -> unit
+(** Drop the named tables in one transaction of logged
+    [DROP TABLE IF EXISTS], so replaying the redo log drops them too.
+    Every drop a migration makes goes through here. *)
+
 val query : t -> ?params:Value.t array -> string -> Value.t array list
 (** [exec] specialised to SELECT; returns the rows. *)
 

@@ -29,22 +29,29 @@ module Key_tbl = Hashtbl.Make (struct
   let hash = Value.hash_key
 end)
 
+(* SUM, AVG, MIN and MAX allocate nothing per row fed.  SUM/AVG keep an
+   int sum until the first [Float], then a float sum seeded with it in an
+   all-float record, which OCaml stores unboxed (a float field of
+   [agg_acc] would box every update).  MIN/MAX's [extreme] is [Null]
+   until a value. *)
 type agg_acc = {
   mutable count : int;
-  mutable sum : float;
+  mutable isum : int;
+  fsum : float_sum;
   mutable sum_is_int : bool;
-  mutable vmin : Value.t option;
-  mutable vmax : Value.t option;
+  mutable extreme : Value.t;
   distinct_seen : unit Key_tbl.t option;
 }
+
+and float_sum = { mutable fs : float }
 
 let new_acc distinct =
   {
     count = 0;
-    sum = 0.0;
+    isum = 0;
+    fsum = { fs = 0.0 };
     sum_is_int = true;
-    vmin = None;
-    vmax = None;
+    extreme = Value.Null;
     distinct_seen = (if distinct then Some (Key_tbl.create 16) else None);
   }
 
@@ -74,17 +81,24 @@ let acc_feed params acc (spec : Plan.agg_spec) row =
     if is_new then begin
       acc.count <- acc.count + 1;
       (match v with
-      | Value.Int i -> acc.sum <- acc.sum +. float_of_int i
+      | Value.Int i ->
+          if acc.sum_is_int then acc.isum <- acc.isum + i
+          else acc.fsum.fs <- acc.fsum.fs +. float_of_int i
       | Value.Float f ->
-          acc.sum <- acc.sum +. f;
-          acc.sum_is_int <- false
+          if acc.sum_is_int then begin
+            acc.fsum.fs <- float_of_int acc.isum;
+            acc.sum_is_int <- false
+          end;
+          acc.fsum.fs <- acc.fsum.fs +. f
       | _ -> ());
-      (match acc.vmin with
-      | None -> acc.vmin <- Some v
-      | Some m -> if Value.compare v m < 0 then acc.vmin <- Some v);
-      match acc.vmax with
-      | None -> acc.vmax <- Some v
-      | Some m -> if Value.compare v m > 0 then acc.vmax <- Some v
+      match spec.Plan.agg_fn with
+      | (Ast.Min | Ast.Max) as fn -> (
+          match acc.extreme with
+          | Value.Null -> acc.extreme <- v
+          | m ->
+              let c = Value.compare v m in
+              if (fn = Ast.Min && c < 0) || (fn = Ast.Max && c > 0) then acc.extreme <- v)
+      | Ast.Count | Ast.Sum | Ast.Avg -> ()
     end
   end
 
@@ -93,12 +107,14 @@ let acc_result acc (spec : Plan.agg_spec) =
   | Ast.Count -> Value.Int acc.count
   | Ast.Sum ->
       if acc.count = 0 then Value.Null
-      else if acc.sum_is_int then Value.Int (int_of_float acc.sum)
-      else Value.Float acc.sum
+      else if acc.sum_is_int then Value.Int acc.isum
+      else Value.Float acc.fsum.fs
   | Ast.Avg ->
-      if acc.count = 0 then Value.Null else Value.Float (acc.sum /. float_of_int acc.count)
-  | Ast.Min -> ( match acc.vmin with None -> Value.Null | Some v -> v)
-  | Ast.Max -> ( match acc.vmax with None -> Value.Null | Some v -> v)
+      if acc.count = 0 then Value.Null
+      else
+        let sum = if acc.sum_is_int then float_of_int acc.isum else acc.fsum.fs in
+        Value.Float (sum /. float_of_int acc.count)
+  | Ast.Min | Ast.Max -> acc.extreme
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE profiling                                           *)

@@ -109,6 +109,58 @@ let aggregates () =
   check v "count empty" (Value.Int 0) e.(0);
   check v "sum empty is null" Value.Null e.(1)
 
+(* SUM and AVG feed no boxed float per row: each global aggregate
+   allocates exactly the same minor words over N and over 4N rows.  The
+   least of three warm runs keeps another thread's allocation out of
+   the count. *)
+let sum_avg_words_per_row () =
+  let db = Database.create () in
+  ignore
+    (Database.exec db "CREATE TABLE g (k INT PRIMARY KEY, w INT, f FLOAT)"
+      : Executor.result);
+  let load lo hi =
+    for k = lo to hi - 1 do
+      ignore
+        (Database.exec db
+           ~params:[| Value.Int k; Value.Int (k mod 97); Value.Float (float_of_int k /. 4.0) |]
+           "INSERT INTO g VALUES ($1, $2, $3)"
+          : Executor.result)
+    done
+  in
+  let words sql =
+    let run () = ignore (Database.exec db sql : Executor.result) in
+    run ();
+    let best = ref infinity in
+    for _ = 1 to 3 do
+      let w0 = Gc.minor_words () in
+      run ();
+      best := Float.min !best (Gc.minor_words () -. w0)
+    done;
+    !best
+  in
+  let sqls =
+    [ "SELECT SUM(w), MAX(w) FROM g"; "SELECT AVG(w) FROM g"; "SELECT SUM(f), AVG(f) FROM g" ]
+  in
+  let n = 1000 in
+  load 0 n;
+  let at_n = List.map words sqls in
+  load n (4 * n);
+  let at_4n = List.map words sqls in
+  List.iteri
+    (fun i sql ->
+      check (Alcotest.float 0.0) (sql ^ ": minor words per row") 0.0
+        ((List.nth at_4n i -. List.nth at_n i) /. float_of_int (3 * n)))
+    sqls;
+  let isum = ref 0 and fsum = ref 0.0 in
+  for k = 0 to (4 * n) - 1 do
+    isum := !isum + (k mod 97);
+    fsum := !fsum +. (float_of_int k /. 4.0)
+  done;
+  let r = one db "SELECT SUM(w), AVG(w), SUM(f) FROM g" in
+  check v "int sum" (Value.Int !isum) r.(0);
+  check v "int avg" (Value.Float (float_of_int !isum /. float_of_int (4 * n))) r.(1);
+  check v "float sum" (Value.Float !fsum) r.(2)
+
 let dml () =
   let db = fresh () in
   check Alcotest.int "insert" 1 (affected db "INSERT INTO emp VALUES (5, 1, 'eve', 70, '2022-01-01')");
@@ -357,6 +409,7 @@ let suite =
     Alcotest.test_case "order/limit/distinct" `Quick select_order_limit_distinct;
     Alcotest.test_case "joins" `Quick joins;
     Alcotest.test_case "aggregates" `Quick aggregates;
+    Alcotest.test_case "SUM/AVG allocate nothing per row" `Quick sum_avg_words_per_row;
     Alcotest.test_case "dml" `Quick dml;
     Alcotest.test_case "constraints" `Quick constraints;
     Alcotest.test_case "views + pushdown" `Quick views_and_pushdown;
