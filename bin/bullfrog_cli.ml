@@ -21,7 +21,8 @@
      \drain           run background migration to completion
      \progress        migration progress, lazy/background split, ETA and
                       tracker statistics
-     \finalize        drop the migrated input tables
+     \finalize        drop the migration's drop_old tables (the ones
+                      named after `drop` in \migrate)
      \tpcc [scale]    load a TPC-C database (tiny|small)
      \tables          list relations
      \obs             engine counters and subsystem stats (Obs.snapshot)

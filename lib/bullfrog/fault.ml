@@ -31,6 +31,8 @@ let p_2pc_ack = 11
 
 let p_cluster_finalize = 12
 
+let p_cluster_rollback = 13
+
 let names =
   [|
     "mark_commit";  (* granule marks recorded, before commit *)
@@ -49,7 +51,9 @@ let names =
     "2pc_ack";  (* between participant resolutions: some shards carry the
                    local decision marker, the rest are still in doubt *)
     "cluster_finalize";  (* between shard finalizes: some shards dropped
-                            the inputs, the rest still hold them *)
+                            drop_old, the rest still hold it *)
+    "cluster_rollback";  (* between shard trivial rollbacks: some shards
+                            dropped the outputs, the rest still hold them *)
   |]
 
 let count = Array.length names

@@ -62,9 +62,16 @@ val p_2pc_ack : int
     decision marker, the rest still resolve via the coordinator *)
 
 val p_cluster_finalize : int
-(** after a shard finalizes a cluster migration: that shard's inputs are
-    dropped, later shards still hold theirs and the coordinator log has
-    no end marker — recovery must finish the drops, not resume *)
+(** after a shard finalizes a cluster migration: that shard's [drop_old]
+    tables are dropped, later shards still hold theirs and the
+    coordinator log has no end marker — recovery must finish the drops,
+    not resume *)
+
+val p_cluster_rollback : int
+(** after a shard rolls back a cluster migration that dropped nothing:
+    that shard's outputs are dropped, later shards still hold theirs and
+    the coordinator log has no end marker — recovery must finish the
+    drops, not resume *)
 
 val count : int
 

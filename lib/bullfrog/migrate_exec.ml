@@ -238,6 +238,24 @@ let install ?(mode = Tracked) ?(overwrite = false) ?(page_size = 1) ?(nn = Nn_pa
                 spec.Migration.name o.Migration.out_name)
           stmt.Migration.outputs)
       spec.Migration.statements;
+  (* [drop_old] is what finalize drops: a name that is not one of the
+     spec's inputs (a typo for an unrelated table, or one of its own
+     outputs) would lose that table's data, so reject it up front. *)
+  if not resume then begin
+    let reads (o : Migration.output) =
+      List.map snd (Migration.input_tables_of_select catalog o.Migration.out_population)
+    in
+    let inputs =
+      List.concat_map (fun st -> List.concat_map reads st.Migration.outputs)
+        spec.Migration.statements
+    in
+    List.iter
+      (fun d ->
+        if not (List.mem d inputs) then
+          Db_error.sql_error "migration %S: drop_old table %S is not one of its inputs"
+            spec.Migration.name d)
+      spec.Migration.drop_old
+  end;
   let ctx = Database.exec_ctx db in
   let uid_counter = ref 0 in
   let fresh_uid () =
