@@ -230,14 +230,16 @@ let fetch_tids ~keep ~latest (txn : Txn.t) table tids =
     if latest then Heap.get table tid
     else Heap.snapshot_get table ~ts:txn.Txn.snapshot ~reader:txn.Txn.id tid
   in
-  List.filter_map
+  let out = ref [] in
+  Array.iter
     (fun tid ->
       match fetch tid with
-      | None -> None
+      | None -> ()
       | Some row ->
           c.Txn.rows_read <- c.Txn.rows_read + 1;
-          if keep row then Some (tid, row) else None)
-    (List.sort Stdlib.compare tids)
+          if keep row then out := (tid, row) :: !out)
+    (Index.sorted_tids tids);
+  List.rev !out
 
 (* The residual is staged once per call; only a residual test counts as
    a scan. *)

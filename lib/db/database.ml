@@ -30,7 +30,6 @@ type t = {
      two live instances (the harness runs one per simulated system). *)
   marks_tbl : (int, Redo_log.migration_mark list ref) Hashtbl.t;
   marks_latch : Mutex.t;
-  mutable vacuum_cursor : (string * int) option;
 }
 
 let create () =
@@ -45,7 +44,6 @@ let create () =
       stmt_latch = Mutex.create ();
       marks_tbl = Hashtbl.create 64;
       marks_latch = Mutex.create ();
-      vacuum_cursor = None;
     }
   in
   (* Per-index structural stats, surfaced through [Obs.snapshot].  The
@@ -453,64 +451,21 @@ let vacuum ?budget t =
   Obs.Trace.with_span ~cat:"mvcc" "gc" @@ fun () ->
   Obs.Counters.bump c_gc_runs;
   let horizon = Mvcc.horizon () in
+  (* Each table's GC walks only its written-slot list.  With a budget,
+     tables are visited in catalog order until it is spent; a table's
+     GC stops mid-list and keeps the rest listed, so the next call picks
+     up what this one left. *)
+  let budget = match budget with None -> max_int | Some b -> max 1 b in
   let reclaimed = ref 0 in
-  (match budget with
-  | None ->
-      (* Full sweep, exactly the pre-budget behavior; any in-progress
-         incremental cycle is subsumed. *)
-      t.vacuum_cursor <- None;
-      List.iter
-        (fun name ->
-          match Catalog.find_table t.catalog name with
-          | None -> ()
-          | Some heap ->
-              !gc_test_hook ();
-              reclaimed := !reclaimed + Heap.gc heap ~horizon)
-        (Catalog.table_names t.catalog)
-  | Some budget ->
-      (* Incremental cycle: resume at the cursor, sweep table slices until
-         the budget is spent, park the cursor where the sweep stopped.
-         The slice not yet revisited of a mid-table cursor is picked up
-         when the cycle wraps back to that table from TID 0. *)
-      let budget = max 1 budget in
-      let tables = Catalog.table_names t.catalog in
-      let cursor_tbl, cursor_pos =
-        match t.vacuum_cursor with
-        | Some (tbl, pos) when List.mem tbl tables -> (Some tbl, pos)
-        | _ -> (None, 0)
-      in
-      let tables =
-        match cursor_tbl with
-        | None -> tables
-        | Some tbl ->
-            let rec rot acc = function
-              | [] -> List.rev acc
-              | x :: rest when x = tbl -> (x :: rest) @ List.rev acc
-              | x :: rest -> rot (x :: acc) rest
-            in
-            rot [] tables
-      in
-      t.vacuum_cursor <- None;
-      let rec go first = function
-        | [] -> ()
-        | tbl :: rest -> (
-            match Catalog.find_table t.catalog tbl with
-            | None -> go false rest
-            | Some heap ->
-                !gc_test_hook ();
-                let start = if first then cursor_pos else 0 in
-                let r, next =
-                  Heap.gc_slice heap ~horizon ~start ~budget:(budget - !reclaimed)
-                in
-                reclaimed := !reclaimed + r;
-                if !reclaimed >= budget then
-                  t.vacuum_cursor <-
-                    (match next with
-                    | Some pos -> Some (tbl, pos)
-                    | None -> ( match rest with [] -> None | n :: _ -> Some (n, 0)))
-                else go false rest)
-      in
-      go true tables);
+  List.iter
+    (fun name ->
+      if !reclaimed < budget then
+        match Catalog.find_table t.catalog name with
+        | None -> ()
+        | Some heap ->
+            !gc_test_hook ();
+            reclaimed := !reclaimed + Heap.gc ~budget:(budget - !reclaimed) heap ~horizon)
+    (Catalog.table_names t.catalog);
   if !reclaimed > 0 then Obs.Counters.add c_gc_reclaimed !reclaimed;
   !reclaimed
 

@@ -28,8 +28,6 @@ type t = {
       (** per-transaction migration marks, drained at commit; per-database
           because txn ids restart at 1 in every instance *)
   marks_latch : Mutex.t;
-  mutable vacuum_cursor : (string * int) option;
-      (** resume point of the incremental vacuum cycle: (table, TID) *)
 }
 
 val create : unit -> t
@@ -128,17 +126,16 @@ val explain : t -> string -> string
 
 val vacuum : ?budget:int -> t -> int
 (** Version-chain GC, reclaiming versions no snapshot at or above
-    {!Mvcc.horizon} can reach.  Without [budget]: one full sweep over
-    every table, exactly the historical stop-the-world behavior (and any
-    in-progress incremental cycle is reset).  With [budget]: an
-    incremental slice that stops once at least [budget] versions are
-    reclaimed (overshooting only within the final row's chain) and parks
-    a per-table cursor in [vacuum_cursor]; the next budgeted call resumes
-    there, wrapping around table by table.  Emits an [mvcc]/[gc] trace
-    span and bumps [mvcc.gc_runs]/[mvcc.gc_reclaimed].  Returns the
-    number of versions reclaimed.  Safe to run at any time, concurrently
-    with readers: it only shortens chains below committed heads (a reader
-    holding an old descriptor keeps its nodes alive via the OCaml GC). *)
+    {!Mvcc.horizon} can reach.  Each table visits only the slots written
+    since its last GC ({!Heap.gc}).  Without [budget]: every table's
+    whole list.  With [budget]: tables in catalog order until at least
+    [budget] versions are reclaimed (overshooting only within the final
+    slot's chain); the slots not reached stay listed for the next call.
+    Emits an [mvcc]/[gc] trace span and bumps
+    [mvcc.gc_runs]/[mvcc.gc_reclaimed].  Returns the number of versions
+    reclaimed.  Safe to run at any time, concurrently with readers: it
+    only shortens chains below committed heads (a reader holding an old
+    descriptor keeps its nodes alive via the OCaml GC). *)
 
 val version_backlog : t -> int
 (** Total chained versions across all tables (what {!vacuum} would

@@ -186,14 +186,14 @@ let scan_table ~params (txn : Txn.t) table filter f =
    as read; [f] sees the rows [keep] (a bound filter) accepts. *)
 let fetch_sorted (txn : Txn.t) table keep tids f =
   let c = txn.Txn.counters in
-  List.iter
+  Array.iter
     (fun tid ->
       match snap_get txn table tid with
       | None -> ()
       | Some row ->
           c.Txn.rows_read <- c.Txn.rows_read + 1;
           if keep row then f row)
-    (List.sort Stdlib.compare tids)
+    (Index.sorted_tids tids)
 
 (* One index nested-loop probe: rows of [table] under [key] (a full key,
    or a prefix of an ordered index) that [keep] accepts.  A NULL key
@@ -541,18 +541,45 @@ let run_select ?(params = [||]) ctx txn (s : Ast.select) =
 (* Constraint enforcement                                              *)
 (* ------------------------------------------------------------------ *)
 
+let coercion_failed (table : Heap.t) i msg =
+  err "column %S of %s: %s" table.Heap.schema.Schema.columns.(i).Schema.name table.Heap.name msg
+
+let coerce_col (table : Heap.t) i v =
+  try Value.coerce_exn table.Heap.schema.Schema.columns.(i).Schema.ty v
+  with Value.Coercion_error msg -> coercion_failed table i msg
+
+(* A fresh, coerced copy of a row from outside the compiled write paths. *)
 let coerce_row (table : Heap.t) row =
-  let schema = table.Heap.schema in
-  let n = Schema.arity schema in
+  let n = Schema.arity table.Heap.schema in
   if Array.length row <> n then
     err "table %s expects %d columns, got %d" table.Heap.name n (Array.length row);
-  Array.mapi
-    (fun i v ->
-      let col = schema.Schema.columns.(i) in
-      match Value.coerce col.Schema.ty v with
-      | Ok v -> v
-      | Error msg -> err "column %S of %s: %s" col.Schema.name table.Heap.name msg)
-    row
+  let row = Array.copy row in
+  for i = 0 to n - 1 do
+    row.(i) <- coerce_col table i row.(i)
+  done;
+  row
+
+(* What a compiled INSERT or UPDATE does to each column of the row it
+   writes.  A constant is coerced once, when the statement compiles; a
+   failed coercion is kept and raised when a row gets to it, in column
+   order, exactly where coercing the row would have raised it. *)
+type col_coercion =
+  | Keep  (* a constant coerced at compile time, or a column the write leaves alone *)
+  | Coerce  (* a value computed per row: coerced in place *)
+  | Fails of string  (* a constant that does not coerce: the reason *)
+
+let const_coercion (table : Heap.t) i v =
+  match Value.coerce table.Heap.schema.Schema.columns.(i).Schema.ty v with
+  | Ok v -> (Keep, v)
+  | Error msg -> (Fails msg, v)
+
+let coerce_planned (table : Heap.t) plan row =
+  for i = 0 to Array.length plan - 1 do
+    match Array.unsafe_get plan i with
+    | Keep -> ()
+    | Coerce -> row.(i) <- coerce_col table i row.(i)
+    | Fails msg -> coercion_failed table i msg
+  done
 
 let check_not_null (table : Heap.t) row =
   Array.iteri
@@ -669,8 +696,8 @@ let check_fk_for_row ctx (txn : Txn.t) (table : Heap.t) row =
       | Schema.Check _ | Schema.Unique _ -> ())
     table.Heap.schema.Schema.constraints
 
-let insert_row ctx txn (table : Heap.t) ?(on_conflict_do_nothing = false) row =
-  let row = coerce_row table row in
+(* [row] is fresh and coerced. *)
+let insert_coerced ctx txn (table : Heap.t) ~on_conflict_do_nothing row =
   check_not_null table row;
   check_checks txn table row;
   check_fk_for_row ctx txn table row;
@@ -681,12 +708,16 @@ let insert_row ctx txn (table : Heap.t) ?(on_conflict_do_nothing = false) row =
       Some tid
   | exception Db_error.Constraint_violation _ when on_conflict_do_nothing -> None
 
+let insert_row ctx txn (table : Heap.t) ?(on_conflict_do_nothing = false) row =
+  insert_coerced ctx txn table ~on_conflict_do_nothing (coerce_row table row)
+
 (* Updates and deletes of existing rows are where write-write conflicts
    live, so they take the row's exclusive lock (2PL — held to commit) —
    inserts allocate fresh TIDs no concurrent transaction can address, so
-   they skip the lock manager entirely, and readers never touch it. *)
+   they skip the lock manager entirely, and readers never touch it.
+   [row] is coerced already: its assigned columns by the compiled
+   UPDATE, the rest as they were stored. *)
 let update_row ctx txn (table : Heap.t) tid row =
-  let row = coerce_row table row in
   check_not_null table row;
   check_checks txn table row;
   check_fk_for_row ctx txn table row;
@@ -1023,25 +1054,31 @@ let compile_write ?(params = [||]) ctx txn (stmt : Ast.stmt) : write =
         | None -> Array.init arity (fun i -> i)
         | Some cols -> Array.of_list (List.map (Schema.col_index_exn schema) cols)
       in
+      (* A row starts as the coerced defaults; each row then fills its
+         target columns. *)
       let defaults =
-        Array.map
-          (fun (c : Schema.column) -> Option.value c.Schema.default ~default:Value.Null)
+        Array.mapi
+          (fun i (c : Schema.column) ->
+            const_coercion heap i (Option.value c.Schema.default ~default:Value.Null))
           schema.Schema.columns
       in
-      let build_row values =
-        if Array.length values <> Array.length positions then
-          err "INSERT has %d expressions but %d target columns" (Array.length values)
-            (Array.length positions);
-        let row = Array.copy defaults in
-        Array.iteri (fun j pos -> row.(pos) <- values.(j)) positions;
-        row
+      let template = Array.map snd defaults and default_plan = Array.map fst defaults in
+      let shape_error n =
+        err "INSERT has %d expressions but %d target columns" n (Array.length positions)
       in
-      let source_rows : Value.t array -> Txn.t -> Value.t array list =
+      (* Each source row becomes a fresh row, in two passes as before:
+         every row's expressions are evaluated first, then each row is
+         coerced and inserted in turn.  [(row, plan, n)] carries the
+         row, its coercion plan and its expression count. *)
+      let source_rows : Value.t array -> Txn.t -> (Value.t array * col_coercion array * int) list =
         match source with
         | Ast.Values rows ->
             (* A compile error is deferred to the expression's turn, so a
                row raises the same error as when each expression was
-               compiled and evaluated in order. *)
+               compiled and evaluated in order.  A literal is coerced
+               here, once; the other expressions are evaluated per row
+               ([pos] -1: a later expression of the row sets the same
+               column). *)
             let pctx = planner_ctx ~params ctx txn in
             let compile e =
               match Expr.compile_env (Planner.compile_const pctx e) with
@@ -1049,19 +1086,68 @@ let compile_write ?(params = [||]) ctx txn (stmt : Ast.stmt) : write =
               | exception ((Db_error.Sql_error _ | Expr.Eval_error _) as ex) ->
                   fun _ _ -> raise ex
             in
-            let rows = List.map (fun exprs -> Array.of_list (List.map compile exprs)) rows in
-            fun params _txn -> List.map (Array.map (fun f -> f params [||])) rows
+            let last = Array.make arity (-1) in
+            Array.iteri (fun j pos -> last.(pos) <- j) positions;
+            let compile_row exprs =
+              let row = Array.copy template and plan = Array.copy default_plan in
+              let fits = List.length exprs = Array.length positions in
+              let dyn =
+                List.filter_map Fun.id
+                  (List.mapi
+                     (fun j e ->
+                       let pos =
+                         if fits && last.(positions.(j)) = j then positions.(j) else -1
+                       in
+                       match Value.of_ast_literal e with
+                       | Some v ->
+                           if pos >= 0 then begin
+                             let c, v = const_coercion heap pos v in
+                             row.(pos) <- v;
+                             plan.(pos) <- c
+                           end;
+                           None
+                       | None ->
+                           if pos >= 0 then plan.(pos) <- Coerce;
+                           Some (pos, compile e))
+                     exprs)
+              in
+              (row, plan, List.length exprs, Array.of_list dyn)
+            in
+            let rows = List.map compile_row rows in
+            fun params _txn ->
+              List.map
+                (fun (template, plan, n, dyn) ->
+                  let row = Array.copy template in
+                  Array.iter
+                    (fun (pos, f) ->
+                      let v = f params [||] in
+                      if pos >= 0 then row.(pos) <- v)
+                    dyn;
+                  (row, plan, n))
+                rows
         | Ast.Query q -> (
+            let plan = Array.copy default_plan in
+            Array.iter (fun pos -> plan.(pos) <- Coerce) positions;
             fun params txn ->
               match run_select ~params ctx txn q with
-              | Rows (_, rows) -> rows
+              | Rows (_, rows) ->
+                  List.map
+                    (fun values ->
+                      let n = Array.length values in
+                      let row = Array.copy template in
+                      if n = Array.length positions then
+                        Array.iteri (fun j pos -> row.(pos) <- values.(j)) positions;
+                      (row, plan, n))
+                    rows
               | Affected _ | Done _ | Explained _ -> assert false)
       in
       fun params txn ->
         let inserted = ref 0 in
         List.iter
-          (fun values ->
-            match insert_row ctx txn heap ~on_conflict_do_nothing (build_row values) with
+          (fun (row, plan, n) ->
+            if n <> Array.length positions then shape_error n;
+            coerce_planned heap plan row;
+            match insert_coerced ctx txn heap ~on_conflict_do_nothing row with
             | Some _ -> incr inserted
             | None -> ())
           (source_rows params txn);
@@ -1069,10 +1155,22 @@ let compile_write ?(params = [||]) ctx txn (stmt : Ast.stmt) : write =
   | Ast.Update { table; sets; where } ->
       let heap = Catalog.find_table_exn ctx.catalog table in
       let schema = heap.Heap.schema in
+      (* A literal is coerced here, once; the last assignment to a
+         column decides how it is coerced, and the columns no
+         assignment names are left as stored. *)
+      let plan = Array.make (Schema.arity schema) Keep in
       let assignments =
         List.map
           (fun (c, e) ->
-            (Schema.col_index_exn schema c, Expr.compile_env (Schema.compile_expr schema e)))
+            let i = Schema.col_index_exn schema c in
+            match Value.of_ast_literal e with
+            | Some v ->
+                let c, v = const_coercion heap i v in
+                plan.(i) <- c;
+                (i, fun _ _ -> v)
+            | None ->
+                plan.(i) <- Coerce;
+                (i, Expr.compile_env (Schema.compile_expr schema e)))
           sets
       in
       let pred = Access.compile_pred heap where in
@@ -1082,6 +1180,7 @@ let compile_write ?(params = [||]) ctx txn (stmt : Ast.stmt) : write =
           (fun (tid, row) ->
             let row' = Array.copy row in
             List.iter (fun (i, f) -> row'.(i) <- f params row) assignments;
+            coerce_planned heap plan row';
             update_row ctx txn heap tid row')
           targets;
         Affected (List.length targets)

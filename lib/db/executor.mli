@@ -69,8 +69,6 @@ val insert_row :
   int option
 (** Returns the new TID, or [None] when a conflict was ignored. *)
 
-val update_row : exec_ctx -> Txn.t -> Heap.t -> int -> Value.t array -> unit
-
 val delete_row : exec_ctx -> Txn.t -> Heap.t -> int -> unit
 
 val check_fk_for_row : exec_ctx -> Txn.t -> Heap.t -> Value.t array -> unit

@@ -40,6 +40,12 @@ type t = {
   mutable indexes : Index.t list;
   mutable live : int;
   mutable chained : int;  (* versions held in older chains (GC backlog) *)
+  written : int Vec.t;
+      (* TIDs whose head had no older chain when a write gave it one:
+         the only slots GC needs to visit.  A slot's chain can vanish
+         without GC (an abort pops it, column DDL cuts it), so the list
+         may hold chainless TIDs, and now and then one TID twice; GC
+         drops both. *)
   pending_dead : (int, row) Hashtbl.t;
       (* tid -> deleted row whose index entries are deliberately still
          installed: de-indexing is deferred until GC proves no pinned
@@ -59,6 +65,7 @@ let create ~tbl_id ~name schema =
     indexes = [];
     live = 0;
     chained = 0;
+    written = Vec.create ();
     pending_dead = Hashtbl.create 16;
   }
 
@@ -174,6 +181,7 @@ let install_version t tid ~writer ~ts row =
     else begin
       t.chained <- t.chained + 1;
       Obs.Counters.bump c_versions;
+      if cur.v_older == None then Vec.push t.written tid;
       Some cur
     end
   in
@@ -524,52 +532,55 @@ let purge_pending t =
       dead
   end
 
-let gc t ~horizon =
-  if t.chained = 0 && Hashtbl.length t.pending_dead = 0 then 0
+let c_gc_visited = Obs.Counters.make "mvcc.gc_slots_visited"
+
+(* Walk the written-slot list from its front, trimming each slot's
+   chain, until [budget] versions are reclaimed.  A visited slot stays
+   listed only while it still holds a chain; the slots not reached stay
+   listed behind those.  A listed slot with a chain holds at least one
+   chained version, so after a full pass more listed slots than chained
+   versions can only mean repeats: the list is then sorted and its
+   repeats dropped. *)
+let gc ?(budget = max_int) t ~horizon =
+  if Vec.length t.written = 0 && Hashtbl.length t.pending_dead = 0 then 0
   else
     with_latch t (fun () ->
-        let reclaimed = ref 0 in
-        let n = Vec.length t.vers in
-        for tid = 0 to n - 1 do
+        let w = t.written in
+        let n = Vec.length w in
+        let reclaimed = ref 0 and kept = ref 0 and i = ref 0 in
+        while !i < n && !reclaimed < budget do
+          let tid = Vec.get w !i in
           let v = Vec.get t.vers tid in
           if v.v_older != None then begin
             let v', k = trim_chain ~horizon v in
             if k > 0 then begin
               Vec.set t.vers tid v';
               reclaimed := !reclaimed + k
+            end;
+            if v'.v_older != None then begin
+              Vec.set w !kept tid;
+              incr kept
             end
-          end
+          end;
+          incr i
         done;
+        let visited = !i in
+        for j = visited to n - 1 do
+          Vec.set w (!kept + j - visited) (Vec.get w j)
+        done;
+        Vec.truncate w (!kept + n - visited);
         t.chained <- t.chained - !reclaimed;
+        if visited = n && !kept > t.chained then begin
+          let a = Vec.to_array w in
+          Array.sort Int.compare a;
+          Vec.clear w;
+          Array.iteri (fun j tid -> if j = 0 || a.(j - 1) <> tid then Vec.push w tid) a
+        end;
+        Obs.Counters.add c_gc_visited visited;
         purge_pending t;
         !reclaimed)
 
-(* Budgeted variant of [gc]: sweep slots from [start], stopping once at
-   least [budget] versions are reclaimed.  Returns the reclaimed count and
-   the TID to resume from ([None] = the pass reached the end of the
-   table).  Identical per-slot trimming, so interleaving slices with full
-   sweeps is safe at any point. *)
-let gc_slice t ~horizon ~start ~budget =
-  if t.chained = 0 && Hashtbl.length t.pending_dead = 0 then (0, None)
-  else
-    with_latch t (fun () ->
-        let reclaimed = ref 0 in
-        let n = Vec.length t.vers in
-        let tid = ref (max 0 start) in
-        while !tid < n && !reclaimed < budget do
-          let v = Vec.get t.vers !tid in
-          if v.v_older != None then begin
-            let v', k = trim_chain ~horizon v in
-            if k > 0 then begin
-              Vec.set t.vers !tid v';
-              reclaimed := !reclaimed + k
-            end
-          end;
-          incr tid
-        done;
-        t.chained <- t.chained - !reclaimed;
-        purge_pending t;
-        (!reclaimed, if !tid >= n then None else Some !tid))
+let written_slots t = Vec.length t.written
 
 let chained_versions t = t.chained
 

@@ -41,6 +41,10 @@ type t = {
   mutable indexes : Index.t list;
   mutable live : int;
   mutable chained : int;
+  written : int Vec.t;
+      (** TIDs given an older chain since GC last visited them: the
+          slots {!gc} walks (may hold chainless TIDs and repeats, which
+          GC drops) *)
   pending_dead : (int, row) Hashtbl.t;
       (** deleted rows whose index entries are kept until GC proves no
           pinned snapshot can reach them (deferred de-indexing) *)
@@ -161,18 +165,18 @@ val rewrite_in_place : t -> int -> row -> unit
     surface — column DDL cuts version history exactly as it bumps the
     catalog epoch).  Indexes are not touched. *)
 
-val gc : t -> horizon:int -> int
-(** Reclaim every chained version superseded at or below [horizon] (from
+val gc : ?budget:int -> t -> horizon:int -> int
+(** Reclaim chained versions superseded at or below [horizon] (from
     {!Mvcc.horizon}): per slot, versions older than the newest committed
-    version with begin ≤ horizon are dropped.  Returns the number of
-    versions reclaimed.  O(1) when the table has no chained versions. *)
+    version with begin ≤ horizon are dropped.  Only the slots on the
+    written-slot list are visited (counted as [mvcc.gc_slots_visited]),
+    so the work follows the writes since the last GC, not the table's
+    size.  With [budget], the walk stops once at least [budget] versions
+    are reclaimed and the unvisited slots stay listed for the next call.
+    Returns the number of versions reclaimed. *)
 
-val gc_slice : t -> horizon:int -> start:int -> budget:int -> int * int option
-(** Incremental {!gc}: sweep TIDs from [start] upward, stopping once at
-    least [budget] versions have been reclaimed.  Returns the versions
-    reclaimed and the TID to resume from ([None] when the pass reached the
-    end of the table).  Per-slot trimming is identical to {!gc}, so slices
-    and full sweeps compose freely. *)
+val written_slots : t -> int
+(** Length of the written-slot list: the slots the next {!gc} visits. *)
 
 val chained_versions : t -> int
 (** Number of versions currently held in older chains (GC backlog). *)

@@ -3,26 +3,38 @@ type kind = Hash | Ordered
 module Key = struct
   type t = Value.t array
 
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec loop i = i >= Array.length a || (Value.equal a.(i) b.(i) && loop (i + 1)) in
-    loop 0
+  (* The loops below are top-level functions: a local [let rec] would
+     allocate its closure on every call, and an ordered descent makes
+     about [log2 n] of these calls.  Int/Int pairs, the common key
+     component, skip the generic [Value] comparison; every other pair
+     (mixed Int/Float included) falls back to it, so the order is
+     exactly [Value.compare]'s. *)
+  let[@inline] value_equal x y =
+    match (x, y) with Value.Int a, Value.Int b -> Int.equal a b | _ -> Value.equal x y
+
+  let[@inline] value_compare x y =
+    match (x, y) with Value.Int a, Value.Int b -> Int.compare a b | _ -> Value.compare x y
+
+  let rec equal_from a b i n =
+    i >= n || (value_equal (Array.unsafe_get a i) (Array.unsafe_get b i) && equal_from a b (i + 1) n)
+
+  let equal a b = Array.length a = Array.length b && equal_from a b 0 (Array.length a)
 
   let hash = Value.hash_key
 
   (* Lexicographic; a proper prefix sorts before its extensions. *)
-  let compare a b =
-    let la = Array.length a and lb = Array.length b in
-    let rec loop i =
-      if i >= la && i >= lb then 0
-      else if i >= la then -1
-      else if i >= lb then 1
-      else
-        let c = Value.compare a.(i) b.(i) in
-        if c <> 0 then c else loop (i + 1)
-    in
-    loop 0
+  let rec compare_from a b i la lb =
+    if i >= la then if i >= lb then 0 else -1
+    else if i >= lb then 1
+    else
+      let c = value_compare (Array.unsafe_get a i) (Array.unsafe_get b i) in
+      if c <> 0 then c else compare_from a b (i + 1) la lb
+
+  let compare a b = compare_from a b 0 (Array.length a) (Array.length b)
+
+  (* [key]'s first components equal [prefix]. *)
+  let has_prefix key prefix =
+    Array.length key >= Array.length prefix && equal_from key prefix 0 (Array.length prefix)
 end
 
 (* Array-chained hash table specialised for index cells: entry [e] lives
@@ -120,26 +132,20 @@ module Htab = struct
 
   let presize t n = if n > num_buckets t then grow_to t (pow2_above 16 n)
 
-  let find_idx t key =
-    let next = t.next in
-    if t.arity1 then begin
-      let v = key.(0) and vals = t.vals in
-      let rec walk e =
-        if e < 0 then -1
-        else if Value.equal (Array.unsafe_get vals e) v then e
-        else walk (Array.unsafe_get next e)
-      in
-      walk t.buckets.(slot t key)
-    end
-    else begin
-      let keys = t.keys in
-      let rec walk e =
-        if e < 0 then -1
-        else if Key.equal (Array.unsafe_get keys e) key then e
-        else walk (Array.unsafe_get next e)
-      in
-      walk t.buckets.(slot t key)
-    end
+  (* Chain walks, top-level so a probe allocates no closure. *)
+  let rec find1 vals next v e =
+    if e < 0 || Key.value_equal (Array.unsafe_get vals e) v then e
+    else find1 vals next v (Array.unsafe_get next e)
+
+  let rec findn keys next key e =
+    if e < 0 || Key.equal (Array.unsafe_get keys e) key then e
+    else findn keys next key (Array.unsafe_get next e)
+
+  let find_in t s key =
+    if t.arity1 then find1 t.vals t.next key.(0) t.buckets.(s)
+    else findn t.keys t.next key t.buckets.(s)
+
+  let find_idx t key = find_in t (slot t key) key
 
   let alloc_entry t =
     if t.free >= 0 then begin
@@ -165,40 +171,17 @@ module Htab = struct
   let find_or_add t key tid ~copy =
     if t.free < 0 && t.limit >= Array.length t.buckets then
       grow_to t (2 * Array.length t.buckets);
-    let next = t.next in
-    if t.arity1 then begin
-      let v = key.(0) and vals = t.vals in
-      let s = slot t key in
-      let rec walk e =
-        if e < 0 then begin
-          let e = alloc_entry t in
-          vals.(e) <- v;
-          t.tid0.(e) <- tid;
-          t.rest.(e) <- [];
-          install t s e;
-          -1
-        end
-        else if Value.equal (Array.unsafe_get vals e) v then e
-        else walk (Array.unsafe_get next e)
-      in
-      walk t.buckets.(s)
-    end
+    let s = slot t key in
+    let e = find_in t s key in
+    if e >= 0 then e
     else begin
-      let keys = t.keys in
-      let s = slot t key in
-      let rec walk e =
-        if e < 0 then begin
-          let e = alloc_entry t in
-          keys.(e) <- (if copy then Array.copy key else key);
-          t.tid0.(e) <- tid;
-          t.rest.(e) <- [];
-          install t s e;
-          -1
-        end
-        else if Key.equal (Array.unsafe_get keys e) key then e
-        else walk (Array.unsafe_get next e)
-      in
-      walk t.buckets.(s)
+      let e = alloc_entry t in
+      if t.arity1 then t.vals.(e) <- key.(0)
+      else t.keys.(e) <- (if copy then Array.copy key else key);
+      t.tid0.(e) <- tid;
+      t.rest.(e) <- [];
+      install t s e;
+      -1
     end
 
   (* TID lists keep newest-first order (the entry's [tid0] is the newest)
@@ -222,7 +205,7 @@ module Htab = struct
     let rec unlink prev e =
       if e < 0 then ()
       else if
-        if t.arity1 then Value.equal t.vals.(e) key.(0) else Key.equal t.keys.(e) key
+        if t.arity1 then Key.value_equal t.vals.(e) key.(0) else Key.equal t.keys.(e) key
       then begin
         if prev < 0 then t.buckets.(s) <- t.next.(e) else t.next.(prev) <- t.next.(e);
         if t.arity1 then t.vals.(e) <- dummy_val else t.keys.(e) <- dummy_key;
@@ -249,11 +232,255 @@ module Htab = struct
     t.free <- -1
 end
 
-module Omap = Map.Make (Key)
+(* The ordered store: a mutable B+-tree.  Entries live in the leaves,
+   sorted by [Key.compare], each key with its TID list (newest first);
+   the leaves are linked both ways, so a range is one descent and then
+   a walk along the leaf chain.  An inner node with [len] children holds
+   [len - 1] separators: [keys.(i)] is a lower bound of child [i + 1]
+   and above every key of child [i].  Inserting splits every full node
+   on its way down, so an insert is one descent; a removal that empties
+   a node unlinks it from its parent, so no walk ever crosses an empty
+   leaf (nodes that are merely underfull stay as they are).
+
+   The tree is mutable, so a reader racing a writer could see a leaf
+   mid-split.  Every operation holds the tree's own latch: writers
+   (which already hold their heap's latch) and readers alike.  The
+   callbacks a read passes ([keep], the fold's [f]) run under it, so
+   they must not write this index. *)
+module Btree = struct
+  let width = 32 (* entries per leaf and children per inner node, at most *)
+
+  type node = {
+    mutable len : int;
+    keys : Key.t array;  (* leaf: entry keys; inner: separators *)
+    tids : int list array;  (* leaf: each key's TIDs; inner: [||] *)
+    kids : node array;  (* inner: children; leaf: [||] *)
+    mutable next : node;  (* leaf chain; [nil] past either end *)
+    mutable prev : node;
+  }
+
+  let rec nil = { len = 0; keys = [||]; tids = [||]; kids = [||]; next = nil; prev = nil }
+
+  let no_key : Key.t = [||]
+
+  let is_leaf n = Array.length n.kids = 0
+
+  let new_leaf () =
+    {
+      len = 0;
+      keys = Array.make width no_key;
+      tids = Array.make width [];
+      kids = [||];
+      next = nil;
+      prev = nil;
+    }
+
+  let new_inner () =
+    {
+      len = 0;
+      keys = Array.make width no_key;
+      tids = [||];
+      kids = Array.make width nil;
+      next = nil;
+      prev = nil;
+    }
+
+  type t = {
+    mutable root : node;
+    mutable size : int;  (* distinct keys *)
+    latch : Mutex.t;
+    (* where the last [seek]/[descend] stopped: a leaf and a position *)
+    mutable leaf : node;
+    mutable pos : int;
+  }
+
+  let create () = { root = new_leaf (); size = 0; latch = Mutex.create (); leaf = nil; pos = 0 }
+
+  let clear t =
+    t.root <- new_leaf ();
+    t.size <- 0
+
+  (* First entry of leaf [n] at or above [key]. *)
+  let rec lower_bound n key lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if Key.compare (Array.unsafe_get n.keys mid) key < 0 then lower_bound n key (mid + 1) hi
+      else lower_bound n key lo mid
+
+  (* Child of inner node [n] whose range holds [key]: the number of
+     separators at or below it. *)
+  let rec child_index n key lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) lsr 1 in
+      if Key.compare key (Array.unsafe_get n.keys mid) < 0 then child_index n key lo mid
+      else child_index n key (mid + 1) hi
+
+  (* Put [right] at child position [i + 1] of [parent], [sep] before it. *)
+  let insert_kid parent i sep right =
+    let n = parent.len in
+    Array.blit parent.kids (i + 1) parent.kids (i + 2) (n - i - 1);
+    Array.blit parent.keys i parent.keys (i + 1) (n - 1 - i);
+    parent.kids.(i + 1) <- right;
+    parent.keys.(i) <- sep;
+    parent.len <- n + 1
+
+  (* Split the full child [i] of [parent] (which has room) in two. *)
+  let split parent i child =
+    let half = width / 2 in
+    let m = child.len - half in
+    if is_leaf child then begin
+      let right = new_leaf () in
+      Array.blit child.keys half right.keys 0 m;
+      Array.blit child.tids half right.tids 0 m;
+      Array.fill child.keys half m no_key;
+      Array.fill child.tids half m [];
+      right.len <- m;
+      child.len <- half;
+      right.next <- child.next;
+      right.prev <- child;
+      if child.next != nil then child.next.prev <- right;
+      child.next <- right;
+      insert_kid parent i right.keys.(0) right
+    end
+    else begin
+      let right = new_inner () in
+      Array.blit child.kids half right.kids 0 m;
+      Array.blit child.keys half right.keys 0 (m - 1);
+      let sep = child.keys.(half - 1) in
+      Array.fill child.kids half m nil;
+      Array.fill child.keys (half - 1) m no_key;
+      right.len <- m;
+      child.len <- half;
+      insert_kid parent i sep right
+    end
+
+  (* The insert descent: split the root and every full node on the way
+     down, so the leaf reached has room for one more entry.  Leaves
+     [t.leaf]/[t.pos] at [key]'s slot and returns whether an entry with
+     an equal key is already there. *)
+  let descend t key =
+    if t.root.len = width then begin
+      let root = new_inner () in
+      root.kids.(0) <- t.root;
+      root.len <- 1;
+      split root 0 t.root;
+      t.root <- root
+    end;
+    let rec go n =
+      if is_leaf n then n
+      else
+        let i = child_index n key 0 (n.len - 1) in
+        let kid = n.kids.(i) in
+        if kid.len = width then begin
+          split n i kid;
+          go (if Key.compare key n.keys.(i) < 0 then kid else n.kids.(i + 1))
+        end
+        else go kid
+    in
+    let leaf = go t.root in
+    let p = lower_bound leaf key 0 leaf.len in
+    t.leaf <- leaf;
+    t.pos <- p;
+    p < leaf.len && Key.compare leaf.keys.(p) key = 0
+
+  (* After a [descend] that found no entry: add one at the slot. *)
+  let add_at t key tids =
+    let leaf = t.leaf and p = t.pos in
+    let n = leaf.len in
+    Array.blit leaf.keys p leaf.keys (p + 1) (n - p);
+    Array.blit leaf.tids p leaf.tids (p + 1) (n - p);
+    leaf.keys.(p) <- key;
+    leaf.tids.(p) <- tids;
+    leaf.len <- n + 1;
+    t.size <- t.size + 1
+
+  (* Position the cursor at the first entry at or above [key]
+     ([t.leaf == nil] when there is none). *)
+  let seek t key =
+    let rec go n =
+      if is_leaf n then n else go n.kids.(child_index n key 0 (n.len - 1))
+    in
+    let leaf = go t.root in
+    let p = lower_bound leaf key 0 leaf.len in
+    if p < leaf.len then begin
+      t.leaf <- leaf;
+      t.pos <- p
+    end
+    else begin
+      t.leaf <- leaf.next;
+      t.pos <- 0
+    end
+
+  let find t key =
+    seek t key;
+    if t.leaf != nil && Key.compare t.leaf.keys.(t.pos) key = 0 then t.leaf.tids.(t.pos)
+    else []
+
+  (* Drop entry [p] of [leaf], or child [i] of an inner node with the
+     separator that bounded it. *)
+  let drop_entry leaf p =
+    let n = leaf.len in
+    Array.blit leaf.keys (p + 1) leaf.keys p (n - p - 1);
+    Array.blit leaf.tids (p + 1) leaf.tids p (n - p - 1);
+    leaf.keys.(n - 1) <- no_key;
+    leaf.tids.(n - 1) <- [];
+    leaf.len <- n - 1
+
+  let drop_kid n i =
+    let len = n.len in
+    Array.blit n.kids (i + 1) n.kids i (len - i - 1);
+    n.kids.(len - 1) <- nil;
+    if len > 1 then begin
+      let s = max 0 (i - 1) in
+      Array.blit n.keys (s + 1) n.keys s (len - 2 - s);
+      n.keys.(len - 2) <- no_key
+    end;
+    n.len <- len - 1
+
+  let unlink leaf =
+    if leaf.prev != nil then leaf.prev.next <- leaf.next;
+    if leaf.next != nil then leaf.next.prev <- leaf.prev
+
+  (* Apply [update] to [key]'s entry: it returns the entry's new TID
+     list, [[]] to drop the entry.  Nodes left empty are unlinked on the
+     way back up; a root left with one child is replaced by it. *)
+  let rec update_in t n key update =
+    if is_leaf n then begin
+      let p = lower_bound n key 0 n.len in
+      if p < n.len && Key.compare n.keys.(p) key = 0 then begin
+        match update n.tids.(p) with
+        | [] ->
+            drop_entry n p;
+            t.size <- t.size - 1
+        | tids ->
+            n.keys.(p) <- key;
+            n.tids.(p) <- tids
+      end;
+      n.len = 0
+    end
+    else begin
+      let i = child_index n key 0 (n.len - 1) in
+      let kid = n.kids.(i) in
+      if update_in t kid key update then begin
+        if is_leaf kid then unlink kid;
+        drop_kid n i
+      end;
+      n.len = 0
+    end
+
+  let update t key f =
+    if update_in t t.root key f then t.root <- new_leaf ()
+    else
+      while (not (is_leaf t.root)) && t.root.len = 1 do
+        t.root <- t.root.kids.(0)
+      done
+end
 
 type store =
   | S_hash of Htab.t
-  | S_ordered of int list Omap.t ref
+  | S_ordered of Btree.t
 
 type t = {
   idx_name : string;
@@ -267,7 +494,7 @@ let create ?(kind = Hash) ?(expected = 1024) ~name ~key_cols ~unique () =
   let store =
     match kind with
     | Hash -> S_hash (Htab.create ~arity1:(Array.length key_cols = 1) (max expected 16))
-    | Ordered -> S_ordered (ref Omap.empty)
+    | Ordered -> S_ordered (Btree.create ())
   in
   { idx_name = name; cols = key_cols; unique; store; count = 0 }
 
@@ -309,6 +536,36 @@ let dup_error t key =
     "duplicate key value violates unique constraint %S: key (%s) already exists"
     t.idx_name (key_string key)
 
+(* The ordered store's operations hold its latch (see [Btree]).  They
+   lock and unlock by hand, not through a closure, so an insert
+   allocates nothing for it. *)
+let unlock_raise (bt : Btree.t) e =
+  Mutex.unlock bt.Btree.latch;
+  raise e
+
+let every_tid_live (_ : int) = true
+
+(* One descent: find the key's entry or add one.  A unique index
+   rejects an existing key when one of its TIDs is [live]; otherwise
+   the TID joins the entry, and the entry keeps the key just written
+   (as a [Map.add] over an equal key would). *)
+let ordered_insert t bt ~copy ~live key tid =
+  Mutex.lock bt.Btree.latch;
+  match
+    if Btree.descend bt key then begin
+      let leaf = bt.Btree.leaf and p = bt.Btree.pos in
+      let tids = leaf.Btree.tids.(p) in
+      if t.unique && List.exists live tids then dup_error t key;
+      leaf.Btree.keys.(p) <- (if copy then Array.copy key else key);
+      leaf.Btree.tids.(p) <- tid :: tids
+    end
+    else Btree.add_at bt (if copy then Array.copy key else key) [ tid ]
+  with
+  | () ->
+      Mutex.unlock bt.Btree.latch;
+      t.count <- t.count + 1
+  | exception e -> unlock_raise bt e
+
 (* [copy] guards against callers retaining and mutating the key array;
    fresh-array callers (everything inside {!Heap}) use the owned variant
    to skip the defensive copy. *)
@@ -322,17 +579,7 @@ let insert_gen ~copy t key tid =
         Htab.push_tid tbl e tid;
         t.count <- t.count + 1
       end
-  | S_ordered map -> (
-      match Omap.find_opt key !map with
-      | None ->
-          map := Omap.add (if copy then Array.copy key else key) [ tid ] !map;
-          t.count <- t.count + 1
-      | Some tids ->
-          if t.unique then dup_error t key
-          else begin
-            map := Omap.add key (tid :: tids) !map;
-            t.count <- t.count + 1
-          end)
+  | S_ordered bt -> ordered_insert t bt ~copy ~live:every_tid_live key tid
 
 let insert t key tid = insert_gen ~copy:true t key tid
 
@@ -351,15 +598,7 @@ let insert_live t ~live key tid =
         Htab.push_tid tbl e tid;
         t.count <- t.count + 1
       end
-  | S_ordered map -> (
-      match Omap.find_opt key !map with
-      | None ->
-          map := Omap.add key [ tid ] !map;
-          t.count <- t.count + 1
-      | Some tids ->
-          if t.unique && List.exists live tids then dup_error t key;
-          map := Omap.add key (tid :: tids) !map;
-          t.count <- t.count + 1)
+  | S_ordered bt -> ordered_insert t bt ~copy:false ~live key tid
 
 (* Drop every occurrence of [tid], counting removals in the same pass
    (TIDs are ints: compare with [Int.equal], never polymorphically). *)
@@ -386,14 +625,13 @@ let remove t key tid =
         t.count <- t.count - removed;
         if rest = [] then Htab.remove tbl key else Htab.set_tids tbl e rest
       end
-  | S_ordered map -> (
-      match Omap.find_opt key !map with
-      | None -> ()
-      | Some tids ->
+  | S_ordered bt ->
+      Mutex.lock bt.Btree.latch;
+      Btree.update bt key (fun tids ->
           let rest, removed = remove_tid tids tid in
           t.count <- t.count - removed;
-          if rest = [] then map := Omap.remove key !map
-          else map := Omap.add key rest !map)
+          rest);
+      Mutex.unlock bt.Btree.latch
 
 let c_probes = Obs.Counters.make "db.index.probes"
 
@@ -410,26 +648,36 @@ let note_probe tbl key =
     if chain > 1 then Obs.Counters.add c_collisions (chain - 1)
   end
 
+let ordered_find bt key =
+  Obs.Counters.bump c_probes;
+  Mutex.lock bt.Btree.latch;
+  let tids = Btree.find bt key in
+  Mutex.unlock bt.Btree.latch;
+  tids
+
 let find t key =
   match t.store with
   | S_hash tbl ->
       note_probe tbl key;
       let e = Htab.find_idx tbl key in
       if e >= 0 then Htab.get_tids tbl e else []
-  | S_ordered map -> (
-      Obs.Counters.bump c_probes;
-      match Omap.find_opt key !map with None -> [] | Some tids -> tids)
+  | S_ordered bt -> ordered_find bt key
 
 let mem t key =
   match t.store with
   | S_hash tbl ->
       note_probe tbl key;
       Htab.find_idx tbl key >= 0
-  | S_ordered map ->
-      Obs.Counters.bump c_probes;
-      Omap.mem key !map
+  | S_ordered bt -> ordered_find bt key <> []
 
 let entry_count t = t.count
+
+(* An array and an in-place sort: a list sort would allocate a cons per
+   TID per merge level. *)
+let sorted_tids tids =
+  let a = Array.of_list tids in
+  Array.sort Int.compare a;
+  a
 
 type stats = {
   s_entries : int;  (** TID entries (duplicates counted) *)
@@ -441,10 +689,10 @@ type stats = {
 
 let stats t =
   match t.store with
-  | S_ordered map ->
+  | S_ordered bt ->
       {
         s_entries = t.count;
-        s_keys = Omap.cardinal !map;
+        s_keys = bt.Btree.size;
         s_buckets = 0;
         s_max_chain = 0;
         s_load = 0.0;
@@ -467,89 +715,103 @@ let stats t =
 let clear t =
   (match t.store with
   | S_hash tbl -> Htab.reset tbl
-  | S_ordered map -> map := Omap.empty);
+  | S_ordered bt ->
+      Mutex.lock bt.Btree.latch;
+      Btree.clear bt;
+      Mutex.unlock bt.Btree.latch);
   t.count <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Ordered operations                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Each one seeks under the latch, then walks the leaf chain from the
+   cursor; the walks are top-level loops over (leaf, position). *)
 let ordered_exn t op =
   match t.store with
-  | S_ordered map -> map
+  | S_ordered bt -> bt
   | S_hash _ ->
       invalid_arg (Printf.sprintf "Index.%s: %S is a hash index" op t.idx_name)
-
-let has_prefix key prefix =
-  Array.length key >= Array.length prefix
-  &&
-  let rec loop i =
-    i >= Array.length prefix || (Value.equal key.(i) prefix.(i) && loop (i + 1))
-  in
-  loop 0
 
 let entry_kept keep tids =
   match keep with None -> true | Some f -> List.exists f tids
 
+let rec first_kept keep prefix (leaf : Btree.node) p =
+  if leaf == Btree.nil then None
+  else if p >= leaf.Btree.len then first_kept keep prefix leaf.Btree.next 0
+  else
+    let k = leaf.Btree.keys.(p) in
+    if not (Key.has_prefix k prefix) then None
+    else if entry_kept keep leaf.Btree.tids.(p) then Some (k, leaf.Btree.tids.(p))
+    else first_kept keep prefix leaf (p + 1)
+
+(* [bl]/[bp]: the last kept entry seen so far ([Btree.nil] for none). *)
+let rec last_kept keep prefix (bl : Btree.node) bp (leaf : Btree.node) p =
+  if leaf == Btree.nil then
+    if bl == Btree.nil then None else Some (bl.Btree.keys.(bp), bl.Btree.tids.(bp))
+  else if p >= leaf.Btree.len then last_kept keep prefix bl bp leaf.Btree.next 0
+  else if not (Key.has_prefix leaf.Btree.keys.(p) prefix) then
+    last_kept keep prefix bl bp Btree.nil 0
+  else if entry_kept keep leaf.Btree.tids.(p) then last_kept keep prefix leaf p leaf (p + 1)
+  else last_kept keep prefix bl bp leaf (p + 1)
+
+(* Keys extending [prefix] in order; the component after the prefix
+   must satisfy [lo <= v < hi].  A key equal to the prefix passes [hi]
+   but fails a [lo]. *)
+let rec fold_from prefix plen lo hi f acc (leaf : Btree.node) p =
+  if leaf == Btree.nil then acc
+  else if p >= leaf.Btree.len then fold_from prefix plen lo hi f acc leaf.Btree.next 0
+  else
+    let k = leaf.Btree.keys.(p) in
+    if not (Key.has_prefix k prefix) then acc
+    else
+      let longer = Array.length k > plen in
+      let below_hi =
+        match hi with None -> true | Some h -> (not longer) || Key.value_compare k.(plen) h < 0
+      in
+      if not below_hi then acc
+      else
+        let above_lo =
+          match lo with None -> true | Some l -> longer && Key.value_compare k.(plen) l >= 0
+        in
+        let acc = if above_lo then f acc k leaf.Btree.tids.(p) else acc in
+        fold_from prefix plen lo hi f acc leaf (p + 1)
+
+(* The prefix itself sorts before all of its extensions; keys whose
+   every TID fails [keep] are transparent (dead entries pending GC). *)
 let min_with_prefix ?keep t prefix =
-  let map = ordered_exn t "min_with_prefix" in
-  (* The prefix itself sorts before all of its extensions; keys whose
-     every TID fails [keep] are transparent (dead entries pending GC). *)
-  let best = ref None in
-  (try
-     Omap.to_seq_from prefix !map
-     |> Seq.iter (fun (k, tids) ->
-            if not (has_prefix k prefix) then raise Exit
-            else if entry_kept keep tids then begin
-              best := Some (k, tids);
-              raise Exit
-            end)
-   with Exit -> ());
-  !best
+  let bt = ordered_exn t "min_with_prefix" in
+  Mutex.lock bt.Btree.latch;
+  match
+    Btree.seek bt prefix;
+    first_kept keep prefix bt.Btree.leaf bt.Btree.pos
+  with
+  | hit ->
+      Mutex.unlock bt.Btree.latch;
+      hit
+  | exception e -> unlock_raise bt e
 
 let max_with_prefix ?keep t prefix =
-  let map = ordered_exn t "max_with_prefix" in
-  (* Walk the range ascending; maps have no reverse cursor from a bound,
-     and prefix groups are small in practice. *)
-  let best = ref None in
-  (try
-     Omap.to_seq_from prefix !map
-     |> Seq.iter (fun (k, tids) ->
-            if not (has_prefix k prefix) then raise Exit
-            else if entry_kept keep tids then best := Some (k, tids))
-   with Exit -> ());
-  !best
+  let bt = ordered_exn t "max_with_prefix" in
+  Mutex.lock bt.Btree.latch;
+  match
+    Btree.seek bt prefix;
+    last_kept keep prefix Btree.nil 0 bt.Btree.leaf bt.Btree.pos
+  with
+  | hit ->
+      Mutex.unlock bt.Btree.latch;
+      hit
+  | exception e -> unlock_raise bt e
 
 let fold_prefix_range t ~prefix ?lo ?hi ~init ~f () =
-  let map = ordered_exn t "fold_prefix_range" in
-  let start =
-    match lo with
-    | None -> prefix
-    | Some v -> Array.append prefix [| v |]
-  in
-  let acc = ref init in
-  (try
-     Omap.to_seq_from start !map
-     |> Seq.iter (fun (k, tids) ->
-            if not (has_prefix k prefix) then raise Exit
-            else begin
-              let next = if Array.length k > Array.length prefix then Some k.(Array.length prefix) else None in
-              let ok_hi =
-                match (hi, next) with
-                | None, _ -> true
-                | Some _, None -> true
-                | Some h, Some v -> Value.compare v h < 0
-              in
-              if not ok_hi then raise Exit
-              else begin
-                let ok_lo =
-                  match (lo, next) with
-                  | None, _ -> true
-                  | Some _, None -> false
-                  | Some l, Some v -> Value.compare v l >= 0
-                in
-                if ok_lo then acc := f !acc k tids
-              end
-            end)
-   with Exit -> ());
-  !acc
+  let bt = ordered_exn t "fold_prefix_range" in
+  let start = match lo with None -> prefix | Some v -> Array.append prefix [| v |] in
+  Mutex.lock bt.Btree.latch;
+  match
+    Btree.seek bt start;
+    fold_from prefix (Array.length prefix) lo hi f init bt.Btree.leaf bt.Btree.pos
+  with
+  | acc ->
+      Mutex.unlock bt.Btree.latch;
+      acc
+  | exception e -> unlock_raise bt e

@@ -68,6 +68,9 @@ val mem : t -> Value.t array -> bool
 
 val entry_count : t -> int
 
+val sorted_tids : int list -> int array
+(** A probe's TIDs in ascending order (the order rows are fetched in). *)
+
 type stats = {
   s_entries : int;  (** TID entries (duplicates counted) *)
   s_keys : int;  (** distinct keys *)

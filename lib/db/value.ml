@@ -167,49 +167,51 @@ let parse_timestamp s =
     | Some days -> Some (float_of_int days *. 86400.0)
     | None -> None)
 
-let rec coerce ty v =
+exception Coercion_error of string
+
+(* Returns [v] itself when it already has the column's type, so the
+   common case allocates nothing. *)
+let coerce_exn ty v =
   let open Bullfrog_sql.Ast in
   let fail () =
-    Error
-      (Printf.sprintf "cannot coerce %s value %s to %s" (type_name v)
-         (to_string v)
-         (Bullfrog_sql.Pretty.type_to_string ty))
+    raise
+      (Coercion_error
+         (Printf.sprintf "cannot coerce %s value %s to %s" (type_name v) (to_string v)
+            (Bullfrog_sql.Pretty.type_to_string ty)))
   in
   match (ty, v) with
-  | _, Null -> Ok Null
-  | (T_int | T_decimal (_, 0)), Int _ -> Ok v
-  | (T_int | T_decimal (_, 0)), Float f when Float.is_integer f ->
-      Ok (Int (int_of_float f))
-  | T_int, Float f -> Ok (Int (int_of_float (Float.round f)))
-  | (T_float | T_decimal _), Int i -> Ok (Float (float_of_int i))
-  | (T_float | T_decimal _), Float _ -> Ok v
-  | T_bool, Bool _ -> Ok v
-  | T_text, Str _ -> Ok v
+  | _, Null -> Null
+  | (T_int | T_decimal (_, 0)), Int _ -> v
+  | (T_int | T_decimal (_, 0)), Float f when Float.is_integer f -> Int (int_of_float f)
+  | T_int, Float f -> Int (int_of_float (Float.round f))
+  | (T_float | T_decimal _), Int i -> Float (float_of_int i)
+  | (T_float | T_decimal _), Float _ -> v
+  | T_bool, Bool _ -> v
+  | T_text, Str _ -> v
   | (T_char n | T_varchar n), Str s ->
-      if String.length s <= n then Ok v
-      else Error (Printf.sprintf "value %S too long for %s" s (Bullfrog_sql.Pretty.type_to_string ty))
-  | T_date, Date _ -> Ok v
-  | T_date, Timestamp ts -> Ok (Date (int_of_float (Float.floor (ts /. 86400.0))))
-  | T_date, Str s -> (
-      match parse_date s with Some d -> Ok (Date d) | None -> fail ())
-  | T_timestamp, Timestamp _ -> Ok v
-  | T_timestamp, Date d -> Ok (Timestamp (float_of_int d *. 86400.0))
+      if String.length s <= n then v
+      else
+        raise
+          (Coercion_error
+             (Printf.sprintf "value %S too long for %s" s (Bullfrog_sql.Pretty.type_to_string ty)))
+  | T_date, Date _ -> v
+  | T_date, Timestamp ts -> Date (int_of_float (Float.floor (ts /. 86400.0)))
+  | T_date, Str s -> ( match parse_date s with Some d -> Date d | None -> fail ())
+  | T_timestamp, Timestamp _ -> v
+  | T_timestamp, Date d -> Timestamp (float_of_int d *. 86400.0)
   | T_timestamp, Str s -> (
-      match parse_timestamp s with Some ts -> Ok (Timestamp ts) | None -> fail ())
-  | T_timestamp, Float f -> Ok (Timestamp f)
+      match parse_timestamp s with Some ts -> Timestamp ts | None -> fail ())
+  | T_timestamp, Float f -> Timestamp f
   | (T_int | T_float | T_decimal _), Str s -> (
       match int_of_string_opt s with
-      | Some i -> coerce_num ty i
+      | Some i -> if ty = T_int then Int i else Float (float_of_int i)
       | None -> (
           match float_of_string_opt s with
-          | Some f -> Ok (if ty = T_int then Int (int_of_float f) else Float f)
+          | Some f -> if ty = T_int then Int (int_of_float f) else Float f
           | None -> fail ()))
   | _ -> fail ()
 
-and coerce_num ty i =
-  match ty with
-  | Bullfrog_sql.Ast.T_int -> Ok (Int i)
-  | _ -> Ok (Float (float_of_int i))
+let coerce ty v = match coerce_exn ty v with v -> Ok v | exception Coercion_error msg -> Error msg
 
 let extract field v =
   match v with

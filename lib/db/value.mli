@@ -45,10 +45,17 @@ val of_ast_literal : Bullfrog_sql.Ast.expr -> t option
 
 val to_ast_literal : t -> Bullfrog_sql.Ast.expr
 
-val coerce : Bullfrog_sql.Ast.sql_type -> t -> (t, string) result
+exception Coercion_error of string
+
+val coerce_exn : Bullfrog_sql.Ast.sql_type -> t -> t
 (** Coerce a value into a column's declared type (int→float widening,
     char(n) padding-free truncation checks, string→date parsing).  [Null]
-    always passes; NOT NULL is a constraint, not a coercion. *)
+    always passes; NOT NULL is a constraint, not a coercion.  A value
+    that already has the type is returned as is, so that case allocates
+    nothing.  @raise Coercion_error with the reason otherwise. *)
+
+val coerce : Bullfrog_sql.Ast.sql_type -> t -> (t, string) result
+(** {!coerce_exn} with the failure as [Error]. *)
 
 (** {2 Civil-calendar helpers} *)
 

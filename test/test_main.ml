@@ -12,6 +12,9 @@ let () =
       ("lint", Test_lint.suite);
       ("invert", Test_invert.suite);
       ("storage", Test_storage.suite);
+      ("ordered-index", Test_ordered_index.suite);
+      ("budgets", Test_budgets.suite);
+      ("coercion", Test_coerce.suite);
       ("mvcc", Test_mvcc.suite);
       ("engine", Test_engine.suite);
       ("access", Test_access.suite);
