@@ -1077,7 +1077,8 @@ let compile_write ?(params = [||]) ctx txn (stmt : Ast.stmt) : write =
                row raises the same error as when each expression was
                compiled and evaluated in order.  A literal is coerced
                here, once; the other expressions are evaluated per row
-               ([pos] -1: a later expression of the row sets the same
+               ([pos] -1: the value is dropped, because the row has the
+               wrong length or a later expression sets the same
                column). *)
             let pctx = planner_ctx ~params ctx txn in
             let compile e =
