@@ -563,6 +563,100 @@ let qpath () =
   let _, and_row_ns, and_words = per_row "full scan, two-conjunct AND" and_sql and_scan in
   let _, in_row_ns, in_words = per_row "full scan, one-item IN" in_sql in_scan in
   say "  full scan: %.1f ns/row over %d rows" scan_row_ns rows;
+  (* -- write legs: each figure at N and at 4N rows, where per-row work
+     that grows with the table would show -- *)
+  let ddl =
+    [
+      "CREATE TABLE ol (k INT PRIMARY KEY, o INT, v INT)";
+      "CREATE INDEX ol_o ON ol USING ordered (o)";
+    ]
+  in
+  let ins_sql = "INSERT INTO ol VALUES ($1, $2, $3)" in
+  let ol_params key = [| Value.Int key; Value.Int (key / 10); Value.Int 0 |] in
+  let table n =
+    let db = Database.create () in
+    List.iter (fun sql -> ignore (Database.exec db sql : Executor.result)) ddl;
+    for k = 0 to n - 1 do
+      ignore (Database.exec db ~params:(ol_params k) ins_sql : Executor.result)
+    done;
+    db
+  in
+  (* ns and minor words per call of [f i], i in [0, k), after a
+     warm-up batch *)
+  let batch k f =
+    for i = 0 to k - 1 do f (-1 - i) done;
+    let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+    for i = 0 to k - 1 do f i done;
+    let dt = Unix.gettimeofday () -. t0 in
+    (1e9 *. dt /. float_of_int k, (Gc.minor_words () -. w0) /. float_of_int k)
+  in
+  (* a single-row INSERT (hash PK, ordered secondary index), a batch of
+     N/10 inside one transaction so commit work stays out *)
+  let insert_at n =
+    let db = table n in
+    let k = max 100 (n / 10) in
+    let txn = Database.begin_txn db in
+    let r =
+      batch k (fun i ->
+          let key = if i < 0 then n + k - 1 - i else n + 2 * k + i in
+          ignore (Database.exec_in db txn ~params:(ol_params key) ins_sql : Executor.result))
+    in
+    Database.commit db txn;
+    r
+  in
+  let ins_n_ns, ins_n_w = insert_at rows and ins_4n_ns, ins_4n_w = insert_at (4 * rows) in
+  say "  %-34s %10.1f ns  %6.1f words at N=%d;  %10.1f ns  %6.1f words at 4N" "INSERT (hash PK + ordered idx)"
+    ins_n_ns ins_n_w rows ins_4n_ns ins_4n_w;
+  (* an ordered range probe per row: the difference between 80 and 20
+     keys (800 and 200 rows), so the probe's fixed cost drops out *)
+  let db = table rows in
+  let range_sql = "SELECT v FROM ol WHERE o >= $1 AND o < $2" in
+  let range keys i =
+    let lo = abs i * 7 mod (rows / 10 - keys) in
+    ignore (Database.exec db ~params:[| Value.Int lo; Value.Int (lo + keys) |] range_sql : Executor.result)
+  in
+  (* the least ns of three batches: the per-row figure is a difference
+     of two timings, which one slow batch would swamp *)
+  let best keys =
+    let a_ns, w = batch 200 (range keys) in
+    let b_ns, _ = batch 200 (range keys) and c_ns, _ = batch 200 (range keys) in
+    (Float.min a_ns (Float.min b_ns c_ns), w)
+  in
+  let r80_ns, r80_w = best 80 and r20_ns, r20_w = best 20 in
+  let range_row_ns = (r80_ns -. r20_ns) /. 600.0 and range_row_w = (r80_w -. r20_w) /. 600.0 in
+  say "  %-34s %10.1f ns/row  %6.1f words/row  (%s)" "ordered range probe" range_row_ns range_row_w
+    range_sql;
+  (* a full vacuum after 250 single-row updates, each its own
+     transaction; the mean of 5 rounds *)
+  let c_visited = Obs.Counters.make "mvcc.gc_slots_visited" in
+  let vacuum_at n =
+    let db = table n in
+    ignore (Database.vacuum db : int);
+    let was = Obs.Counters.enabled () in
+    Obs.Counters.set_enabled true;
+    let rounds = 5 in
+    let ns = ref 0.0 and w = ref 0.0 and visited = ref 0 in
+    for r = 1 to rounds do
+      for i = 0 to 249 do
+        ignore
+          (Database.exec db ~params:[| Value.Int ((r * 250 + i) * 7 mod n) |]
+             "UPDATE ol SET v = v + 1 WHERE k = $1"
+            : Executor.result)
+      done;
+      let v0 = Obs.Counters.value c_visited and w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+      ignore (Database.vacuum db : int);
+      ns := !ns +. (1e9 *. (Unix.gettimeofday () -. t0));
+      w := !w +. (Gc.minor_words () -. w0);
+      visited := !visited + (Obs.Counters.value c_visited - v0)
+    done;
+    Obs.Counters.set_enabled was;
+    let f = float_of_int rounds in
+    (!ns /. f, !w /. f, float_of_int !visited /. f)
+  in
+  let vac_n_ns, vac_n_w, vac_n_slots = vacuum_at rows
+  and vac_4n_ns, vac_4n_w, vac_4n_slots = vacuum_at (4 * rows) in
+  say "  %-34s %10.0f ns  %6.1f words  %5.0f slots at N;  %10.0f ns  %6.1f words  %5.0f slots at 4N"
+    "vacuum after 250 updates" vac_n_ns vac_n_w vac_n_slots vac_4n_ns vac_4n_w vac_4n_slots;
   let oc = open_out (out_path "BENCH_query_path.json") in
   Printf.fprintf oc
     {|{
@@ -586,14 +680,22 @@ let qpath () =
   "and_scan_minor_words": %.1f,
   "in_scan_query": "%s",
   "in_scan_ns_per_row": %.2f,
-  "in_scan_minor_words": %.1f
+  "in_scan_minor_words": %.1f,
+  "write_legs": {
+    "table": "ol (k INT PRIMARY KEY, o INT, v INT), ordered index on (o)",
+    "n": %d,
+    "insert": {"query": "%s", "ns_at_n": %.1f, "minor_words_at_n": %.1f, "ns_at_4n": %.1f, "minor_words_at_4n": %.1f},
+    "range_probe": {"query": "%s", "ns_per_row": %.2f, "minor_words_per_row": %.2f},
+    "vacuum_after_250_updates": {"ns_at_n": %.0f, "minor_words_at_n": %.1f, "slots_visited_at_n": %.0f, "ns_at_4n": %.0f, "minor_words_at_4n": %.1f, "slots_visited_at_4n": %.0f}
+  }
 }
 |}
     (String.concat "" (String.split_on_char '"' sql))
     rows
     (match profile with Fast -> "fast" | Standard -> "standard" | Full -> "full")
     seed cold_ns splice_ns warm_ns scan_ns speedup scan_sql scan_row_ns scan_words and_sql
-    and_row_ns and_words in_sql in_row_ns in_words;
+    and_row_ns and_words in_sql in_row_ns in_words rows ins_sql ins_n_ns ins_n_w ins_4n_ns ins_4n_w
+    range_sql range_row_ns range_row_w vac_n_ns vac_n_w vac_n_slots vac_4n_ns vac_4n_w vac_4n_slots;
   close_out oc;
   say "  wrote %s" (out_path "BENCH_query_path.json")
 

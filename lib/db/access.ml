@@ -231,14 +231,14 @@ let fetch_tids ~keep ~latest (txn : Txn.t) table tids =
     else Heap.snapshot_get table ~ts:txn.Txn.snapshot ~reader:txn.Txn.id tid
   in
   let out = ref [] in
-  Array.iter
+  Index.iter_sorted_tids
     (fun tid ->
       match fetch tid with
       | None -> ()
       | Some row ->
           c.Txn.rows_read <- c.Txn.rows_read + 1;
           if keep row then out := (tid, row) :: !out)
-    (Index.sorted_tids tids);
+    tids;
   List.rev !out
 
 (* The residual is staged once per call; only a residual test counts as
@@ -271,7 +271,7 @@ let select_tids ?(params = [||]) ?(latest = false) ?ranges (txn : Txn.t) table p
       let hi = Option.map (key_value params) hi in
       let tids =
         Index.fold_prefix_range idx ~prefix ?lo ?hi ~init:[]
-          ~f:(fun acc _key tids -> List.rev_append tids acc)
+          ~f:(fun acc _key tids -> tids @ acc)
           ()
       in
       fetch_tids ~keep ~latest txn table tids

@@ -30,6 +30,7 @@ type t = {
      two live instances (the harness runs one per simulated system). *)
   marks_tbl : (int, Redo_log.migration_mark list ref) Hashtbl.t;
   marks_latch : Mutex.t;
+  mutable vacuum_next : int;
 }
 
 let create () =
@@ -44,6 +45,7 @@ let create () =
       stmt_latch = Mutex.create ();
       marks_tbl = Hashtbl.create 64;
       marks_latch = Mutex.create ();
+      vacuum_next = 0;
     }
   in
   (* Per-index structural stats, surfaced through [Obs.snapshot].  The
@@ -452,20 +454,24 @@ let vacuum ?budget t =
   Obs.Counters.bump c_gc_runs;
   let horizon = Mvcc.horizon () in
   (* Each table's GC walks only its written-slot list.  With a budget,
-     tables are visited in catalog order until it is spent; a table's
-     GC stops mid-list and keeps the rest listed, so the next call picks
-     up what this one left. *)
+     tables are visited in catalog order from [vacuum_next] until it is
+     spent; a table's GC stops mid-list and keeps the rest listed, and
+     the next call starts at the table after the last one visited, so a
+     table busy enough to spend every budget cannot starve the rest. *)
   let budget = match budget with None -> max_int | Some b -> max 1 b in
-  let reclaimed = ref 0 in
-  List.iter
-    (fun name ->
-      if !reclaimed < budget then
-        match Catalog.find_table t.catalog name with
-        | None -> ()
-        | Some heap ->
-            !gc_test_hook ();
-            reclaimed := !reclaimed + Heap.gc ~budget:(budget - !reclaimed) heap ~horizon)
-    (Catalog.table_names t.catalog);
+  let names = Array.of_list (Catalog.table_names t.catalog) in
+  let n = Array.length names in
+  let start = if n = 0 then 0 else t.vacuum_next mod n in
+  let reclaimed = ref 0 and i = ref 0 in
+  while !i < n && !reclaimed < budget do
+    (match Catalog.find_table t.catalog names.((start + !i) mod n) with
+    | None -> ()
+    | Some heap ->
+        !gc_test_hook ();
+        reclaimed := !reclaimed + Heap.gc ~budget:(budget - !reclaimed) heap ~horizon);
+    incr i
+  done;
+  t.vacuum_next <- start + !i;
   if !reclaimed > 0 then Obs.Counters.add c_gc_reclaimed !reclaimed;
   !reclaimed
 

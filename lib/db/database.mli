@@ -28,6 +28,9 @@ type t = {
       (** per-transaction migration marks, drained at commit; per-database
           because txn ids restart at 1 in every instance *)
   marks_latch : Mutex.t;
+  mutable vacuum_next : int;
+      (** catalog position (modulo the table count) a budgeted {!vacuum}
+          starts at *)
 }
 
 val create : unit -> t
@@ -128,9 +131,11 @@ val vacuum : ?budget:int -> t -> int
 (** Version-chain GC, reclaiming versions no snapshot at or above
     {!Mvcc.horizon} can reach.  Each table visits only the slots written
     since its last GC ({!Heap.gc}).  Without [budget]: every table's
-    whole list.  With [budget]: tables in catalog order until at least
-    [budget] versions are reclaimed (overshooting only within the final
-    slot's chain); the slots not reached stay listed for the next call.
+    whole list.  With [budget]: tables in catalog order, starting after
+    the last table the previous call visited and wrapping around, until
+    at least [budget] versions are reclaimed (overshooting only within
+    the final slot's chain); the slots not reached stay listed for the
+    next call.
     Emits an [mvcc]/[gc] trace span and bumps
     [mvcc.gc_runs]/[mvcc.gc_reclaimed].  Returns the number of versions
     reclaimed.  Safe to run at any time, concurrently with readers: it

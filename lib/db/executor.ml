@@ -186,14 +186,14 @@ let scan_table ~params (txn : Txn.t) table filter f =
    as read; [f] sees the rows [keep] (a bound filter) accepts. *)
 let fetch_sorted (txn : Txn.t) table keep tids f =
   let c = txn.Txn.counters in
-  Array.iter
+  Index.iter_sorted_tids
     (fun tid ->
       match snap_get txn table tid with
       | None -> ()
       | Some row ->
           c.Txn.rows_read <- c.Txn.rows_read + 1;
           if keep row then f row)
-    (Index.sorted_tids tids)
+    tids
 
 (* One index nested-loop probe: rows of [table] under [key] (a full key,
    or a prefix of an ordered index) that [keep] accepts.  A NULL key
@@ -206,7 +206,7 @@ let probe_inner (txn : Txn.t) table index keep key f =
       if Array.length key = Array.length (Index.key_cols index) then Index.find index key
       else
         Index.fold_prefix_range index ~prefix:key ~init:[]
-          ~f:(fun acc _k ts -> List.rev_append ts acc)
+          ~f:(fun acc _k ts -> ts @ acc)
           ()
     in
     fetch_sorted txn table keep tids f
@@ -235,7 +235,7 @@ let rec run_raw ?(params = [||]) (txn : Txn.t) (plan : Plan.t) : Value.t array l
       let hi = Option.map (fun e -> e.Expr.ce_eval params [||]) hi in
       let tids =
         Index.fold_prefix_range index ~prefix ?lo ?hi ~init:[]
-          ~f:(fun acc _k ts -> List.rev_append ts acc)
+          ~f:(fun acc _k ts -> ts @ acc)
           ()
       in
       let out = ref [] in

@@ -168,11 +168,25 @@ let fresh_version ~writer ~ts row older =
     let b = match ts with Some ts -> ts | None -> Mvcc.now () in
     { v_row = row; v_begin = b; v_writer = 0; v_older = older }
 
+(* Rebuild the written-slot list as its chained TIDs, each once. *)
+let compact_written t =
+  let a = Vec.to_array t.written in
+  Array.sort Int.compare a;
+  Vec.clear t.written;
+  Array.iteri
+    (fun j tid ->
+      if (j = 0 || a.(j - 1) <> tid) && (Vec.get t.vers tid).v_older != None then
+        Vec.push t.written tid)
+    a
+
 (* Replace slot [tid]'s descriptor with a new head for [row].  The
    previous head is chained unless it is the shared empty descriptor or
    an uncommitted head by the same writer (a transaction re-writing its
    own row replaces in place, so chains only ever hold committed
-   versions). *)
+   versions).  An abort drops a chain without GC, so a slot aborted
+   over and over would join the written list once per abort; once the
+   list outgrows twice the slot count it is compacted, which keeps it
+   bounded where no vacuum runs. *)
 let install_version t tid ~writer ~ts row =
   let cur = Vec.get t.vers tid in
   let older =
@@ -185,7 +199,8 @@ let install_version t tid ~writer ~ts row =
       Some cur
     end
   in
-  Vec.set t.vers tid (fresh_version ~writer ~ts row older)
+  Vec.set t.vers tid (fresh_version ~writer ~ts row older);
+  if Vec.length t.written > (2 * Vec.length t.vers) + 64 then compact_written t
 
 (* Abort: pop an uncommitted head back to its committed predecessor.
    Returns [true] when a pop happened (the committed pre-image is the
@@ -570,17 +585,10 @@ let gc ?(budget = max_int) t ~horizon =
         done;
         Vec.truncate w (!kept + n - visited);
         t.chained <- t.chained - !reclaimed;
-        if visited = n && !kept > t.chained then begin
-          let a = Vec.to_array w in
-          Array.sort Int.compare a;
-          Vec.clear w;
-          Array.iteri (fun j tid -> if j = 0 || a.(j - 1) <> tid then Vec.push w tid) a
-        end;
+        if visited = n && !kept > t.chained then compact_written t;
         Obs.Counters.add c_gc_visited visited;
         purge_pending t;
         !reclaimed)
-
-let written_slots t = Vec.length t.written
 
 let chained_versions t = t.chained
 

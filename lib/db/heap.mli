@@ -44,7 +44,8 @@ type t = {
   written : int Vec.t;
       (** TIDs given an older chain since GC last visited them: the
           slots {!gc} walks (may hold chainless TIDs and repeats, which
-          GC drops) *)
+          GC drops; a write compacts it once it passes twice the slot
+          count) *)
   pending_dead : (int, row) Hashtbl.t;
       (** deleted rows whose index entries are kept until GC proves no
           pinned snapshot can reach them (deferred de-indexing) *)
@@ -174,9 +175,6 @@ val gc : ?budget:int -> t -> horizon:int -> int
     size.  With [budget], the walk stops once at least [budget] versions
     are reclaimed and the unvisited slots stay listed for the next call.
     Returns the number of versions reclaimed. *)
-
-val written_slots : t -> int
-(** Length of the written-slot list: the slots the next {!gc} visits. *)
 
 val chained_versions : t -> int
 (** Number of versions currently held in older chains (GC backlog). *)

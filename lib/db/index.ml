@@ -672,12 +672,32 @@ let mem t key =
 
 let entry_count t = t.count
 
-(* An array and an in-place sort: a list sort would allocate a cons per
-   TID per merge level. *)
-let sorted_tids tids =
-  let a = Array.of_list tids in
-  Array.sort Int.compare a;
-  a
+let rec ascending = function
+  | a :: (b :: _ as rest) -> a <= b && ascending rest
+  | _ -> true
+
+let rec descending = function
+  | a :: (b :: _ as rest) -> a >= b && descending rest
+  | _ -> true
+
+(* A probe's TIDs are mostly in order already: a point probe's one TID,
+   or a range over keys written in TID order, which the range callers
+   collect newest first.  An ascending list is walked as it is; any
+   other is copied to an array (a word a TID, where a list reversal or
+   sort would cost a cons a TID per pass), which a descending list is
+   walked from its end and a mixed one is sorted in. *)
+let iter_sorted_tids f tids =
+  if ascending tids then List.iter f tids
+  else
+    let a = Array.of_list tids in
+    if descending tids then
+      for i = Array.length a - 1 downto 0 do
+        f (Array.unsafe_get a i)
+      done
+    else begin
+      Array.sort Int.compare a;
+      Array.iter f a
+    end
 
 type stats = {
   s_entries : int;  (** TID entries (duplicates counted) *)

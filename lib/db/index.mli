@@ -68,8 +68,12 @@ val mem : t -> Value.t array -> bool
 
 val entry_count : t -> int
 
-val sorted_tids : int list -> int array
-(** A probe's TIDs in ascending order (the order rows are fetched in). *)
+val iter_sorted_tids : (int -> unit) -> int list -> unit
+(** Apply [f] to a probe's TIDs in ascending order (the order rows are
+    fetched in).  A list already ascending or descending is walked
+    without a sort: range callers prepend each key's newest-first list
+    ([ts @ acc]), which is descending when keys were written in TID
+    order. *)
 
 type stats = {
   s_entries : int;  (** TID entries (duplicates counted) *)
