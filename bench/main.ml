@@ -1056,7 +1056,11 @@ let recovery_bench () =
     (List.length cells - fired)
     (List.length failed) Fault.count
     (String.concat ", "
-       (List.map (fun s -> Printf.sprintf "%S" s) Fault_sweep.scenario_names))
+       (List.fold_left
+          (fun acc c ->
+            let name = Printf.sprintf "%S" c.Fault_sweep.c_scenario in
+            if List.mem name acc then acc else acc @ [ name ])
+          [] cells))
     records (String.length bytes) replay_s
     (float_of_int records /. replay_s)
     (float_of_int (String.length bytes) /. 1e6 /. replay_s)

@@ -33,6 +33,8 @@ let p_cluster_finalize = 12
 
 let p_cluster_rollback = 13
 
+let p_cluster_start = 14
+
 let names =
   [|
     "mark_commit";  (* granule marks recorded, before commit *)
@@ -54,6 +56,8 @@ let names =
                             drop_old, the rest still hold it *)
     "cluster_rollback";  (* between shard trivial rollbacks: some shards
                             dropped the outputs, the rest still hold them *)
+    "cluster_start";  (* between shard starts: some shards switched, the
+                         rest have not *)
   |]
 
 let count = Array.length names

@@ -63,15 +63,18 @@ val p_2pc_ack : int
 
 val p_cluster_finalize : int
 (** after a shard finalizes a cluster migration: that shard's [drop_old]
-    tables are dropped, later shards still hold theirs and the
-    coordinator log has no end marker — recovery must finish the drops,
-    not resume *)
+    tables are dropped and its log closed, later shards still hold theirs
+    — recovery must finish the drops everywhere, not resume *)
 
 val p_cluster_rollback : int
 (** after a shard rolls back a cluster migration that dropped nothing:
-    that shard's outputs are dropped, later shards still hold theirs and
-    the coordinator log has no end marker — recovery must finish the
-    drops, not resume *)
+    that shard's outputs are dropped and its log closed, later shards
+    still hold theirs — recovery must finish the drops, not resume *)
+
+val p_cluster_start : int
+(** after a shard switches to a cluster migration: that shard logged its
+    Start record, later shards have not switched — recovery must start
+    them, rolling the migration forward *)
 
 val count : int
 

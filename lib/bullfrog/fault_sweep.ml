@@ -34,9 +34,13 @@ let sorted_rows db sql =
    collected.  At most one crash can occur per run (points are
    one-shot), so a single recover-and-retry suffices; the retry phase
    re-migrates from the rebuilt trackers, which is exactly the
-   exactly-once property under test. *)
-let lazy_cycle db ld rt ~probes ~outputs =
-  let finishing rt =
+   exactly-once property under test.  A crash recovers through
+   [Lazy_db.recover] over the same heaps: the migration comes back from
+   its Start record, with the granule size and n:n granularity the
+   switch chose. *)
+let lazy_cycle db ld ~probes ~outputs =
+  let finishing ld =
+    let rt = Option.get (Lazy_db.active ld) in
     let rep = Migrate_exec.new_report () in
     let probe_results =
       List.map
@@ -54,22 +58,19 @@ let lazy_cycle db ld rt ~probes ~outputs =
     probe_results
     @ List.map (fun o -> (o, sorted_rows db ("SELECT * FROM " ^ o))) outputs
   in
-  try finishing rt
-  with Fault.Crash _ ->
-    let rt', _report = Recovery.recover rt in
-    finishing rt'
+  try finishing ld with Fault.Crash _ -> finishing (Lazy_db.recover db)
 
 let run_lazy ~setup ~spec ?page_size ?nn ~workload ~probes ~outputs () =
   let db = setup () in
   let ld = Lazy_db.create db in
-  let rt = Lazy_db.start_migration ld ?page_size ?nn (spec ()) in
-  let rt =
+  ignore (Lazy_db.start_migration ld ?page_size ?nn (spec ()) : Migrate_exec.t);
+  let ld =
     try
       workload ld;
-      rt
-    with Fault.Crash _ -> fst (Recovery.recover rt)
+      ld
+    with Fault.Crash _ -> Lazy_db.recover db
   in
-  lazy_cycle db ld rt ~probes ~outputs
+  lazy_cycle db ld ~probes ~outputs
 
 (* ------------------------------------------------------------------ *)
 (* scenario: bitmap-tracked 1:1 copy                                   *)
@@ -314,13 +315,13 @@ let eager_scenario =
 
 (* Forward-migrate part of a 1:1 copy, edit and delete rows through the
    new schema, then roll the migration back mid-flight and drain the
-   backward migration.  A crash can land in the forward phase (recovered
-   with [resume_migration], then the rollback proceeds) or in the
-   backward phase (recovered with [resume_rollback] — forward trackers
-   rebuilt for the purge set, purge TID ceilings read from the synthetic
-   log marks, backward trackers refilled).  The final [src] must reflect
-   the never-crashed history: the edit and the delete made through [dst]
-   survive the trip back. *)
+   backward migration.  A crash can land in the forward phase or in the
+   backward phase; [Lazy_db.recover] reads which from the log (a Start
+   record alone resumes forward and the rollback then proceeds; a
+   Rollback record resumes backward — forward trackers rebuilt for the
+   purge set, purge TID ceilings from the record, backward trackers
+   refilled).  The final [src] must reflect the never-crashed history:
+   the edit and the delete made through [dst] survive the trip back. *)
 let rollback_scenario =
   {
     sc_name = "rollback";
@@ -328,12 +329,10 @@ let rollback_scenario =
       (fun () ->
         let db = mk_src_db 48 in
         let ld = ref (Lazy_db.create db) in
-        let fwd_spec = copy_spec () in
-        let fwd_rt = Lazy_db.start_migration !ld ~page_size:4 fwd_spec in
-        let fwd_mig_id = fwd_rt.Migrate_exec.mig_id in
-        (* Some (bspec, rb_mig_id) once the rollback flip has happened —
-           decides which resume path a crash recovery takes. *)
-        let rb = ref None in
+        ignore (Lazy_db.start_migration !ld ~page_size:4 (copy_spec ()) : Migrate_exec.t);
+        (* whether the rollback flip happened — what a retry after a
+           crash still has to do *)
+        let flipped = ref false in
         let forward_phase () =
           ignore (Lazy_db.exec !ld "SELECT * FROM dst WHERE id = 9" : Executor.result);
           ignore (Lazy_db.background_step !ld ~batch:2 : int);
@@ -344,8 +343,7 @@ let rollback_scenario =
         in
         let flip_back () =
           match Lazy_db.rollback_migration !ld with
-          | Some brt ->
-              rb := Some (brt.Migrate_exec.spec, brt.Migrate_exec.mig_id)
+          | Some _ -> flipped := true
           | None -> failwith "fault_sweep: rollback derived no backward spec"
         in
         let finishing () =
@@ -367,22 +365,8 @@ let rollback_scenario =
           Lazy_db.finalize !ld;
           probe_results @ [ ("src", sorted_rows db "SELECT * FROM src") ]
         in
-        let recover_crashed () =
-          ld := Lazy_db.create db;
-          match !rb with
-          | None ->
-              ignore
-                (Lazy_db.resume_migration !ld ~page_size:4 ~mig_id:fwd_mig_id
-                   fwd_spec
-                  : Migrate_exec.t)
-          | Some (bspec, rb_mig_id) ->
-              ignore
-                (Lazy_db.resume_rollback !ld ~page_size:4 ~fwd_mig_id
-                   ~mig_id:rb_mig_id fwd_spec bspec
-                  : Migrate_exec.t)
-        in
         let cycle () =
-          if !rb = None then begin
+          if not !flipped then begin
             forward_phase ();
             flip_back ()
           end;
@@ -390,7 +374,7 @@ let rollback_scenario =
         in
         try cycle ()
         with Fault.Crash _ ->
-          recover_crashed ();
+          ld := Lazy_db.recover db;
           cycle ());
   }
 
@@ -420,8 +404,6 @@ let register sc =
   external_scenarios := !external_scenarios @ [ sc ]
 
 let all_scenarios () = scenarios @ !external_scenarios
-
-let scenario_names = List.map (fun s -> s.sc_name) scenarios
 
 let find_scenario name =
   match List.find_opt (fun s -> s.sc_name = name) (all_scenarios ()) with
@@ -520,10 +502,12 @@ let run_scenario ?(points = List.map fst (Fault.all ())) sc =
   let oracle = sc.sc_run () in
   List.map (run_cell sc oracle) points
 
-let run_sweep ?(names = scenario_names) ?points () =
+let run_sweep ?names ?points () =
   List.concat_map
-    (fun name -> run_scenario ?points (find_scenario name))
-    names
+    (fun sc -> run_scenario ?points sc)
+    (match names with
+    | Some names -> List.map find_scenario names
+    | None -> all_scenarios ())
 
 (* The bounded sweep arms, per scenario, only the points its engine path
    can reach — every cell in it actually crashes and recovers.  Cells
@@ -560,8 +544,6 @@ let run_bounded () =
       let oracle = sc.sc_run () in
       List.map (fun (point, after) -> run_cell ~after sc oracle point) cells)
     bounded_cells
-
-let all_ok cells = List.for_all (fun c -> c.c_ok) cells
 
 let fired_count cells =
   List.length (List.filter (fun c -> c.c_fired) cells)

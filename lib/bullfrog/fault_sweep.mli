@@ -24,11 +24,9 @@ type scenario = {
 }
 
 val scenarios : scenario list
-(** bitmap 1:1 copy, hash aggregate, pair-granularity n:n, join-key-class
-    shared tracker, multistep copier, eager baseline *)
-
-val scenario_names : string list
-(** Built-in scenarios only (stable; excludes registrations). *)
+(** bitmap 1:1 copy, MVCC, hash aggregate, pair-granularity n:n,
+    join-key-class shared tracker, multistep copier, eager baseline,
+    mid-flight rollback *)
 
 val register : scenario -> unit
 (** Add an externally defined scenario (lib/cluster registers its 2PC
@@ -50,13 +48,12 @@ val run_scenario : ?points:int list -> scenario -> cell list
     point). *)
 
 val run_sweep : ?names:string list -> ?points:int list -> unit -> cell list
-(** The full matrix: every scenario × every crash point. *)
+(** The full matrix: every scenario (registrations included, unless
+    [names] picks some) × every crash point. *)
 
 val run_bounded : unit -> cell list
 (** Per scenario, only the points its path actually reaches — every cell
     crashes and recovers.  Fast enough for [make check]. *)
-
-val all_ok : cell list -> bool
 
 val fired_count : cell list -> int
 

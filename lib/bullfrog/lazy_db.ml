@@ -36,9 +36,8 @@ type purge = {
   pu_srcs : purge_src list;  (* one per forward statement reading the table *)
 }
 
-type rollback_info = {
-  rb_fwd_mig_id : int;
-  rb_fwd_spec : Migration.t;
+type rollback_state = {
+  rb_fwd_mig_id : int;  (* the id the rollback's lifecycle records carry *)
   rb_purges : purge list;
 }
 
@@ -68,7 +67,7 @@ type active = {
          across them. *)
   output_names : string list;
   cumulative : Migrate_exec.report;
-  rollback : rollback_info option;  (* Some = this runtime migrates backward *)
+  rollback : rollback_state option;  (* Some = this runtime migrates backward *)
   entries : (string, entry) Hashtbl.t;  (* by SQL text, bounded like the statement cache *)
   entries_latch : Mutex.t;
 }
@@ -84,6 +83,8 @@ let create database = { database; act = None; next_mig_id = 1 }
 let db t = t.database
 
 let err = Db_error.sql_error
+
+let log t ~mig_id step = Redo_log.append_lifecycle t.database.Database.redo ~mig_id step
 
 (* Expose tracker-level migration progress through [Obs.snapshot].  A
    fixed provider name + replace-on-register keeps repeated migrations
@@ -153,12 +154,11 @@ let output_names_of (spec : Migration.t) =
 
 (* The mode a migration runs in, from its lint verdict: split outputs
    not provably disjoint need ON CONFLICT mode, unless the caller already
-   asked for it.  Start and resume both decide through here, so a resumed
+   asked for it.  The Start record keeps the choice, so a resumed
    migration runs in the mode its original switch chose. *)
-let mode_of_verdict ?mode (spec : Migration.t) verdict =
-  match verdict with
-  | Some { Mig_lint.lint_action = Mig_lint.Act_on_conflict; _ }
-    when mode <> Some Migrate_exec.On_conflict ->
+let mode_of_verdict ?mode (spec : Migration.t) (v : Mig_lint.t) =
+  match v.Mig_lint.lint_action with
+  | Mig_lint.Act_on_conflict when mode <> Some Migrate_exec.On_conflict ->
       Logs.warn (fun m ->
           m
             "migration %S: split outputs not provably disjoint; switching to ON \
@@ -197,8 +197,6 @@ let activate ?rollback t (rt : Migrate_exec.t) =
      output forces a whole-table lazy migration — have the planner flag it. *)
   Planner.set_migration_watch catalog output_names;
   register_migration_stats t;
-  (* a rollback's id is allocated after its forward migration's *)
-  t.next_mig_id <- max t.next_mig_id (rt.Migrate_exec.mig_id + 1);
   (* The logical switch changes what every cached plan would resolve to
      (output tables exist, old names are rejected): invalidate them. *)
   Catalog.bump_epoch catalog;
@@ -228,7 +226,7 @@ let start_migration ?mode ?page_size ?nn ?fk_join t (spec : Migration.t) =
     err "migration %S rejected by lint: %s" spec.Migration.name
       (String.concat "; "
          (List.map (fun h -> h.Mig_lint.hz_detail) (Mig_lint.errors v)));
-  let mode = mode_of_verdict ?mode spec (Some v) in
+  let mode = mode_of_verdict ?mode spec v in
   (* Invertibility (§4.2j): a provably non-invertible spec can never be
      rolled back mid-flight; say so before committing to the switch. *)
   if not (Mig_lint.invertible v) then
@@ -253,48 +251,59 @@ let start_migration ?mode ?page_size ?nn ?fk_join t (spec : Migration.t) =
   @@ fun () ->
   let mig_id = t.next_mig_id in
   t.next_mig_id <- mig_id + 1;
-  activate t
-    (Migrate_exec.install ?mode ?page_size ?nn ?fk_join ~lint:v ~mig_id t.database
-       spec)
+  let rt =
+    Migrate_exec.install ?mode ?page_size ?nn ?fk_join ~lint:v ~mig_id t.database spec
+  in
+  log t ~mig_id
+    (Redo_log.M_start
+       {
+         ms_spec = Migration.serialize spec;
+         ms_on_conflict = rt.Migrate_exec.mode = Migrate_exec.On_conflict;
+         ms_page_size = rt.Migrate_exec.page_size;
+         ms_nn_join_key = rt.Migrate_exec.nn = Migrate_exec.Nn_join_key;
+         ms_fk_class = rt.Migrate_exec.fk_join = `Class;
+       });
+  activate t rt
 
-(* Crash-restart path: re-install a migration whose logical switch
-   already happened before the crash.  The output tables (and the rows
-   already migrated into them) survived via redo replay; trackers come
-   back empty and are refilled from the committed granule marks in the
-   log, so migration resumes exactly where the durable state left it.
-   The spec was validated at the original switch, so nothing is rejected
-   here; the fresh verdict picks the same mode the switch did and is
-   attached to the runtime so a post-crash [rollback_migration] still
-   has the derived backward transform. *)
-let resume_migration ?mode ?page_size ?nn ?fk_join t ~mig_id (spec : Migration.t) =
-  if t.act <> None then err "a schema migration is already in progress";
+(* A runtime re-installed at a restart: the outputs and the rows migrated
+   into them survived, so no DDL ran; its empty trackers are refilled
+   from the committed granule marks of its id. *)
+let refill t (rt : Migrate_exec.t) =
+  let r = Recovery.rebuild_report rt t.database.Database.redo in
+  Logs.info (fun m ->
+      m "migration %S resumed after restart: %d granule mark(s) restored, %d out of range"
+        rt.Migrate_exec.spec.Migration.name r.Recovery.rb_restored r.Recovery.rb_dropped);
+  rt
+
+(* The runtime a Start record describes, with the settings its switch
+   chose. *)
+let reinstall ?lint t (s : Redo_log.mig_start) ~mig_id spec =
+  refill t
+    (Migrate_exec.install ?lint ~resume:true ~mig_id
+       ~mode:(if s.ms_on_conflict then Migrate_exec.On_conflict else Migrate_exec.Tracked)
+       ~page_size:s.ms_page_size
+       ~nn:(if s.ms_nn_join_key then Migrate_exec.Nn_join_key else Migrate_exec.Nn_pair)
+       ~fk_join:(if s.ms_fk_class then `Class else `Tuple)
+       t.database spec)
+
+(* A forward migration whose switch happened before the crash.  The
+   spec was validated then, so nothing is rejected here; the fresh
+   verdict is attached so a post-crash [rollback_migration] still has
+   the derived backward transform. *)
+let resume_forward t ~mig_id (s : Redo_log.mig_start) =
+  let spec = Migration.deserialize s.ms_spec in
+  let fk_join = if s.ms_fk_class then `Class else `Tuple in
   Obs.Flight.notef ~cat:"migration" "resume %s after crash restart"
     spec.Migration.name;
   Obs.Trace.with_span ~cat:"migration" "resume"
     ~args:[ ("migration", spec.Migration.name) ]
   @@ fun () ->
-  let verdict =
-    try Some (Mig_lint.lint ?fk_join t.database.Database.catalog spec) with _ -> None
+  let lint =
+    try Some (Mig_lint.lint ~fk_join t.database.Database.catalog spec) with _ -> None
   in
-  let rt =
-    Migrate_exec.install
-      ?mode:(mode_of_verdict ?mode spec verdict)
-      ?page_size ?nn ?fk_join ?lint:verdict ~resume:true ~mig_id t.database spec
-  in
-  let restored = Recovery.rebuild rt t.database.Database.redo in
-  Logs.info (fun m ->
-      m "migration %S resumed after restart: %d granule mark(s) restored"
-        spec.Migration.name restored);
-  activate t rt
+  activate t (reinstall ?lint t s ~mig_id spec)
 
 let active t = Option.map (fun a -> a.rt) t.act
-
-(* [(forward mig_id, forward spec)] when the active migration is a
-   rollback; the cluster layer persists these in its BFMIG-RB marker. *)
-let rollback_info t =
-  match t.act with
-  | Some { rollback = Some rb; _ } -> Some (rb.rb_fwd_mig_id, rb.rb_fwd_spec)
-  | Some { rollback = None; _ } | None -> None
 
 (* The wire server's circuit breaker samples this: how many granules the
    logical switch has promised that physical migration has not yet
@@ -973,6 +982,26 @@ let check_finalizable t =
         err "cannot finalize migration %S: physical migration is incomplete"
           act.rt.Migrate_exec.spec.Migration.name
 
+(* The forward id an active runtime's lifecycle records carry. *)
+let lifecycle_id act =
+  match act.rollback with
+  | Some rb -> rb.rb_fwd_mig_id
+  | None -> act.rt.Migrate_exec.mig_id
+
+(* A migration's last step: the drops named by its Finalize record, then
+   End.  A restart that finds the Finalize record without an End takes
+   the same step; the drops are [IF EXISTS], so repeating them is
+   harmless. *)
+let finish_drops t ~mig_id drops =
+  Database.drop_tables t.database drops;
+  log t ~mig_id Redo_log.M_end
+
+let drop_and_close t act drops =
+  let mig_id = lifecycle_id act in
+  log t ~mig_id (Redo_log.M_finalize drops);
+  finish_drops t ~mig_id drops;
+  deactivate t
+
 let finalize t =
   match t.act with
   | None -> ()
@@ -984,8 +1013,7 @@ let finalize t =
         ~args:[ ("migration", spec.Migration.name) ]
       @@ fun () ->
       (* The old tables can now be dropped (paper §2.2). *)
-      Database.drop_tables t.database spec.Migration.drop_old;
-      deactivate t
+      drop_and_close t act spec.Migration.drop_old
 
 (* ------------------------------------------------------------------ *)
 (* Mid-flight rollback (§4.2j)                                         *)
@@ -1066,18 +1094,13 @@ let purges_of_forward db (fwd : Migrate_exec.t) =
     fwd.Migrate_exec.stmts;
   Hashtbl.fold (fun _ pu acc -> pu :: acc) tbl []
 
-(* Synthetic-mark convention for durable purge state: each purge's TID
-   ceiling is logged as a migration mark whose table name is prefixed
-   with ["#purge#"] — a name no relation can have, so recovery's tracker
-   rebuild ignores it and checkpointing carries it forward with the
-   other outstanding marks. *)
-let purge_mark_prefix = "#purge#"
-
-let trivial_rollback t =
-  match t.act with
-  | Some { rollback = None; rt = { Migrate_exec.lint = Some l; _ }; _ } ->
-      Mig_lint.invertible l && l.Mig_lint.lint_backward = None
-  | _ -> false
+(* Rollback = migrating in reverse: install the derived backward spec as
+   an ordinary lazy migration over the new tables.  [resume] because its
+   outputs (the old tables) still exist; [overwrite] because a
+   reconstructed row is authoritative over a stale not-yet-purged
+   original. *)
+let install_backward t ~page_size ~mig_id bspec =
+  Migrate_exec.install ~overwrite:true ~page_size ~resume:true ~mig_id t.database bspec
 
 let rollback_migration t =
   match t.act with
@@ -1109,108 +1132,79 @@ let rollback_migration t =
       | None ->
           (* Nothing was dropped, so nothing needs reconstructing:
              rollback is just un-flipping — drop the outputs. *)
-          Database.drop_tables t.database act.output_names;
-          deactivate t;
+          drop_and_close t act act.output_names;
           None
       | Some bspec ->
           let purges = purges_of_forward t.database fwd in
           let rb_mig_id = t.next_mig_id in
           t.next_mig_id <- rb_mig_id + 1;
-          (* Durably record each purge's TID ceiling before any backward
-             work: after a crash mid-rollback the old heaps have grown
+          let page_size = fwd.Migrate_exec.page_size in
+          let brt = install_backward t ~page_size ~mig_id:rb_mig_id bspec in
+          (* Durable before any backward work, with each purge's TID
+             ceiling: after a crash mid-rollback the old heaps have grown
              with reconstructed rows, and re-deriving the ceiling from
              [Heap.tid_count] would let a re-purge eat them. *)
-          Redo_log.append t.database.Database.redo
-            {
-              Redo_log.txn_id = 0;
-              commit_ts = 0;
-              writes = [];
-              marks =
-                List.map
-                  (fun pu ->
-                    {
-                      Redo_log.mig_id = rb_mig_id;
-                      mig_table = purge_mark_prefix ^ pu.pu_table;
-                      granule = Redo_log.G_tid pu.pu_limit;
-                    })
-                  purges;
-            };
-          (* Rollback = migrating in reverse: install the derived
-             backward spec as an ordinary lazy migration over the new
-             tables.  [resume] because its outputs (the old tables) still
-             exist; [overwrite] because a reconstructed row is
-             authoritative over a stale not-yet-purged original. *)
-          let brt =
-            Migrate_exec.install ~overwrite:true
-              ~page_size:fwd.Migrate_exec.page_size ~resume:true ~mig_id:rb_mig_id
-              t.database bspec
-          in
+          log t ~mig_id:fwd.Migrate_exec.mig_id
+            (Redo_log.M_rollback
+               {
+                 mr_rb_id = rb_mig_id;
+                 mr_backward = Migration.serialize bspec;
+                 mr_ceilings = List.map (fun pu -> (pu.pu_table, pu.pu_limit)) purges;
+               });
           (* The old schema is legal again; the abandoned new tables are
              not (they are now the inputs being drained). *)
           Some
             (activate t brt
-               ~rollback:
-                 {
-                   rb_fwd_mig_id = fwd.Migrate_exec.mig_id;
-                   rb_fwd_spec = spec;
-                   rb_purges = purges;
-                 }))
+               ~rollback:{ rb_fwd_mig_id = fwd.Migrate_exec.mig_id; rb_purges = purges }))
 
-(* Crash-restart mid-rollback.  The forward spec is re-installed
-   throwaway (resume mode, no DDL) purely to refill its trackers from
+(* Crash-restart mid-rollback.  The forward runtime is re-installed
+   throwaway from its Start record purely to refill its trackers from
    the log — that recovers which granules the forward migration had
    moved, i.e. which still need purging.  Purge completion is not logged
-   per granule; re-purging is idempotent (the TIDs are tombstones).
-   [page_size] must match the original forward install for granule ids
-   to line up, as with {!resume_migration}. *)
-let resume_rollback ?mode ?page_size ?nn ?fk_join t ~fwd_mig_id ~mig_id
-    (fwd_spec : Migration.t) (bspec : Migration.t) =
-  if t.act <> None then err "a schema migration is already in progress";
+   per granule; re-purging is idempotent (the TIDs are tombstones).  The
+   ceilings come from the Rollback record, and the backward runtime is
+   installed as [rollback_migration] did and refilled from its own
+   marks. *)
+let resume_backward t ~mig_id (s : Redo_log.mig_start) (r : Redo_log.mig_rollback) =
+  let fwd_spec = Migration.deserialize s.ms_spec in
   Obs.Flight.notef ~cat:"migration" "resume rollback of %s after crash restart"
     fwd_spec.Migration.name;
   Obs.Trace.with_span ~cat:"migration" "resume-rollback"
     ~args:[ ("migration", fwd_spec.Migration.name) ]
   @@ fun () ->
-  let fwd_rt =
-    Migrate_exec.install ?mode ?page_size ?nn ?fk_join ~resume:true ~mig_id:fwd_mig_id
-      t.database fwd_spec
-  in
-  ignore (Recovery.rebuild fwd_rt t.database.Database.redo);
-  let purges = purges_of_forward t.database fwd_rt in
-  (* Replace each [Heap.tid_count]-derived ceiling with the one logged at
-     rollback time (the heap has since grown with reconstructed rows). *)
-  let limits : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  Redo_log.iter t.database.Database.redo (fun r ->
-      List.iter
-        (fun (mk : Redo_log.migration_mark) ->
-          if mk.Redo_log.mig_id = mig_id then begin
-            let name = mk.Redo_log.mig_table in
-            let pl = String.length purge_mark_prefix in
-            if String.length name > pl && String.sub name 0 pl = purge_mark_prefix
-            then
-              match mk.Redo_log.granule with
-              | Redo_log.G_tid lim ->
-                  Hashtbl.replace limits
-                    (String.sub name pl (String.length name - pl))
-                    lim
-              | Redo_log.G_group _ -> ()
-          end)
-        r.Redo_log.marks);
   let purges =
     List.map
       (fun pu ->
-        match Hashtbl.find_opt limits pu.pu_table with
+        match List.assoc_opt pu.pu_table r.mr_ceilings with
         | Some lim -> { pu with pu_limit = lim }
         | None -> pu)
-      purges
+      (purges_of_forward t.database (reinstall t s ~mig_id fwd_spec))
   in
   let brt =
-    Migrate_exec.install ?mode ~overwrite:true ?page_size ?nn ?fk_join ~resume:true
-      ~mig_id t.database bspec
+    refill t
+      (install_backward t ~page_size:s.ms_page_size ~mig_id:r.mr_rb_id
+         (Migration.deserialize r.mr_backward))
   in
-  let restored = Recovery.rebuild brt t.database.Database.redo in
-  Logs.info (fun m ->
-      m "rollback of %S resumed after restart: %d granule mark(s) restored"
-        fwd_spec.Migration.name restored);
-  activate t brt
-    ~rollback:{ rb_fwd_mig_id = fwd_mig_id; rb_fwd_spec = fwd_spec; rb_purges = purges }
+  activate t brt ~rollback:{ rb_fwd_mig_id = mig_id; rb_purges = purges }
+
+(* ------------------------------------------------------------------ *)
+(* Restart                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let recover database =
+  let t = create database in
+  let redo = database.Database.redo in
+  (* Numbering continues past every id the log names: a reused id would
+     let an old migration's marks pass for the new one's. *)
+  t.next_mig_id <- Redo_log.max_mig_id redo + 1;
+  (match Redo_log.lifecycle redo with
+  | None -> ()
+  | Some (mig_id, steps) -> (
+      match (steps, List.rev steps) with
+      | _, Redo_log.M_end :: _ -> ()
+      | _, Redo_log.M_finalize drops :: _ -> finish_drops t ~mig_id drops
+      | Redo_log.M_start s :: _, Redo_log.M_rollback r :: _ ->
+          ignore (resume_backward t ~mig_id s r : Migrate_exec.t)
+      | Redo_log.M_start s :: _, _ -> ignore (resume_forward t ~mig_id s : Migrate_exec.t)
+      | _ -> assert false (* [Redo_log.lifecycle] opens with the start *)));
+  t

@@ -17,6 +17,7 @@
 type t
 
 val create : Bullfrog_db.Database.t -> t
+(** Over a fresh database.  A restarted one goes through {!recover}. *)
 
 val db : t -> Bullfrog_db.Database.t
 
@@ -36,37 +37,29 @@ val start_migration :
     non-invertible spec (mid-flight rollback will be refused) are logged
     as warnings.  Uniqueness is not pre-checked: a row that violates an
     output's UNIQUE / PRIMARY KEY constraint fails when its granule
-    migrates (§2.4's pure lazy approach).
+    migrates (§2.4's pure lazy approach).  Once installed, the switch is
+    logged as a Start record holding the spec and the settings chosen
+    ({!Bullfrog_db.Redo_log.mig_start}), which is all {!recover} needs.
     @raise Db_error.Sql_error when a migration is already active, or when
     the linter rejects the spec. *)
 
-val resume_migration :
-  ?mode:Migrate_exec.mode ->
-  ?page_size:int ->
-  ?nn:Migrate_exec.nn_granularity ->
-  ?fk_join:[ `Tuple | `Class ] ->
-  t ->
-  mig_id:int ->
-  Migration.t ->
-  Migrate_exec.t
-(** Crash-restart re-installation of a migration whose logical switch
-    already happened.  The output tables (and the rows migrated so far)
-    are expected to exist in the catalog — they survived via redo
-    replay — so no DDL runs; trackers are refilled from the committed
-    granule marks in the redo log ({!Recovery.rebuild}) and migration
-    resumes from the durable frontier.  [mig_id] must be the original
-    runtime's id (granule marks are filtered by it).  The analyzer runs
-    again but rejects nothing — the switch already happened; its verdict
-    picks the mode exactly as {!start_migration} does (an overlapping
-    split resumes in ON CONFLICT mode) and is attached to the runtime so
-    {!rollback_migration} keeps working across a crash.
-    @raise Db_error.Sql_error when a migration is already active. *)
+val recover : Bullfrog_db.Database.t -> t
+(** The restart entry point, over a database rebuilt by
+    {!Bullfrog_db.Database.replay} (or over the checkpoint image a
+    truncated log belongs to).  Migrations are numbered past every id the
+    log names.  The newest migration's lifecycle records then say what
+    was in flight: with no End, a Finalize's drops are finished and End
+    is logged; a Rollback is resumed backward; a Start alone is resumed
+    forward.  A resumed runtime is re-installed with the settings its
+    Start record holds (mode, granule size, n:n granularity, FK join);
+    the output tables and the rows migrated into them survived the
+    replay, so no DDL runs, and trackers are refilled from the committed
+    granule marks.  Mid-rollback, the forward trackers are rebuilt to
+    find the granules still to purge, and the purge ceilings come from
+    the Rollback record.  The analyzer runs again on a forward resume but
+    rejects nothing; its verdict keeps {!rollback_migration} working. *)
 
 val active : t -> Migrate_exec.t option
-
-val rollback_info : t -> (int * Migration.t) option
-(** [(forward mig_id, forward spec)] when the active migration is a
-    rollback installed by {!rollback_migration}; [None] otherwise. *)
 
 val migration_debt : t -> int
 (** Unmigrated-granule backlog of the active migration (granules the
@@ -136,17 +129,16 @@ val finalize : t -> unit
     rollback runtime [drop_old] holds the abandoned new-schema tables,
     and completeness additionally requires every stale-row purge to have
     drained.  Afterwards a statement naming a dropped table gets the
-    catalog's [relation "t" does not exist], as on a replayed node.
+    catalog's [relation "t" does not exist], as on a replayed node.  The
+    drops are logged as a Finalize record before the first one and
+    followed by End, so a crash between them finishes the drops at
+    {!recover}.
     @raise Db_error.Sql_error if incomplete. *)
 
 val check_finalizable : t -> unit
 (** Succeeds when {!finalize} could run now (always with no active
     migration); a cluster checks every shard before any drops.
     @raise Db_error.Sql_error if incomplete, like {!finalize}. *)
-
-val trivial_rollback : t -> bool
-(** Whether {!rollback_migration} would only drop the outputs: the
-    active migration is a forward one that dropped nothing. *)
 
 val rollback_migration : t -> Migrate_exec.t option
 (** Instant mid-flight rollback (§4.2j): install the statically derived
@@ -159,7 +151,9 @@ val rollback_migration : t -> Migrate_exec.t option
     backward runtime, or [None] when nothing was dropped by the forward
     migration (rollback then reduces to dropping the output tables
     through the logged {!Bullfrog_db.Database.drop_tables}, completed
-    synchronously, so replay leaves them absent too).
+    synchronously behind a Finalize record and an End, as {!finalize}
+    does).  A backward runtime is logged as a Rollback record holding
+    both ids, the backward spec and the purge TID ceilings.
 
     Old-table rows whose granules the forward migration had already
     moved may have diverged through the new schema; they are purged
@@ -170,29 +164,6 @@ val rollback_migration : t -> Migrate_exec.t option
     already in flight, the runtime has no lint verdict (the analyzer
     raised when the migration was resumed), or the spec is not
     invertible. *)
-
-val resume_rollback :
-  ?mode:Migrate_exec.mode ->
-  ?page_size:int ->
-  ?nn:Migrate_exec.nn_granularity ->
-  ?fk_join:[ `Tuple | `Class ] ->
-  t ->
-  fwd_mig_id:int ->
-  mig_id:int ->
-  Migration.t ->
-  Migration.t ->
-  Migrate_exec.t
-(** [resume_rollback t ~fwd_mig_id ~mig_id fwd_spec backward_spec] —
-    crash-restart re-installation of an in-flight rollback.  The forward
-    runtime's trackers are rebuilt from the log (under [fwd_mig_id]) to
-    recover which granules still need their stale old-schema rows
-    purged; the purge TID ceilings come from the synthetic marks logged
-    at rollback time; the backward runtime resumes from its own marks
-    (under [mig_id]).  [page_size] must match the original installs.
-    No analyzer runs: like {!rollback_migration}'s, the backward runtime
-    takes the caller's [mode] (default [Tracked]); a derived backward
-    spec is disjoint by construction.
-    @raise Db_error.Sql_error when a migration is already active. *)
 
 val interception_preds : t -> string -> (string * Migrate_exec.cand_pred) list option
 (** The candidate predicates the active migration's interception entry

@@ -79,6 +79,8 @@ type t = {
   mode : mode;
   overwrite : bool;
   page_size : int;
+  nn : nn_granularity;
+  fk_join : [ `Tuple | `Class ];
   mutable abort_inject : (unit -> bool) option;
   mutable listener : (granule_event -> unit) option;
   (* Live telemetry: committed granules attributed to the lazy path vs
@@ -452,6 +454,8 @@ let install ?(mode = Tracked) ?(overwrite = false) ?(page_size = 1) ?(nn = Nn_pa
     mode;
     overwrite;
     page_size;
+    nn;
+    fk_join;
     abort_inject = None;
     listener = None;
     tele_lazy = 0;

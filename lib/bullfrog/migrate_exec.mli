@@ -109,6 +109,10 @@ type t = {
           a live output row on a unique key replaces it instead of being
           dropped or raising — the reconstructed row is authoritative *)
   page_size : int;
+  nn : nn_granularity;
+  fk_join : [ `Tuple | `Class ];
+      (** with [mode], [overwrite] and [page_size], the settings a
+          restart re-installs the runtime with *)
   mutable abort_inject : (unit -> bool) option;
       (** failure injection: when it returns true, the migration
           transaction aborts after performing its work (tests §3.5) *)
@@ -160,7 +164,7 @@ val install :
     in {!Lazy_db.start_migration}).  With [resume] (crash restart), the
     output tables are expected to already exist — they and their data
     survived via redo replay — and no DDL runs; trackers come back empty
-    and are refilled from the log by {!Recovery.rebuild}. *)
+    and are refilled from the log by {!Recovery.rebuild_report}. *)
 
 val candidate_rows :
   ?probe:Probe_map.t ->

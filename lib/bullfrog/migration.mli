@@ -77,8 +77,8 @@ val input_tables_of_select :
 
 val serialize : t -> string
 (** Single-string wire form (components printed with
-    {!Bullfrog_sql.Pretty}); the cluster coordinator logs this when a
-    migration starts so a restart can re-install the spec. *)
+    {!Bullfrog_sql.Pretty}); a node's Start and Rollback lifecycle
+    records hold this form so a restart can re-install the spec. *)
 
 val deserialize : string -> t
 (** Inverse of {!serialize} (components re-parsed).

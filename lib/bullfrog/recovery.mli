@@ -1,10 +1,10 @@
 (** Crash recovery for the tracking structures (paper §3.5).
 
     BullFrog's trackers live in volatile memory.  After a (simulated)
-    crash, [rebuild] scans the redo log and, for every granule found in a
-    committed migration transaction, sets its status back to migrated —
-    in-progress granules of uncommitted transactions are naturally lost
-    and will be re-migrated.  The paper lists this as unimplemented
+    crash, [rebuild_report] scans the redo log and, for every granule
+    found in a committed migration transaction, sets its status back to
+    migrated — in-progress granules of uncommitted transactions are
+    naturally lost and will be re-migrated.  The paper lists this as unimplemented
     future work (footnote 5); it is implemented here. *)
 
 type rebuild_report = {
@@ -18,16 +18,15 @@ val rebuild_report : Migrate_exec.t -> Bullfrog_db.Redo_log.t -> rebuild_report
 (** Only marks matching the runtime's migration id are applied; the match
     is by input-table name and granule kind. *)
 
-val rebuild : Migrate_exec.t -> Bullfrog_db.Redo_log.t -> int
-(** [rebuild_report] returning just the restored count (and logging a
-    warning when marks were dropped); kept for existing callers. *)
-
 val simulate_crash : Migrate_exec.t -> Migrate_exec.t
 (** Fresh runtime over the same database and spec with empty trackers —
-    what a restart would reconstruct before replaying the log.  Output
-    tables and their data survive (they are "disk"); only tracker state
-    is lost. *)
+    the runtime re-installed ([Migrate_exec.install ~resume]) with the
+    settings it was installed with, as a restart would before replaying
+    the log.  Output tables and their data survive (they are "disk");
+    only tracker state is lost. *)
 
 val recover : Migrate_exec.t -> Migrate_exec.t * rebuild_report
 (** [simulate_crash] followed by [rebuild_report] against the database's
-    own redo log: the whole restart cycle in one call. *)
+    own redo log: a runtime-level restart, for runtimes outside
+    [Lazy_db] (the multistep baseline) and tests.  A node restarts
+    through [Lazy_db.recover]. *)

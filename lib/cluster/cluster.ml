@@ -43,7 +43,9 @@ type migration_state = {
 
 type t = {
   shards : shard array;
-  coord_log : Redo_log.t;  (* coordinator 2PC decision log *)
+  coord_log : Redo_log.t;
+      (* coordinator 2PC decision log; each shard logs its own migration
+         lifecycle *)
   mutable parts : (string * Partition.t) list;
   mutable next_gid : int;
   epoch : int Atomic.t;
@@ -719,33 +721,34 @@ let migration_record t ~from_tops spec rts =
     outputs;
   { mig_spec = spec; mig_rts = rts; mig_outputs = outputs; mig_watermarks = wms }
 
+(* Each shard logs its own Start record.  A crash between two shards'
+   switches leaves the later ones unswitched; [recover] starts them, so
+   the outputs get their partitions (read from shard 0's catalog) as
+   soon as shard 0 has switched. *)
 let start_migration ?(partitions = []) t mig =
   with_latch t (fun () ->
       if t.migration <> None then sql_error "cluster: a migration is already active";
       check_aggregate_partition t mig;
-      let rts =
-        Array.map (fun sh -> Lazy_db.start_migration sh.sh_lazy mig) t.shards
-      in
-      (* Durable record of the logical switch: the coordinator log (never
-         replayed as SQL, only scanned) carries the spec and runtime id so
-         a crash restart can re-install the migration and resume it. *)
-      Redo_log.append_ddl t.coord_log
-        ~epoch:(Atomic.get t.epoch)
-        (Printf.sprintf "BFMIG-START %d %s"
-           rts.(0).Migrate_exec.mig_id
-           (Migration.serialize mig));
-      let m = migration_record t ~from_tops:true mig rts in
       let partitions = List.map (fun (k, v) -> (lc k, v)) partitions in
-      List.iter
-        (fun out ->
-          match List.assoc_opt out partitions with
-          | Some p -> set_partition t out p
-          | None -> (
-              match default_partition t out with
-              | Some p when partition_of t out = None -> set_partition t out p
-              | _ -> ()))
-        m.mig_outputs;
-      t.migration <- Some m;
+      let rts =
+        Array.mapi
+          (fun s sh ->
+            let rt = Lazy_db.start_migration sh.sh_lazy mig in
+            if s = 0 then
+              List.iter
+                (fun out ->
+                  match List.assoc_opt out partitions with
+                  | Some p -> set_partition t out p
+                  | None -> (
+                      match default_partition t out with
+                      | Some p when partition_of t out = None -> set_partition t out p
+                      | _ -> ()))
+                (spec_outputs mig);
+            Fault.point Fault.p_cluster_start;
+            rt)
+          t.shards
+      in
+      t.migration <- Some (migration_record t ~from_tops:true mig rts);
       (* the cluster-wide flip: one store, after every shard acked *)
       Atomic.incr t.epoch;
       Obs.Flight.notef ~cat:"cluster" "migration %s started (epoch %d)"
@@ -790,22 +793,14 @@ let migration_progress t =
       let sum = Array.fold_left (fun acc rt -> acc +. Migrate_exec.progress rt) 0.0 m.mig_rts in
       sum /. float_of_int (Array.length m.mig_rts)
 
-(* Name the tables about to be dropped on every shard, before the first
-   drop: recovery finishes them (see [recover]). *)
-let begin_finalize t mig_id drops =
-  Redo_log.append_ddl t.coord_log ~epoch:(Atomic.get t.epoch)
-    (String.concat " " ("BFMIG-FINALIZE" :: string_of_int mig_id :: drops))
-
-(* Forget the partition specs of the tables this finalize dropped and
-   close the migration's marker in the coordinator log. *)
-let end_finalize t mig_id drops =
-  t.parts <- List.filter (fun (k, _) -> not (List.mem k drops)) t.parts;
-  Redo_log.append_ddl t.coord_log ~epoch:(Atomic.get t.epoch)
-    (Printf.sprintf "BFMIG-END %d" mig_id)
+let forget_partitions t drops =
+  t.parts <- List.filter (fun (k, _) -> not (List.mem k drops)) t.parts
 
 (* Every shard must be complete before any drops the spec's [drop_old].
-   A crash between shard drops recovers by finishing them rather than
-   resuming a migration whose inputs are gone on some shards. *)
+   Each shard logs its own Finalize record before its drops and End
+   after them; a crash between shards recovers by finishing the drops on
+   the rest (see [recover]).  The partition specs go first: they are
+   coordinator memory, which a crash keeps. *)
 let finalize t =
   with_latch t (fun () ->
       match t.migration with
@@ -813,15 +808,12 @@ let finalize t =
       | Some m ->
           Array.iteri (fun s _ -> move_misplaced t m s) t.shards;
           Array.iter (fun sh -> Lazy_db.check_finalizable sh.sh_lazy) t.shards;
-          let drops = m.mig_spec.Migration.drop_old in
-          let mig_id = m.mig_rts.(0).Migrate_exec.mig_id in
-          begin_finalize t mig_id drops;
+          forget_partitions t m.mig_spec.Migration.drop_old;
           Array.iter
             (fun sh ->
               Lazy_db.finalize sh.sh_lazy;
               Fault.point Fault.p_cluster_finalize)
             t.shards;
-          end_finalize t mig_id drops;
           Obs.Flight.notef ~cat:"cluster" "migration %s finalized"
             m.mig_spec.Migration.name;
           t.migration <- None)
@@ -829,51 +821,36 @@ let finalize t =
 (* Cluster-wide mid-flight rollback (§4.2j): flip every shard to the
    derived backward migration under the latch, then publish one epoch
    store — readers see either the whole cluster migrating forward or the
-   whole cluster rolling back, like the original flip.  The coordinator
-   log gets a BFMIG-RB marker carrying both runtime ids and the backward
-   spec so a crash restart can resume the rollback. *)
+   whole cluster rolling back, like the original flip.  Each shard logs
+   its own Rollback record.  A migration that dropped nothing rolls back
+   by dropping its outputs (identical specs and lint verdicts, so the
+   shards agree), behind each shard's own Finalize and End records. *)
 let rollback_migration t =
   with_latch t (fun () ->
       match t.migration with
       | None -> sql_error "cluster: no migration is active; nothing to roll back"
       | Some m ->
-          if Lazy_db.rollback_info t.shards.(0).sh_lazy <> None then
-            sql_error "cluster: migration %s is already rolling back"
-              m.mig_spec.Migration.name;
-          let fwd_mig_id = m.mig_rts.(0).Migrate_exec.mig_id in
-          (* A migration that dropped nothing rolls back by dropping its
-             outputs on every shard (identical specs and lint verdicts, so
-             the shards agree).  Those drops are marked like finalize's,
-             behind the same BFMIG-FINALIZE marker: a crash between shard
-             drops recovers by finishing them, not by resuming a
-             migration whose outputs are gone on some shards. *)
-          let trivial = Lazy_db.trivial_rollback t.shards.(0).sh_lazy in
-          if trivial then begin_finalize t fwd_mig_id m.mig_outputs;
           let brts =
             Array.map
               (fun sh ->
                 let b = Lazy_db.rollback_migration sh.sh_lazy in
-                if trivial then Fault.point Fault.p_cluster_rollback;
+                if Option.is_none b then begin
+                  forget_partitions t m.mig_outputs;
+                  Fault.point Fault.p_cluster_rollback
+                end;
                 b)
               t.shards
           in
-          assert (Array.for_all (fun b -> Option.is_none b = trivial) brts);
           (match brts.(0) with
-          | None ->
-              end_finalize t fwd_mig_id m.mig_outputs;
-              t.migration <- None
-          | Some _ ->
-              let brts = Array.map Option.get brts in
-              let bspec = brts.(0).Migrate_exec.spec in
-              Redo_log.append_ddl t.coord_log
-                ~epoch:(Atomic.get t.epoch)
-                (Printf.sprintf "BFMIG-RB %d %d %s" fwd_mig_id
-                   brts.(0).Migrate_exec.mig_id
-                   (Migration.serialize bspec));
+          | None -> t.migration <- None
+          | Some brt ->
               (* Watermarks start at the current heap tops: the surviving
                  old rows never moved (they are already home), only
                  reconstructed rows appended above need the row mover. *)
-              t.migration <- Some (migration_record t ~from_tops:true bspec brts));
+              t.migration <-
+                Some
+                  (migration_record t ~from_tops:true brt.Migrate_exec.spec
+                     (Array.map Option.get brts)));
           Atomic.incr t.epoch;
           Obs.Flight.notef ~cat:"cluster" "migration %s rolled back (epoch %d)"
             m.mig_spec.Migration.name (Atomic.get t.epoch);
@@ -882,82 +859,69 @@ let rollback_migration t =
 (* ------------------------------------------------------------------ *)
 (* recovery                                                            *)
 
-(* The last BFMIG-START in the coordinator log with no matching
-   BFMIG-END is a migration whose logical switch happened but which was
-   not finalized before the crash: it must be re-installed and resumed.
-   A BFMIG-RB following that START flips the pending state to a rollback
-   (resumed backward); its BFMIG-END carries the {e rollback} runtime
-   id.  A BFMIG-FINALIZE for the pending runtime means the crash hit
-   finalize after it began dropping [drop_old], or a rollback of a
-   migration that dropped nothing after it began dropping the outputs. *)
-type pending_migration =
-  | P_forward of int * string  (* mig_id, serialized spec *)
-  | P_rollback of int * string * int * string
-      (* forward mig_id, forward spec, rollback mig_id, backward spec *)
-  | P_finalize of int * string list  (* mig_id, tables to drop *)
-
-(* [split_words n s]: the first [n] space-separated words of [s] and
-   the rest after them (spaces and all), or [None] when [s] has fewer
-   than [n] spaces. *)
-let split_words n s =
-  let rec go n i acc =
-    if n = 0 then Some (List.rev acc, String.sub s i (String.length s - i))
-    else
-      match String.index_from_opt s i ' ' with
-      | Some j -> go (n - 1) (j + 1) (String.sub s i (j - i) :: acc)
-      | None -> None
-  in
-  go n 0 []
-
-let pending_migration_marker coord_log =
-  let marker acc d_sql =
-    match split_words 1 d_sql with
-    | Some ([ "BFMIG-START" ], rest) -> (
-        match split_words 1 rest with
-        | Some ([ id ], spec) -> Some (P_forward (int_of_string id, spec))
-        | _ -> acc)
-    | Some ([ "BFMIG-RB" ], rest) -> (
-        match split_words 2 rest with
-        | Some ([ fwd_id; rb_id ], bspec) -> (
-            let fwd_id = int_of_string fwd_id and rb_id = int_of_string rb_id in
-            match acc with
-            | Some (P_forward (mid, mw)) when mid = fwd_id ->
-                Some (P_rollback (mid, mw, rb_id, bspec))
-            | _ -> acc)
-        | _ -> acc)
-    | Some ([ "BFMIG-FINALIZE" ], rest) -> (
-        let id, tables =
-          match String.split_on_char ' ' rest with
-          | id :: tables -> (int_of_string_opt id, tables)
-          | [] -> (None, [])
-        in
-        match (acc, id) with
-        | Some (P_forward (mid, _) | P_rollback (_, _, mid, _)), Some fid when mid = fid ->
-            Some (P_finalize (mid, tables))
-        | _ -> acc)
-    | Some ([ "BFMIG-END" ], id) -> (
-        match (acc, int_of_string_opt id) with
-        | Some (P_forward (mid, _)), Some eid when mid = eid -> None
-        | Some (P_rollback (_, _, rbid, _)), Some eid when rbid = eid -> None
-        | Some (P_finalize (mid, _)), Some eid when mid = eid -> None
-        | _ -> acc)
-    | _ -> acc
-  in
-  List.fold_left
-    (fun acc -> function Redo_log.E_ddl { d_sql; _ } -> marker acc d_sql | _ -> acc)
-    None (Redo_log.entries coord_log)
+(* How far a shard got with a migration, by its last record: 0 = not
+   started, then Start, Rollback, Finalize, End. *)
+let phase steps =
+  match List.rev steps with
+  | [] -> 0
+  | Redo_log.M_start _ :: _ -> 1
+  | Redo_log.M_rollback _ :: _ -> 2
+  | Redo_log.M_finalize _ :: _ -> 3
+  | Redo_log.M_end :: _ -> 4
 
 let recover old =
   let coord_log = Redo_log.deserialize (Redo_log.serialize old.coord_log) in
   let decisions = Redo_log.decisions coord_log in
   let resolve gid = List.exists (fun (g, c, _) -> g = gid && c) decisions in
-  let shards =
+  let dbs =
     Array.map
       (fun sh ->
-        let log = Redo_log.deserialize (Redo_log.serialize sh.sh_db.Database.redo) in
-        let db = Database.replay ~resolve log in
-        { sh_id = sh.sh_id; sh_db = db; sh_lazy = Lazy_db.create db })
+        Database.replay ~resolve
+          (Redo_log.deserialize (Redo_log.serialize sh.sh_db.Database.redo)))
       old.shards
+  in
+  (* Lifecycle steps run shard by shard, so a crash between two shards
+     leaves the later ones one step behind.  Every shard is driven to the
+     furthest phase any shard reached for the newest migration: the
+     laggards start, roll back, or take the leader's Finalize record and
+     finish its drops. *)
+  let logged = Array.map (fun db -> Redo_log.lifecycle db.Database.redo) dbs in
+  let newest =
+    Array.fold_left
+      (fun acc -> function Some (id, _) -> max acc id | None -> acc)
+      0 logged
+  in
+  let steps =
+    Array.map (function Some (id, steps) when id = newest -> steps | _ -> []) logged
+  in
+  let phases = Array.map phase steps in
+  let target = Array.fold_left max 0 phases in
+  let lead = steps.(Option.get (Array.find_index (( = ) target) phases)) in
+  let shards =
+    Array.mapi
+      (fun s db ->
+        let behind = phases.(s) < target in
+        if behind && target >= 3 then begin
+          if phases.(s) = 0 then
+            sql_error "cluster recovery: shard %d never started migration %d" s newest;
+          Redo_log.append_lifecycle db.Database.redo ~mig_id:newest
+            (List.find (function Redo_log.M_finalize _ -> true | _ -> false) lead)
+        end;
+        let ld = Lazy_db.recover db in
+        if behind && target <= 2 then begin
+          (if phases.(s) = 0 then
+             match lead with
+             | Redo_log.M_start st :: _ ->
+                 let rt = Lazy_db.start_migration ld (Migration.deserialize st.ms_spec) in
+                 if rt.Migrate_exec.mig_id <> newest then
+                   sql_error "cluster recovery: shard %d numbered migration %d as %d" s
+                     newest rt.Migrate_exec.mig_id
+             | _ -> assert false (* [Redo_log.lifecycle] opens with the start *));
+          if target = 2 then
+            ignore (Lazy_db.rollback_migration ld : Migrate_exec.t option)
+        end;
+        { sh_id = s; sh_db = db; sh_lazy = ld })
+      dbs
   in
   let t =
     {
@@ -978,30 +942,13 @@ let recover old =
   Obs.register_stats t.prov (fun () -> !stats_of t);
   Obs.Flight.notef ~cat:"cluster" "recovered %d shard(s), epoch %d"
     (Array.length shards) (Atomic.get t.epoch);
-  let resume =
-    match pending_migration_marker coord_log with
-    | None -> None
-    | Some (P_finalize (mig_id, drops)) ->
-        (* the crash hit finalize (or a trivial rollback) between shard
-           drops: finish them *)
-        Array.iter (fun sh -> Database.drop_tables sh.sh_db drops) t.shards;
-        end_finalize t mig_id drops;
-        None
-    | Some (P_forward (mig_id, wire)) ->
-        let mig = Migration.deserialize wire in
-        Some (mig, fun sh -> Lazy_db.resume_migration sh.sh_lazy ~mig_id mig)
-    | Some (P_rollback (fwd_mig_id, fwd_wire, mig_id, rb_wire)) ->
-        let fwd_spec = Migration.deserialize fwd_wire in
-        let bspec = Migration.deserialize rb_wire in
-        Some
-          ( bspec,
-            fun sh -> Lazy_db.resume_rollback sh.sh_lazy ~fwd_mig_id ~mig_id fwd_spec bspec )
-  in
-  Option.iter
-    (fun (spec, resume_shard) ->
-      t.migration <-
-        Some (migration_record t ~from_tops:false spec (Array.map resume_shard t.shards)))
-    resume;
+  if target = 1 || target = 2 then begin
+    let rts = Array.map (fun sh -> Option.get (Lazy_db.active sh.sh_lazy)) shards in
+    t.migration <-
+      Some (migration_record t ~from_tops:false rts.(0).Migrate_exec.spec rts);
+    (* a flip that some shard had not taken completes here *)
+    if Array.exists (fun p -> p < target) phases then Atomic.incr t.epoch
+  end;
   t
 
 (* ------------------------------------------------------------------ *)

@@ -88,7 +88,9 @@ val start_migration :
   ?partitions:(string * Partition.t) list -> t -> Bullfrog_core.Migration.t -> unit
 (** Flip every shard (each gets its own trackers and migration runtime),
     register output-table partitions ([partitions] overrides the
-    defaults), and publish the new cluster epoch after all shards ack. *)
+    defaults), and publish the new cluster epoch after all shards ack.
+    Each shard logs its own Start record; a crash between two shards'
+    switches is finished by {!recover}. *)
 
 val background_step : t -> batch:int -> int
 (** One background batch on every shard (plus row movement); returns
@@ -107,19 +109,20 @@ val migration_debt : t -> int
 
 val finalize : t -> unit
 (** Per-shard {!Bullfrog_core.Lazy_db.finalize} plus a final row-movement
-    sweep.  The spec's [drop_old] is logged as [BFMIG-FINALIZE] before
-    the first shard drops it, and its partition specs are forgotten.
+    sweep.  Every shard is checked before the first drop; each shard
+    logs its own Finalize record before its drops and End after them,
+    and the dropped tables' partition specs are forgotten.
     @raise Db_error.Sql_error if any shard is incomplete. *)
 
 val rollback_migration : t -> unit
 (** Cluster-wide mid-flight rollback: flip every shard to the statically
     derived backward migration ({!Bullfrog_core.Lazy_db.rollback_migration})
     and publish one epoch store, so readers see either the whole cluster
-    migrating forward or the whole cluster rolling back.  A [BFMIG-RB]
-    coordinator-log marker (forward and rollback runtime ids plus the
-    serialized backward spec) makes the rollback crash-survivable; when
-    nothing needs reconstructing the outputs are dropped synchronously
-    and the marker closes with [BFMIG-END].  The rollback then proceeds
+    migrating forward or the whole cluster rolling back.  Each shard
+    logs its own Rollback record, which makes the rollback
+    crash-survivable; when nothing needs reconstructing each shard drops
+    the outputs synchronously behind a Finalize record and an End.  The
+    rollback then proceeds
     like any migration: lazy, background-drained, finished by
     {!finalize} (which drops the abandoned new-schema tables).
     @raise Db_error.Sql_error when no migration is active, a rollback is
@@ -148,11 +151,11 @@ val recover : t -> t
     presumed abort when no commit decision was logged — so a cross-shard
     transaction is either committed on every participant or on none.
 
-    A crash mid-migration is survivable: the coordinator log records the
-    logical switch (spec + runtime id) when {!start_migration} runs and a
-    matching end marker at {!finalize}; when the last switch has no end
-    marker, recovery re-installs the migration on every shard
-    ({!Bullfrog_core.Lazy_db.resume_migration}) — the output tables and
-    already-migrated rows survived via redo replay, per-shard trackers
-    are refilled from committed granule marks, and lazy/background
-    migration resumes from the durable frontier. *)
+    A crash mid-migration is survivable: each shard logs its own
+    migration lifecycle records and restarts through
+    {!Bullfrog_core.Lazy_db.recover}.  Lifecycle steps run shard by
+    shard, so a crash between two shards leaves the later ones one step
+    behind; recovery drives every shard to the furthest phase any shard
+    reached for the newest migration — it starts the shards that had not
+    switched, rolls back those still migrating forward, or finishes the
+    drops a Finalize record names. *)

@@ -85,12 +85,14 @@ let points = [ Fault.p_2pc_prepare; Fault.p_2pc_decision; Fault.p_2pc_ack ]
 (* A migration that changes the partition key (t is hash-partitioned by
    id, its output t2 by grp), so lazily-migrated rows move to their new
    home shard through 2PC — and the armed crash point fires while the
-   migration is active.  Setup uses single-row INSERTs (single-shard, no
-   2PC), so the first reachable fault point is a migration row move.
-   After [Cluster.recover] the migration must still be installed (spec
-   re-read from the coordinator log, trackers refilled from granule
-   marks); the workload re-runs, background migration drains, and the
-   final t2 must be row-exact against the disarmed oracle. *)
+   migration starts or is active.  Setup uses single-row INSERTs
+   (single-shard, no 2PC), so the first reachable fault point is a shard
+   switching to the migration, the next a migration row move.  After
+   [Cluster.recover] the migration must still be installed (spec re-read
+   from the shards' Start records, trackers refilled from granule marks,
+   unswitched shards started); the workload re-runs, background migration
+   drains, and the final t2 must be row-exact against the disarmed
+   oracle. *)
 
 let mig_rows = List.init 24 (fun i -> (i, i * 7 mod 5))
 
@@ -117,7 +119,8 @@ let run_mig () =
            (Printf.sprintf "INSERT INTO t VALUES (%d, %d, 'v%03d')" id grp id)
          : Executor.result))
     mig_rows;
-  Cluster.start_migration !c (mig_spec ());
+  (* a crash between two shards' switches recovers by starting the rest *)
+  attempt (fun () -> Cluster.start_migration !c (mig_spec ()));
   let drive () =
     List.iter (fun q -> ignore (Cluster.exec !c q : Executor.result)) mig_queries
   in
@@ -161,7 +164,7 @@ let register () =
     registered := true
   end
 
-let mig_points = points @ [ Fault.p_cluster_finalize ]
+let mig_points = points @ [ Fault.p_cluster_finalize; Fault.p_cluster_start ]
 
 let run_bounded () =
   Fault_sweep.run_scenario ~points scenario

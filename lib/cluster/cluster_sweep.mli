@@ -14,18 +14,19 @@ val mig_scenario : Bullfrog_core.Fault_sweep.scenario
     migration (input hashed by [id], output by [grp]) is driven by
     predicate queries so migrated rows move home through 2PC; the armed
     point fires during a move, {!Cluster.recover} must re-install the
-    migration from the coordinator log and resume it (probe result set
+    migration from the shards' own logs and resume it (probe result set
     ["resumed"] stays empty), and after convergence + finalize the
     output table must be row-exact against the disarmed oracle, with the
     migration closed and the input dropped on every shard (probe
-    ["finalized"]), also when the crash hits finalize itself. *)
+    ["finalized"]), also when the crash hits finalize itself, or the
+    start between two shards' switches (recovery starts the rest). *)
 
 val points : int list
 (** [p_2pc_prepare; p_2pc_decision; p_2pc_ack]. *)
 
 val mig_points : int list
-(** {!points} and [p_cluster_finalize]: the points {!mig_scenario}
-    reaches. *)
+(** {!points}, [p_cluster_finalize] and [p_cluster_start]: the points
+    {!mig_scenario} reaches. *)
 
 val register : unit -> unit
 (** Add both scenarios to {!Bullfrog_core.Fault_sweep}'s registry

@@ -541,7 +541,9 @@ let replay ?(resolve = fun _gid -> false) (src : Redo_log.t) =
           | Some r ->
               pending := List.filter (fun (g, _) -> g <> dc_gid) !pending;
               if dc_commit then
-                apply_record { r with Redo_log.commit_ts = dc_ts }))
+                apply_record { r with Redo_log.commit_ts = dc_ts })
+      | Redo_log.E_migration { mg_id; mg_step } ->
+          Redo_log.append_lifecycle t.redo ~mig_id:mg_id mg_step)
     (Redo_log.entries src);
   (* In-doubt resolution.  A crash can only truncate the log, so every
      pending gid's effects are strictly after everything replayed above —

@@ -159,8 +159,10 @@ val replay : ?resolve:(string -> bool) -> Redo_log.t -> t
 (** Rebuild a fresh database from an untruncated redo log: DDL entries
     re-run their SQL against the new catalog; committed writes apply
     directly to the heaps at their original TIDs (tombstone-padding the
-    gaps aborted transactions burned).  Commit records are re-appended to
-    the new database's log, so a second crash still recovers.  The result
+    gaps aborted transactions burned).  Commit records and migration
+    lifecycle records are re-appended to the new database's log, so a
+    second crash still recovers; a lifecycle record is never executed
+    (a restart hands it to [Lazy_db.recover]).  The result
     is bit-exact: every table has the same TID layout and cell values as
     the source database had at serialization time.
 

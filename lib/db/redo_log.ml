@@ -18,11 +18,32 @@ type record = {
   marks : migration_mark list;
 }
 
+type mig_start = {
+  ms_spec : string;
+  ms_on_conflict : bool;
+  ms_page_size : int;
+  ms_nn_join_key : bool;
+  ms_fk_class : bool;
+}
+
+type mig_rollback = {
+  mr_rb_id : int;
+  mr_backward : string;
+  mr_ceilings : (string * int) list;
+}
+
 type entry =
   | E_ddl of { d_epoch : int; d_sql : string }
   | E_commit of record
   | E_prepare of { p_gid : string; p_record : record }
   | E_decision of { dc_gid : string; dc_commit : bool; dc_ts : int }
+  | E_migration of { mg_id : int; mg_step : lifecycle }
+
+and lifecycle =
+  | M_start of mig_start
+  | M_rollback of mig_rollback
+  | M_finalize of string list
+  | M_end
 
 type t = {
   entries : entry Vec.t;
@@ -79,13 +100,17 @@ let append_decision t ~gid ~commit ~ts =
   with_latch t (fun () ->
       Vec.push t.entries (E_decision { dc_gid = gid; dc_commit = commit; dc_ts = ts }))
 
+let append_lifecycle t ~mig_id step =
+  with_latch t (fun () ->
+      Vec.push t.entries (E_migration { mg_id = mig_id; mg_step = step }))
+
 (* Decisions by gid, later entries winning (there is at most one per gid
    in practice).  Used by the cluster coordinator's in-doubt resolution. *)
 let decisions t =
   List.filter_map
     (function
       | E_decision { dc_gid; dc_commit; dc_ts } -> Some (dc_gid, dc_commit, dc_ts)
-      | E_ddl _ | E_commit _ | E_prepare _ -> None)
+      | E_ddl _ | E_commit _ | E_prepare _ | E_migration _ -> None)
     (with_latch t (fun () -> Vec.to_list t.entries))
 
 let length t = with_latch t (fun () -> t.commits)
@@ -101,23 +126,49 @@ let entries t = with_latch t (fun () -> Vec.to_list t.entries)
 
 let records t =
   List.filter_map
-    (function E_commit r -> Some r | E_ddl _ | E_prepare _ | E_decision _ -> None)
+    (function
+      | E_commit r -> Some r
+      | E_ddl _ | E_prepare _ | E_decision _ | E_migration _ -> None)
     (entries t)
 
 let iter t f = List.iter f (records t)
 
-let iter_entries t f = List.iter f (entries t)
+(* The newest migration's id and records: the last start and every later
+   record carrying its id. *)
+let newest_lifecycle entries =
+  List.fold_left
+    (fun acc -> function
+      | E_migration { mg_id; mg_step = M_start _ as step } -> Some (mg_id, [ step ])
+      | E_migration { mg_id; mg_step } -> (
+          match acc with
+          | Some (id, steps) when id = mg_id -> Some (id, mg_step :: steps)
+          | _ -> acc)
+      | E_ddl _ | E_commit _ | E_prepare _ | E_decision _ -> acc)
+    None entries
+  |> Option.map (fun (id, steps) -> (id, List.rev steps))
 
-let clear t =
-  with_latch t (fun () ->
-      Vec.clear t.entries;
-      t.commits <- 0)
+let lifecycle t = newest_lifecycle (entries t)
+
+let max_mig_id t =
+  let of_record r =
+    List.fold_left (fun acc (m : migration_mark) -> max acc m.mig_id) 0 r.marks
+  in
+  List.fold_left
+    (fun acc -> function
+      | E_commit r | E_prepare { p_record = r; _ } -> max acc (of_record r)
+      | E_migration { mg_id; mg_step = M_rollback { mr_rb_id; _ } } ->
+          max acc (max mg_id mr_rb_id)
+      | E_migration { mg_id; _ } -> max acc mg_id
+      | E_ddl _ | E_decision _ -> acc)
+    0 (entries t)
 
 (* Truncate the log.  The heaps themselves are the checkpoint image in
    this in-memory model, so replayable history can be dropped wholesale —
-   except migration marks, whose only durable home is the log: they are
-   folded into one synthetic record (txn_id 0) so tracker rebuild keeps
-   working after the checkpoint.  Returns the number of entries dropped. *)
+   except migration state, whose only durable home is the log: the
+   records of a migration with no end survive as they are, and the marks
+   are folded into one synthetic record (txn_id 0) so tracker rebuild
+   keeps working after the checkpoint.  Returns the number of entries
+   dropped. *)
 let checkpoint t =
   Obs.Counters.bump c_checkpoints;
   with_latch t (fun () ->
@@ -126,11 +177,18 @@ let checkpoint t =
       Vec.iter
         (function
           | E_commit r -> marks := List.rev_append r.marks !marks
-          | E_ddl _ | E_prepare _ | E_decision _ -> ())
+          | E_ddl _ | E_prepare _ | E_decision _ | E_migration _ -> ())
         t.entries;
+      let open_records =
+        match newest_lifecycle (Vec.to_list t.entries) with
+        | Some (mg_id, steps) when not (List.mem M_end steps) ->
+            List.map (fun mg_step -> E_migration { mg_id; mg_step }) steps
+        | Some _ | None -> []
+      in
       Vec.clear t.entries;
       t.commits <- 0;
       t.truncated <- t.truncated + dropped;
+      List.iter (Vec.push t.entries) open_records;
       (match List.rev !marks with
       | [] -> ()
       | marks ->
@@ -146,12 +204,14 @@ let checkpoint t =
    their IEEE-754 bit patterns so a serialize/deserialize round trip is
    bit-exact (no decimal shortest-representation detour). *)
 
-(* BFRL2 added the per-commit MVCC timestamp; BFRL3 adds the two-phase
-   commit entries (prepare records and coordinator decisions).  Both older
-   formats are still readable: BFRL1 logs (no commit_ts field) re-stamp
-   from a fresh clock on replay, and no pre-BFRL3 log can contain a 2PC
-   entry. *)
-let magic = "BFRL3\n"
+(* BFRL2 added the per-commit MVCC timestamp, BFRL3 the two-phase commit
+   entries (prepare records and coordinator decisions), BFRL4 the
+   migration lifecycle records.  Every older format is still readable:
+   BFRL1 logs (no commit_ts field) re-stamp from a fresh clock on replay,
+   and an older log simply holds none of the later entry kinds. *)
+let magic = "BFRL4\n"
+
+let magic_v3 = "BFRL3\n"
 
 let magic_v2 = "BFRL2\n"
 
@@ -224,6 +284,34 @@ let put_record buf r =
   put_int buf (List.length r.marks);
   List.iter (put_mark buf) r.marks
 
+let put_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
+
+let put_list buf f l =
+  put_int buf (List.length l);
+  List.iter (f buf) l
+
+let put_lifecycle buf = function
+  | M_start s ->
+      Buffer.add_char buf '\000';
+      put_str buf s.ms_spec;
+      put_bool buf s.ms_on_conflict;
+      put_int buf s.ms_page_size;
+      put_bool buf s.ms_nn_join_key;
+      put_bool buf s.ms_fk_class
+  | M_rollback r ->
+      Buffer.add_char buf '\001';
+      put_int buf r.mr_rb_id;
+      put_str buf r.mr_backward;
+      put_list buf
+        (fun buf (table, ceiling) ->
+          put_str buf table;
+          put_int buf ceiling)
+        r.mr_ceilings
+  | M_finalize drops ->
+      Buffer.add_char buf '\002';
+      put_list buf put_str drops
+  | M_end -> Buffer.add_char buf '\003'
+
 let put_entry buf = function
   | E_ddl { d_epoch; d_sql } ->
       Buffer.add_char buf '\000';
@@ -239,8 +327,12 @@ let put_entry buf = function
   | E_decision { dc_gid; dc_commit; dc_ts } ->
       Buffer.add_char buf '\003';
       put_str buf dc_gid;
-      Buffer.add_char buf (if dc_commit then '\001' else '\000');
+      put_bool buf dc_commit;
       put_int buf dc_ts
+  | E_migration { mg_id; mg_step } ->
+      Buffer.add_char buf '\004';
+      put_int buf mg_id;
+      put_lifecycle buf mg_step
 
 let serialize t =
   let snapshot, truncated =
@@ -336,6 +428,28 @@ let get_record ~version c =
   let marks = get_list c get_mark in
   { txn_id; commit_ts; writes; marks }
 
+let get_lifecycle c =
+  match get_byte c with
+  | 0 ->
+      let ms_spec = get_str c in
+      let ms_on_conflict = get_byte c <> 0 in
+      let ms_page_size = get_int c in
+      let ms_nn_join_key = get_byte c <> 0 in
+      let ms_fk_class = get_byte c <> 0 in
+      M_start { ms_spec; ms_on_conflict; ms_page_size; ms_nn_join_key; ms_fk_class }
+  | 1 ->
+      let mr_rb_id = get_int c in
+      let mr_backward = get_str c in
+      let mr_ceilings =
+        get_list c (fun c ->
+            let table = get_str c in
+            (table, get_int c))
+      in
+      M_rollback { mr_rb_id; mr_backward; mr_ceilings }
+  | 2 -> M_finalize (get_list c get_str)
+  | 3 -> M_end
+  | _ -> fail_corrupt "lifecycle tag"
+
 let get_entry ~version c =
   match get_byte c with
   | 0 ->
@@ -349,15 +463,20 @@ let get_entry ~version c =
       let dc_gid = get_str c in
       let dc_commit = get_byte c <> 0 in
       E_decision { dc_gid; dc_commit; dc_ts = get_int c }
+  | 4 when version >= 4 ->
+      let mg_id = get_int c in
+      E_migration { mg_id; mg_step = get_lifecycle c }
   | _ -> fail_corrupt "entry tag"
 
 let deserialize data =
   let c = { data; pos = 0 } in
   let m = String.length magic in
+  let header = if String.length data >= m then String.sub data 0 m else "" in
   let version =
-    if String.length data >= m && String.sub data 0 m = magic then 3
-    else if String.length data >= m && String.sub data 0 m = magic_v2 then 2
-    else if String.length data >= m && String.sub data 0 m = magic_v1 then 1
+    if header = magic then 4
+    else if header = magic_v3 then 3
+    else if header = magic_v2 then 2
+    else if header = magic_v1 then 1
     else fail_corrupt "magic header"
   in
   c.pos <- m;
@@ -371,7 +490,7 @@ let deserialize data =
     Vec.push t.entries e;
     match e with
     | E_commit _ -> t.commits <- t.commits + 1
-    | E_ddl _ | E_prepare _ | E_decision _ -> ()
+    | E_ddl _ | E_prepare _ | E_decision _ | E_migration _ -> ()
   done;
   if c.pos <> String.length data then fail_corrupt "trailing bytes";
   t

@@ -338,7 +338,7 @@ let recovery_rebuild () =
   (* crash: trackers are volatile; data survives *)
   let rt' = Recovery.simulate_crash rt in
   check Alcotest.bool "fresh trackers are empty" false (Migrate_exec.verify_complete rt');
-  let restored = Recovery.rebuild rt' db.Database.redo in
+  let restored = (Recovery.rebuild_report rt' db.Database.redo).Recovery.rb_restored in
   check Alcotest.int "granule statuses restored from the redo log" 4 restored;
   (* the restored tracker prevents re-migration *)
   let report = Migrate_exec.new_report () in

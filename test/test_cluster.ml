@@ -307,9 +307,9 @@ let sweep_cells () =
       if not cl.Fault_sweep.c_ok then
         Alcotest.failf "cell not ok: %s" (Fault_sweep.pp_cell cl))
     cells;
-  (* 3 armed 2PC points for cluster2pc, the same 3 and the finalize
-     point for cluster_mig *)
-  check Alcotest.int "every 2PC crash point reached" 7
+  (* 3 armed 2PC points for cluster2pc, the same 3 plus the finalize
+     and start points for cluster_mig *)
+  check Alcotest.int "every 2PC crash point reached" 8
     (Fault_sweep.fired_count cells);
   Cluster_sweep.register ();
   Cluster_sweep.register ();
@@ -772,10 +772,9 @@ let finalized_drop_survives_recovery () =
   check Alcotest.int "ta intact" 12 (List.length (Cluster.query c "SELECT id FROM ta"))
 
 (* A crash after shard 0 dropped the inputs, before the other shards
-   did: recovery finishes the drops named by the coordinator's
-   BFMIG-FINALIZE marker instead of resuming a migration whose input is
-   gone on shard 0, and closes the marker, so a second recovery finds
-   nothing pending. *)
+   did: recovery finishes the drops named by shard 0's Finalize record
+   on every shard instead of resuming a migration whose input is gone on
+   shard 0, and logs End, so a second recovery finds nothing pending. *)
 let finalize_crash_between_shards () =
   let module Fault = Bullfrog_core.Fault in
   let holds_t c = List.init (Cluster.shard_count c) (fun s ->
@@ -897,7 +896,7 @@ let recover_preserves_rows () =
     (List.length (Cluster.query c' "SELECT id FROM t WHERE v = 'post'"))
 
 (* A restart in the middle of an active migration resumes it: the spec
-   comes back from the coordinator log, already-migrated rows survive
+   comes back from each shard's Start record, already-migrated rows survive
    via redo replay, and granules migrated before the crash are not
    re-migrated (the trackers refill from the logged marks). *)
 let recover_mid_migration () =
@@ -954,7 +953,7 @@ let recover_mid_migration () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Cluster-wide rollback: one epoch flip, BFMIG-RB crash recovery      *)
+(* Cluster-wide rollback: one epoch flip, crash recovery mid-rollback  *)
 (* ------------------------------------------------------------------ *)
 
 let copy_t_spec () =
@@ -968,7 +967,7 @@ let copy_t_spec () =
 (* Roll a half-done cluster migration back mid-flight (with edits taken
    through the new schema on the way), crash-restart in the middle of
    the BACKWARD phase, and check the recovered cluster resumes the
-   rollback from the coordinator's BFMIG-RB marker and lands row-exact
+   rollback from the shards' Rollback records and lands row-exact
    against a never-migrated single-node oracle. *)
 let cluster_rollback_mid_flight () =
   let c = mk_cluster 40 in
@@ -989,7 +988,7 @@ let cluster_rollback_mid_flight () =
      ignore (Cluster.exec c "SELECT v FROM t2 WHERE id = 11" : Executor.result);
      Alcotest.fail "t2 should be rejected mid-rollback"
    with Db_error.Sql_error _ -> ());
-  (* crash-restart mid-rollback: the BFMIG-RB marker re-installs it *)
+  (* crash-restart mid-rollback: the Rollback records re-install it *)
   let c = Cluster.recover c in
   check Alcotest.bool "rollback survives the crash" true
     (match Cluster.active_migration c with
@@ -1025,8 +1024,8 @@ let cluster_rollback_mid_flight () =
   done
 
 (* A migration that drops nothing rolls back trivially: outputs are
-   dropped synchronously through logged drops, the marker closes with
-   BFMIG-END, and a recovered cluster has no migration to resume and no
+   dropped synchronously through logged drops, each shard logs End, and
+   a recovered cluster has no migration to resume and no
    output to bring back. *)
 let tkeep_spec () =
   Migration.make ~name:"tkeep" ~drop_old:[]
@@ -1057,9 +1056,9 @@ let cluster_rollback_trivial () =
 
 (* A crash after the first k shards rolled back a migration that
    dropped nothing, before the rest did: recovery finishes the output
-   drops named by the coordinator's BFMIG-FINALIZE marker instead of
-   resuming a migration whose output is gone on some shards, closes the
-   marker, and leaves the output's name free for a new migration. *)
+   drops named by the leading shards' Finalize record instead of
+   resuming a migration whose output is gone on some shards, logs End
+   everywhere, and leaves the output's name free for a new migration. *)
 let trivial_rollback_crash_between_shards () =
   let module Fault = Bullfrog_core.Fault in
   let holds_copy c =
@@ -1145,6 +1144,67 @@ let cluster_name_reuse () =
           (Catalog.exists (Cluster.shard_db c i).Database.catalog "t2")
       done)
     [ false; true ]
+
+(* t -> t2 -> t -> t2 with a recovery between hops and a crash in the
+   third: each shard numbers its migrations past its own log, so the
+   first hop's marks (same input name, same TIDs) are not taken for the
+   third's, and t2 drains to every row. *)
+let cluster_ids_continue_after_restart () =
+  let move ~drop src dst =
+    Migration.make ~name:(src ^ "_to_" ^ dst) ~drop_old:[ drop ]
+      [
+        Migration.statement_of_sql
+          (Printf.sprintf "CREATE TABLE %s AS (SELECT id, v FROM %s)" dst src);
+      ]
+  in
+  let finish c =
+    while not (Cluster.migration_complete c) do
+      ignore (Cluster.background_step c ~batch:8 : int)
+    done;
+    Cluster.finalize c
+  in
+  let c = mk_cluster 40 in
+  Cluster.start_migration c (move ~drop:"t" "t" "t2");
+  finish c;
+  let c = Cluster.recover c in
+  Cluster.start_migration c (move ~drop:"t2" "t2" "t");
+  finish c;
+  let c = Cluster.recover c in
+  Cluster.start_migration c (move ~drop:"t" "t" "t2");
+  ignore (Cluster.background_step c ~batch:2 : int);
+  let c = Cluster.recover c in
+  finish c;
+  check (Alcotest.list Alcotest.string) "every row reaches t2"
+    (List.init 40 (fun i -> Printf.sprintf "%d|g%d" i (i mod 3)) |> List.sort compare)
+    (sorted_rows_c c "SELECT id, v FROM t2")
+
+(* A crash after the first two shards switched: recovery starts the
+   other two from the leader's Start record, and the migration runs to a
+   row-exact finish. *)
+let start_crash_between_shards () =
+  let module Fault = Bullfrog_core.Fault in
+  let switched c =
+    List.init (Cluster.shard_count c) (fun s ->
+        Redo_log.lifecycle (Cluster.shard_db c s).Database.redo <> None)
+  in
+  let c = mk_cluster 12 in
+  Fault.arm ~after:1 Fault.p_cluster_start;
+  (match Cluster.start_migration c (copy_t_spec ()) with
+  | () ->
+      Fault.disarm ();
+      Alcotest.fail "start did not reach its crash point"
+  | exception Fault.Crash _ -> ());
+  check Alcotest.(list bool) "two shards logged a start" [ true; true; false; false ]
+    (switched c);
+  let c = Cluster.recover c in
+  check Alcotest.bool "migration active" true (Cluster.active_migration c <> None);
+  while not (Cluster.migration_complete c) do
+    ignore (Cluster.background_step c ~batch:8 : int)
+  done;
+  Cluster.finalize c;
+  check (Alcotest.list Alcotest.string) "row-exact"
+    (List.init 12 (fun i -> Printf.sprintf "%d|g%d" i (i mod 3)) |> List.sort compare)
+    (sorted_rows_c c "SELECT id, v FROM t2")
 
 (* ------------------------------------------------------------------ *)
 (* Frontend: the uniform surface behaves the same on both engines      *)
@@ -1306,6 +1366,9 @@ let suite =
       cluster_rollback_trivial;
     Alcotest.test_case "crash between shard trivial rollbacks" `Quick
       trivial_rollback_crash_between_shards;
+    Alcotest.test_case "migration ids continue after recovery" `Quick
+      cluster_ids_continue_after_restart;
+    Alcotest.test_case "crash between shard starts" `Quick start_crash_between_shards;
     Alcotest.test_case "dropped name reused across recovery" `Quick cluster_name_reuse;
     Alcotest.test_case "frontend surface" `Quick frontend_surface;
     Alcotest.test_case "budgeted vacuum equivalence" `Quick vacuum_budget_equivalence;

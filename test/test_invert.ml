@@ -426,8 +426,8 @@ let serialize_roundtrip =
       && Migration.serialize rt = Migration.serialize spec)
 
 let derived_backward_roundtrips () =
-  (* the spec the cluster logs in its BFMIG-RB marker is a derived one:
-     shared outputs and all — it must survive the coordinator log *)
+  (* the spec a Rollback record logs is a derived one: shared outputs
+     and all — it must survive the redo log *)
   let db = mk_kv_db 8 in
   let v = Mig_lint.lint db.Database.catalog (two_stmt_split_spec ()) in
   match v.Mig_lint.lint_backward with

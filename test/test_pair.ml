@@ -139,7 +139,7 @@ let pair_recovery () =
   ignore (Lazy_db.exec bf "SELECT * FROM ab WHERE k = 2" : Executor.result);
   check Alcotest.int "one pair before crash" 1 (count db "ab");
   let rt' = Recovery.simulate_crash rt in
-  let restored = Recovery.rebuild rt' db.Database.redo in
+  let restored = (Recovery.rebuild_report rt' db.Database.redo).Recovery.rb_restored in
   check Alcotest.int "pair restored" 1 restored;
   let report = Migrate_exec.new_report () in
   Migrate_exec.migrate_for_preds rt' report

@@ -182,7 +182,7 @@ let finalized_drop_survives_replay () =
   while Lazy_db.background_step bf ~batch:8 > 0 do () done;
   Lazy_db.finalize bf;
   let db' = Database.replay (Redo_log.deserialize (Redo_log.serialize db.Database.redo)) in
-  let bf' = Lazy_db.create db' in
+  let bf' = Lazy_db.recover db' in
   (match Lazy_db.exec bf' "SELECT id FROM t" with
   | _ -> Alcotest.fail "t was dropped by the finalized migration"
   | exception Db_error.Sql_error msg ->
@@ -311,7 +311,7 @@ let name_reuse_round_trip () =
     (fun crash ->
       let bf = Lazy_db.create (t_db ()) in
       run_lazy bf (move_spec ~drop_old:[ "t" ] "t" "t2");
-      let bf = if crash then Lazy_db.create (replayed (Lazy_db.db bf)) else bf in
+      let bf = if crash then Lazy_db.recover (replayed (Lazy_db.db bf)) else bf in
       run_lazy bf (move_spec ~drop_old:[ "t2" ] "t2" "t");
       let leg = if crash then "after recovery" else "straight" in
       match Lazy_db.exec bf "SELECT id, v FROM t WHERE id = 2" with
@@ -354,13 +354,13 @@ let resume_keeps_on_conflict () =
       ]
   in
   let bf = Lazy_db.create db in
-  let rt = Lazy_db.start_migration bf spec in
+  ignore (Lazy_db.start_migration bf spec : Migrate_exec.t);
   ignore (Lazy_db.background_step bf ~batch:5 : int);
   let db' =
     Database.replay (Redo_log.deserialize (Redo_log.serialize db.Database.redo))
   in
-  let bf' = Lazy_db.create db' in
-  let rt' = Lazy_db.resume_migration bf' ~mig_id:rt.Migrate_exec.mig_id spec in
+  let bf' = Lazy_db.recover db' in
+  let rt' = Option.get (Lazy_db.active bf') in
   check Alcotest.bool "resumed in ON CONFLICT mode" true
     (rt'.Migrate_exec.mode = Migrate_exec.On_conflict);
   let drain bf =
@@ -416,8 +416,16 @@ let checkpoint_preserves_marks () =
   let before = Redo_log.entry_count db.Database.redo in
   let dropped = Redo_log.checkpoint db.Database.redo in
   check Alcotest.bool "checkpoint dropped entries" true (dropped = before && dropped > 0);
-  check Alcotest.int "only the synthetic mark record remains" 1
-    (Redo_log.entry_count db.Database.redo);
+  check
+    Alcotest.(list string)
+    "only the open migration's Start and the synthetic mark record remain"
+    [ "start"; "marks" ]
+    (List.map
+       (function
+         | Redo_log.E_migration { mg_step = Redo_log.M_start _; _ } -> "start"
+         | Redo_log.E_commit { Redo_log.txn_id = 0; writes = []; _ } -> "marks"
+         | _ -> "other")
+       (Redo_log.entries db.Database.redo));
   check Alcotest.int "truncation accounted" before (Redo_log.truncated db.Database.redo);
   let rt', report = Recovery.recover rt in
   check Alcotest.int "both granules survive the checkpoint" 2 report.Recovery.rb_restored;
@@ -481,10 +489,10 @@ let prefix_replay_prop =
           (List.filteri (fun i _ -> i < j) records)
       in
       let rt' = Recovery.simulate_crash rt in
-      let restored = Recovery.rebuild rt' db.Database.redo in
+      let restored = (Recovery.rebuild_report rt' db.Database.redo).Recovery.rb_restored in
       ignore (restored : int);
       let rt'' = Recovery.simulate_crash rt in
-      let restored'' = Recovery.rebuild rt'' prefix in
+      let restored'' = (Recovery.rebuild_report rt'' prefix).Recovery.rb_restored in
       if restored'' <> List.length expected then
         Test.fail_reportf "restored %d granules, prefix marked %d" restored''
           (List.length expected);
@@ -511,6 +519,163 @@ let prefix_replay_prop =
                 want
           done;
           true)
+
+(* ---------------- lifecycle records and restart ---------------- *)
+
+let rows db sql =
+  List.sort compare
+    (List.map
+       (fun r -> Array.to_list (Array.map Value.to_string r))
+       (Database.query db sql))
+
+let drain bf = while Lazy_db.background_step bf ~batch:8 > 0 do () done
+
+let lifecycle_kinds db =
+  List.filter_map
+    (function
+      | Redo_log.E_migration { mg_step = Redo_log.M_start _; _ } -> Some "start"
+      | Redo_log.E_migration { mg_step = Redo_log.M_rollback _; _ } -> Some "rollback"
+      | Redo_log.E_migration { mg_step = Redo_log.M_finalize _; _ } -> Some "finalize"
+      | Redo_log.E_migration { mg_step = Redo_log.M_end; _ } -> Some "end"
+      | Redo_log.E_commit { Redo_log.txn_id = 0; writes = []; _ } -> Some "marks"
+      | Redo_log.E_ddl _ | Redo_log.E_commit _ | Redo_log.E_prepare _
+      | Redo_log.E_decision _ ->
+          None)
+    (Redo_log.entries db.Database.redo)
+
+(* Every lifecycle kind survives the BFRL4 round trip bit-exactly, and a
+   log written before lifecycle records existed (BFRL3) still reads. *)
+let lifecycle_round_trip () =
+  let db = mk_src_db 8 in
+  let bf = Lazy_db.create db in
+  ignore (Lazy_db.start_migration bf ~page_size:4 (copy_spec ()) : Migrate_exec.t);
+  ignore (Lazy_db.background_step bf ~batch:1 : int);
+  ignore (Lazy_db.rollback_migration bf : Migrate_exec.t option);
+  drain bf;
+  Lazy_db.finalize bf;
+  check Alcotest.(list string) "one record per step"
+    [ "start"; "rollback"; "finalize"; "end" ] (lifecycle_kinds db);
+  let bytes = Redo_log.serialize db.Database.redo in
+  let log' = Redo_log.deserialize bytes in
+  check Alcotest.bool "entries equal" true
+    (Redo_log.entries log' = Redo_log.entries db.Database.redo);
+  check Alcotest.bool "bit-exact" true (Redo_log.serialize log' = bytes);
+  let v4 = Redo_log.serialize (mixed_workload ()).Database.redo in
+  let v3 = "BFRL3\n" ^ String.sub v4 6 (String.length v4 - 6) in
+  check Alcotest.bool "a BFRL3 log reads" true
+    (Redo_log.entries (Redo_log.deserialize v3)
+    = Redo_log.entries (Redo_log.deserialize v4))
+
+(* t -> t2 -> t -> t2 with a restart between hops and a crash in the
+   third: migration ids keep counting past the log's, so the first hop's
+   marks (same input name, same TIDs) are not taken for the third's, and
+   t2 drains to every row. *)
+let ids_continue_after_restart () =
+  let db = Database.create () in
+  ignore (Database.exec db "CREATE TABLE t (id INT PRIMARY KEY, v INT)" : Executor.result);
+  for i = 1 to 40 do
+    ignore
+      (Database.exec db (Printf.sprintf "INSERT INTO t VALUES (%d, %d)" i (10 * i))
+        : Executor.result)
+  done;
+  let restart bf = Lazy_db.recover (replayed (Lazy_db.db bf)) in
+  let bf = Lazy_db.create db in
+  run_lazy bf (move_spec ~drop_old:[ "t" ] "t" "t2");
+  let bf = restart bf in
+  run_lazy bf (move_spec ~drop_old:[ "t2" ] "t2" "t");
+  let bf = restart bf in
+  ignore (Lazy_db.start_migration bf (move_spec ~drop_old:[ "t" ] "t" "t2") : Migrate_exec.t);
+  ignore (Lazy_db.background_step bf ~batch:5 : int);
+  let bf = restart bf in
+  drain bf;
+  Lazy_db.finalize bf;
+  check Alcotest.int "every row reaches t2" 40 (count (Lazy_db.db bf) "t2");
+  check Alcotest.int "values intact" 8200
+    (match Database.query_one (Lazy_db.db bf) "SELECT SUM(v) FROM t2" with
+    | [| Value.Int n |] -> n
+    | _ -> -1)
+
+(* A checkpoint mid-migration keeps the Start record: a restart over the
+   checkpoint image (a truncated log cannot be replayed from empty)
+   resumes with the recorded granule size and drains row-exact. *)
+let checkpoint_mid_migration () =
+  let db = mk_src_db 18 in
+  let bf = Lazy_db.create db in
+  ignore (Lazy_db.start_migration bf ~page_size:4 (copy_spec ()) : Migrate_exec.t);
+  ignore (Lazy_db.exec bf "SELECT * FROM dst WHERE id = 5" : Executor.result);
+  ignore (Lazy_db.background_step bf ~batch:2 : int);
+  ignore (Redo_log.checkpoint db.Database.redo : int);
+  ignore (Lazy_db.exec bf "SELECT * FROM dst WHERE id = 17" : Executor.result);
+  let bf = Lazy_db.recover db in
+  (match Lazy_db.active bf with
+  | Some rt -> check Alcotest.int "recorded granule size" 4 rt.Migrate_exec.page_size
+  | None -> Alcotest.fail "no migration resumed");
+  drain bf;
+  Lazy_db.finalize bf;
+  check Alcotest.(list (list string)) "row-exact"
+    (rows (mk_src_db 18) "SELECT id, grp, v FROM src")
+    (rows db "SELECT id, grp, v FROM dst")
+
+(* The same mid-rollback.  The old table has 22 rows in granules of 4, so
+   its last forward granule (TIDs 20-23) reaches past the 22-row ceiling,
+   and the first rows the backward migration reconstructs land at TIDs 22
+   and 23.  Re-purging that granule after the restart keeps them only
+   because the ceiling comes from the Rollback record, not from the grown
+   heap. *)
+let checkpoint_mid_rollback () =
+  let db = mk_src_db 22 in
+  let bf = Lazy_db.create db in
+  ignore (Lazy_db.start_migration bf ~page_size:4 (copy_spec ()) : Migrate_exec.t);
+  List.iter
+    (fun sql -> ignore (Lazy_db.exec bf sql : Executor.result))
+    [
+      "SELECT * FROM dst WHERE id = 21";
+      "SELECT * FROM dst WHERE id = 9";
+      "UPDATE dst SET v = 'edited' WHERE id = 20";
+      "DELETE FROM dst WHERE id = 9";
+    ];
+  ignore (Lazy_db.rollback_migration bf : Migrate_exec.t option);
+  ignore (Lazy_db.background_step bf ~batch:4 : int);
+  check Alcotest.bool "reconstructed rows above the ceiling" true
+    (Heap.tid_count (Catalog.find_table_exn db.Database.catalog "src") > 22);
+  ignore (Redo_log.checkpoint db.Database.redo : int);
+  check Alcotest.(list string) "the open migration's records survive"
+    [ "start"; "rollback"; "marks" ] (lifecycle_kinds db);
+  let bf = Lazy_db.recover db in
+  drain bf;
+  Lazy_db.finalize bf;
+  let oracle = mk_src_db 22 in
+  ignore (Database.exec oracle "UPDATE src SET v = 'edited' WHERE id = 20" : Executor.result);
+  ignore (Database.exec oracle "DELETE FROM src WHERE id = 9" : Executor.result);
+  check Alcotest.(list (list string)) "row-exact vs the never-migrated history"
+    (rows oracle "SELECT id, grp, v FROM src")
+    (rows db "SELECT id, grp, v FROM src")
+
+(* A closed migration leaves nothing for a checkpoint to keep but its
+   marks, and a restart finds nothing to resume. *)
+let checkpoint_after_end () =
+  let db = mk_src_db 8 in
+  run_lazy (Lazy_db.create db) (copy_spec ());
+  ignore (Redo_log.checkpoint db.Database.redo : int);
+  check Alcotest.(list string) "no lifecycle record" [ "marks" ] (lifecycle_kinds db);
+  check Alcotest.bool "nothing resumes" true (Lazy_db.active (Lazy_db.recover db) = None)
+
+(* A crash after the Finalize record, before the drops: the restart
+   finishes them and closes the migration. *)
+let recover_finishes_drops () =
+  let db = mk_src_db 8 in
+  let bf = Lazy_db.create db in
+  let rt = Lazy_db.start_migration bf (copy_spec ()) in
+  drain bf;
+  Redo_log.append_lifecycle db.Database.redo ~mig_id:rt.Migrate_exec.mig_id
+    (Redo_log.M_finalize [ "src" ]);
+  let db' = replayed db in
+  check Alcotest.bool "src still there before the restart" true (exists db' "src");
+  let bf = Lazy_db.recover db' in
+  check Alcotest.bool "no migration resumed" true (Lazy_db.active bf = None);
+  check Alcotest.bool "src dropped" false (exists db' "src");
+  check Alcotest.int "dst kept" 8 (count db' "dst");
+  check Alcotest.(list string) "closed" [ "start"; "finalize"; "end" ] (lifecycle_kinds db')
 
 (* ---------------- failed eager copy ---------------- *)
 
@@ -583,6 +748,13 @@ let suite =
     Alcotest.test_case "dropped name reused after a round trip" `Quick name_reuse_round_trip;
     Alcotest.test_case "resume keeps ON CONFLICT mode" `Quick resume_keeps_on_conflict;
     Alcotest.test_case "checkpoint preserves marks" `Quick checkpoint_preserves_marks;
+    Alcotest.test_case "lifecycle records round trip" `Quick lifecycle_round_trip;
+    Alcotest.test_case "migration ids continue after a restart" `Quick
+      ids_continue_after_restart;
+    Alcotest.test_case "checkpoint mid-migration resumes" `Quick checkpoint_mid_migration;
+    Alcotest.test_case "checkpoint mid-rollback resumes" `Quick checkpoint_mid_rollback;
+    Alcotest.test_case "checkpoint after end keeps no record" `Quick checkpoint_after_end;
+    Alcotest.test_case "restart finishes logged drops" `Quick recover_finishes_drops;
     Alcotest.test_case "out-of-range marks reported" `Quick dropped_marks_reported;
     QCheck_alcotest.to_alcotest prefix_replay_prop;
     Alcotest.test_case "failed eager copy leaves nothing" `Quick failed_eager_copy;
